@@ -37,6 +37,14 @@ Worker lifecycle (used by the autoscaler in :mod:`repro.serve`):
   mode that could not recover) and hands back its queued requests so
   the driver can re-route them to the survivors.
 
+Drain, retire and eject are one-way: no worker ever becomes routable
+or healthy again.  Routing therefore keeps a view of the *live* fleet
+only — the routable and healthy ids in join order, and a sorted ring
+holding just the routable workers' replicas — so a submission costs
+O(live workers) however many workers an autoscaled run has churned
+through.  :attr:`order`, :attr:`slots` and :meth:`depths` still list
+every worker ever known.
+
 :meth:`depths` exposes the per-worker queue snapshot (queued requests,
 queued bytes, health/drain state) — the non-private view the
 autoscaler and the observability layer key off.
@@ -44,9 +52,11 @@ autoscaler and the observability layer key off.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
 from repro.fleet.wire import TaggedMessage, WireFormatError
 from repro.resil.transient import RetryPolicy
@@ -132,7 +142,11 @@ class FleetFrontend:
             wid: WorkerSlot(wid, capacity=queue_capacity)
             for wid in worker_ids
         }
+        #: Every worker ever joined, in join order (never shrinks).
         self.order: List[str] = list(worker_ids)
+        # The routing view: live workers only, in join order.
+        self._routable: List[str] = list(worker_ids)
+        self._healthy: List[str] = list(worker_ids)
         #: Requests refused because every routable queue was full.
         self.dropped = 0
         #: Requests that spilled past their first-choice worker.
@@ -146,31 +160,39 @@ class FleetFrontend:
         #: Retransmission requests issued after a bad/lost frame.
         self.retransmits = 0
         self._rr_next = 0
-        self._ring = self._build_ring(worker_ids, seed)
+        self._seed_key = str(seed).encode()
+        #: (position, worker id) for every replica of a routable worker.
+        self._ring: List[Tuple[int, str]] = sorted(
+            point for wid in worker_ids for point in self._replicas(wid))
 
-    @staticmethod
-    def _build_ring(worker_ids: Sequence[str], seed: int):
-        ring = []
-        for wid in worker_ids:
-            for replica in range(HASH_REPLICAS):
-                pos = _hash64(str(seed).encode(), wid.encode(),
-                              str(replica).encode())
-                ring.append((pos, wid))
-        ring.sort()
-        return ring
+    def _replicas(self, worker_id: str) -> List[Tuple[int, str]]:
+        """A worker's ring positions; they depend only on seed and id."""
+        return [(_hash64(self._seed_key, worker_id.encode(),
+                         str(replica).encode()), worker_id)
+                for replica in range(HASH_REPLICAS)]
+
+    def _unroute(self, worker_id: str) -> None:
+        """Take a worker out of routing for good (drain/retire/eject)."""
+        if worker_id in self._routable:
+            self._routable.remove(worker_id)
+            self._ring = [point for point in self._ring
+                          if point[1] != worker_id]
 
     # -- candidate ordering ---------------------------------------------
 
-    def _healthy(self) -> List[str]:
-        return [wid for wid in self.order if self.slots[wid].healthy]
-
-    def _routable(self) -> List[str]:
-        return [wid for wid in self.order if self.slots[wid].routable]
+    @property
+    def routable_ids(self) -> Tuple[str, ...]:
+        """Workers accepting new requests, in join order."""
+        return tuple(self._routable)
 
     def _candidates(self, request: Request,
-                    key: Optional[bytes] = None) -> List[str]:
-        """Worker ids in routing-preference order for one request."""
-        routable = self._routable()
+                    key: Optional[bytes] = None) -> Iterable[str]:
+        """Worker ids in routing-preference order for one request.
+
+        The hash policy's order is produced lazily: a submission whose
+        first choice has room never walks the rest of the ring.
+        """
+        routable = self._routable
         if not routable:
             return []
         if self.policy == "round_robin":
@@ -178,28 +200,27 @@ class FleetFrontend:
             self._rr_next += 1
             return routable[start:] + routable[:start]
         if self.policy == "least_loaded":
+            # sorted() is stable: ties keep join order.
             return sorted(
                 routable,
                 key=lambda wid: (len(self.slots[wid].queue),
-                                 self.slots[wid].queued_bytes,
-                                 self.order.index(wid)))
-        # Consistent hash: walk the ring clockwise from the key's
-        # position, skipping unroutable/duplicate workers.
-        point = _hash64(str(self.seed).encode(),
-                        key if key is not None else _payload_of(request))
-        ordered: List[str] = []
-        start = 0
-        for i, (pos, _wid) in enumerate(self._ring):
-            if pos >= point:
-                start = i
-                break
-        for i in range(len(self._ring)):
-            wid = self._ring[(start + i) % len(self._ring)][1]
-            if wid not in ordered and self.slots[wid].routable:
-                ordered.append(wid)
-                if len(ordered) == len(routable):
-                    break
-        return ordered
+                                 self.slots[wid].queued_bytes))
+        return self._ring_walk(_hash64(
+            self._seed_key, key if key is not None else _payload_of(request)))
+
+    def _ring_walk(self, point: int) -> Iterator[str]:
+        """Consistent hash: each routable worker once, clockwise of point."""
+        ring = self._ring
+        size = len(ring)
+        start = bisect.bisect_left(ring, (point,))
+        seen = set()
+        for i in range(start, start + size):
+            wid = ring[i % size][1]
+            if wid not in seen:
+                seen.add(wid)
+                yield wid
+                if len(seen) == len(self._routable):
+                    return
 
     # -- routing ---------------------------------------------------------
 
@@ -300,16 +321,27 @@ class FleetFrontend:
             capacity=self.queue_capacity if capacity is None else capacity)
         self.slots[worker_id] = slot
         self.order.append(worker_id)
-        for replica in range(HASH_REPLICAS):
-            pos = _hash64(str(self.seed).encode(), worker_id.encode(),
-                          str(replica).encode())
-            self._ring.append((pos, worker_id))
-        self._ring.sort()
+        self._routable.append(worker_id)
+        self._healthy.append(worker_id)
+        for point in self._replicas(worker_id):
+            bisect.insort(self._ring, point)
         return slot
 
     def drain(self, worker_id: str) -> None:
         """Stop routing to a worker; it serves out its queue (scale-down)."""
         self.slots[worker_id].draining = True
+        self._unroute(worker_id)
+
+    def _remove(self, worker_id: str, reason: str) -> WorkerSlot:
+        """Take a worker out of rotation for good (retire/eject)."""
+        slot = self.slots[worker_id]
+        slot.healthy = False
+        slot.draining = False
+        slot.ejected_reason = reason
+        self._unroute(worker_id)
+        if worker_id in self._healthy:
+            self._healthy.remove(worker_id)
+        return slot
 
     def retire(self, worker_id: str) -> None:
         """Remove a drained worker whose queue has emptied."""
@@ -318,16 +350,11 @@ class FleetFrontend:
             raise ValueError(
                 f"worker {worker_id!r} still has {len(slot.queue)} "
                 "queued request(s); drain must empty before retire")
-        slot.healthy = False
-        slot.draining = False
-        slot.ejected_reason = "retired"
+        self._remove(worker_id, "retired")
 
     def eject(self, worker_id: str, reason: str = "") -> List[Request]:
         """Remove a worker from rotation; hand back its queued requests."""
-        slot = self.slots[worker_id]
-        slot.healthy = False
-        slot.draining = False
-        slot.ejected_reason = reason or "ejected"
+        slot = self._remove(worker_id, reason or "ejected")
         orphans = list(slot.queue)
         slot.queue.clear()
         return orphans
@@ -356,15 +383,14 @@ class FleetFrontend:
     @property
     def total_queued(self) -> int:
         """Requests waiting across every healthy worker queue."""
-        return sum(len(slot.queue) for slot in self.slots.values()
-                   if slot.healthy)
+        return sum(len(self.slots[wid].queue) for wid in self._healthy)
 
     @property
     def healthy_count(self) -> int:
         """Workers still in rotation (draining workers included)."""
-        return len(self._healthy())
+        return len(self._healthy)
 
     @property
     def routable_count(self) -> int:
         """Workers accepting new requests (healthy and not draining)."""
-        return len(self._routable())
+        return len(self._routable)

@@ -323,9 +323,8 @@ class SupervisedFleet:
                 if fleet[wid]["dead"]:
                     # Routed to a corpse between detection passes: the
                     # journal will replay it, but prefer a live target.
-                    live = [w for w in frontend.order
-                            if w in fleet and not fleet[w]["dead"]
-                            and frontend.slots[w].routable]
+                    live = [w for w in frontend.routable_ids
+                            if w in fleet and not fleet[w]["dead"]]
                     if live:
                         wid = min(live,
                                   key=lambda w: len(frontend.slots[w].queue))

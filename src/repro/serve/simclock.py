@@ -710,6 +710,8 @@ class ServeSim:
                              replica_store=store if protected else None)
         records: Dict[int, RequestRecord] = {}
         open_requests = 0
+        #: Workers with ``busy`` set, kept exact where the flag flips.
+        in_flight = 0
         next_worker = self.initial_workers
         #: Workers waiting to migrate at their next request boundary.
         migrating: set = set()
@@ -726,6 +728,7 @@ class ServeSim:
                 clock.schedule(event.time, "chaos", event)
 
         def dispatch(wid: str) -> None:
+            nonlocal in_flight
             worker = workers[wid]
             slot = frontend.slots[wid]
             if (worker.busy or not slot.queue or worker.ejected
@@ -740,6 +743,7 @@ class ServeSim:
             record.dispatch = clock.now
             record.service = cost.cycles
             worker.busy = True
+            in_flight += 1
             worker.inflight = request
             journal.assign(request.index, wid)
             clock.schedule(clock.now + cost.cycles, "complete",
@@ -788,10 +792,8 @@ class ServeSim:
                     # the least-loaded routable survivor, bypassing the
                     # admission capacity check.
                     candidates = [
-                        s for s in frontend.order
-                        if frontend.slots[s].routable
-                        and not workers[s].ejected
-                        and not workers[s].crashed
+                        s for s in frontend.routable_ids
+                        if not workers[s].ejected and not workers[s].crashed
                     ]
                     if not candidates:
                         record.outcome = "dropped"
@@ -893,7 +895,7 @@ class ServeSim:
 
         def on_complete(wid: str, request: ServeRequest,
                         cost: ServiceCost, incarnation: int) -> None:
-            nonlocal open_requests
+            nonlocal open_requests, in_flight
             worker = workers[wid]
             if incarnation != worker.incarnation:
                 # A completion from a crashed incarnation: the work
@@ -907,6 +909,7 @@ class ServeSim:
                                (wid, request, cost, incarnation))
                 return
             worker.busy = False
+            in_flight -= 1
             worker.inflight = None
             worker.busy_cycles += cost.cycles
             ack_delay = deliver_response(wid, request, cost)
@@ -983,7 +986,7 @@ class ServeSim:
             result.depth_series.append({
                 "time": clock.now,
                 "queued": queued,
-                "in_flight": sum(1 for w in workers.values() if w.busy),
+                "in_flight": in_flight,
                 "routable_workers": routable,
                 "smoothed": round(autoscaler.smoothed, 4),
             })
@@ -1052,7 +1055,7 @@ class ServeSim:
 
         def on_detect(wid: str, cause: str, failed_at: float) -> None:
             """The failure detector's verdict: eject, replace, replay."""
-            nonlocal next_worker
+            nonlocal next_worker, in_flight
             worker = workers[wid]
             if worker.ejected or worker.retired_at is not None:
                 return
@@ -1069,6 +1072,7 @@ class ServeSim:
                 if worker.crashed:
                     worker.inflight = None
                     worker.busy = False
+                    in_flight -= 1
             scale_event("eject", wid,
                         autoscaler.smoothed if autoscaler else 0.0)
             # Spawn the replacement: boot a twin, rehydrate it from the
@@ -1148,8 +1152,7 @@ class ServeSim:
     def _drain_victim(frontend: FleetFrontend,
                       workers: Dict[str, _SimWorker]) -> Optional[str]:
         """Newest routable worker — scale-down unwinds LIFO."""
-        for wid in reversed(frontend.order):
-            if (frontend.slots[wid].routable and not workers[wid].ejected
-                    and not workers[wid].crashed):
+        for wid in reversed(frontend.routable_ids):
+            if not workers[wid].ejected and not workers[wid].crashed:
                 return wid
         return None

@@ -1,6 +1,9 @@
 """Fleet subsystem: routing, backpressure, drivers, and the two tiers."""
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps.webserver import make_request, traversal_request
 from repro.fleet import (
@@ -12,6 +15,7 @@ from repro.fleet import (
     render_incidents,
     two_tier_experiment,
 )
+from repro.fleet.frontend import HASH_REPLICAS
 from repro.harness.runners import build_web_machine
 from repro.runtime.devices import SimNetwork
 
@@ -155,6 +159,184 @@ class TestFrontendLifecycle:
         assert flat["frontend.queued"] == 2
         assert flat["frontend.depth.a"] == 1
         assert flat["frontend.workers_routable"] == 2
+
+
+class OracleFrontend:
+    """Reference router: filter every worker ever, walk the full ring.
+
+    Routing as the frontend did before it kept a live-only view: each
+    submission rebuilds the routable set from every worker ever joined
+    and walks all replicas of the ring, skipping the unroutable ones.
+    """
+
+    def __init__(self, worker_ids, policy, seed, capacity, shed_limit):
+        self.policy = policy
+        self.seed = seed
+        self.capacity = capacity
+        self.shed_limit = shed_limit
+        self.order = []
+        self.slots = {}
+        self.ring = []
+        self.rr_next = 0
+        self.dropped = self.spilled = self.rejected = 0
+        for wid in worker_ids:
+            self.add_worker(wid)
+
+    def _hash(self, *parts):
+        blob = b"\x00".join((str(self.seed).encode(),) + parts)
+        return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
+
+    def add_worker(self, wid):
+        self.order.append(wid)
+        self.slots[wid] = {"queue": [], "healthy": True, "draining": False}
+        for replica in range(HASH_REPLICAS):
+            self.ring.append(
+                (self._hash(wid.encode(), str(replica).encode()), wid))
+        self.ring.sort()
+
+    def _routable(self, wid):
+        return (self.slots[wid]["healthy"]
+                and not self.slots[wid]["draining"])
+
+    def _candidates(self, payload, key):
+        routable = [w for w in self.order if self._routable(w)]
+        if not routable:
+            return []
+        if self.policy == "round_robin":
+            start = self.rr_next % len(routable)
+            self.rr_next += 1
+            return routable[start:] + routable[:start]
+        if self.policy == "least_loaded":
+            return sorted(routable, key=lambda w: (
+                len(self.slots[w]["queue"]),
+                sum(len(r) for r in self.slots[w]["queue"]),
+                self.order.index(w)))
+        point = self._hash(key if key is not None else payload)
+        start = next((i for i, (pos, _) in enumerate(self.ring)
+                      if pos >= point), 0)
+        ordered = []
+        for i in range(len(self.ring)):
+            wid = self.ring[(start + i) % len(self.ring)][1]
+            if wid not in ordered and self._routable(wid):
+                ordered.append(wid)
+        return ordered
+
+    def submit(self, payload, key):
+        if (self.shed_limit is not None
+                and self.total_queued >= self.shed_limit):
+            self.rejected += 1
+            return None
+        for rank, wid in enumerate(self._candidates(payload, key)):
+            queue = self.slots[wid]["queue"]
+            if self.capacity is None or len(queue) < self.capacity:
+                queue.append(payload)
+                self.spilled += rank > 0
+                return wid
+        self.dropped += 1
+        return None
+
+    def drain(self, wid):
+        self.slots[wid]["draining"] = True
+
+    def retire(self, wid):
+        if self.slots[wid]["queue"]:
+            raise ValueError(wid)
+        self.slots[wid].update(healthy=False, draining=False)
+
+    def eject(self, wid):
+        self.slots[wid].update(healthy=False, draining=False)
+        orphans, self.slots[wid]["queue"] = self.slots[wid]["queue"], []
+        return orphans
+
+    @property
+    def total_queued(self):
+        return sum(len(s["queue"]) for s in self.slots.values()
+                   if s["healthy"])
+
+    def counts(self):
+        healthy = [w for w in self.order if self.slots[w]["healthy"]]
+        routable = [w for w in self.order if self._routable(w)]
+        return (len(healthy), len(routable), self.total_queued,
+                self.dropped, self.spilled, self.rejected)
+
+
+#: One step of a random frontend history: (operation, payload, affinity
+#: key, worker index).  The index wraps around every worker ever
+#: joined, so steps also hit drained and dead workers.
+FRONTEND_STEPS = st.tuples(
+    st.sampled_from(["submit"] * 6 + ["serve"] * 2
+                    + ["add", "drain", "retire", "eject"]),
+    st.binary(min_size=1, max_size=3),
+    st.one_of(st.none(), st.sampled_from([b"s0", b"s1", b"s2", b"s3"])),
+    st.integers(0, 63),
+)
+
+
+class TestRoutingView:
+    """The live-worker routing view decides exactly as the full scan."""
+
+    @pytest.mark.parametrize("policy",
+                             ["round_robin", "least_loaded", "hash"])
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 5),
+           capacity=st.one_of(st.none(), st.integers(1, 3)),
+           shed_limit=st.one_of(st.none(), st.integers(1, 8)),
+           initial=st.integers(1, 4),
+           steps=st.lists(FRONTEND_STEPS, min_size=10, max_size=120))
+    def test_matches_full_scan_oracle(self, policy, seed, capacity,
+                                      shed_limit, initial, steps):
+        ids = [f"w{i}" for i in range(initial)]
+        fe = FleetFrontend(ids, policy=policy, seed=seed,
+                           queue_capacity=capacity, shed_limit=shed_limit)
+        oracle = OracleFrontend(ids, policy, seed, capacity, shed_limit)
+        for op, payload, key, index in steps:
+            wid = oracle.order[index % len(oracle.order)]
+            if op == "submit":
+                assert fe.submit(payload, key=key) == \
+                    oracle.submit(payload, key)
+            elif op == "serve":
+                queue = fe.slots[wid].queue
+                if queue:
+                    assert queue.pop(0) == oracle.slots[wid]["queue"].pop(0)
+            elif op == "add":
+                new = f"n{len(oracle.order)}"
+                fe.add_worker(new)
+                oracle.add_worker(new)
+            elif op == "drain":
+                fe.drain(wid)
+                oracle.drain(wid)
+            elif op == "retire":
+                if oracle.slots[wid]["queue"]:
+                    with pytest.raises(ValueError):
+                        fe.retire(wid)
+                else:
+                    fe.retire(wid)
+                    oracle.retire(wid)
+            else:
+                assert fe.eject(wid) == oracle.eject(wid)
+            assert (fe.healthy_count, fe.routable_count, fe.total_queued,
+                    fe.dropped, fe.spilled, fe.rejected) == oracle.counts()
+        assert fe.order == oracle.order
+        assert list(fe.depths()) == oracle.order
+        assert fe.routable_ids == tuple(
+            w for w in oracle.order if oracle._routable(w))
+
+    def test_ring_holds_only_routable_replicas(self):
+        fe = FleetFrontend(["w0", "w1"], policy="hash", seed=9)
+        for cycle in range(300):
+            fe.add_worker(f"n{cycle}")
+            if cycle % 3:
+                fe.submit(b"r", key=str(cycle).encode())
+            victim = fe.routable_ids[cycle % fe.routable_count]
+            fe.drain(victim)
+            fe.slots[victim].queue.clear()  # served out
+            if cycle % 5 == 0:
+                fe.eject(victim, "crashed")
+            else:
+                fe.retire(victim)
+            assert len(fe._ring) == HASH_REPLICAS * fe.routable_count
+        assert fe.routable_count == 2
+        assert len(fe.order) == len(fe.slots) == len(fe.depths()) == 302
 
 
 class TestMidstreamEjection:

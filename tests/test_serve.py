@@ -310,6 +310,50 @@ class TestServeSim:
         assert flat["frontend.dropped"] == 0
         assert flat["frontend.workers_routable"] == 2
 
+    def test_autoscaled_chaos_run_is_pinned(self):
+        # Scale-ups, drains via migration, crash and stall recoveries,
+        # zombie completions: every path that changes the routable set
+        # or a worker's busy flag.  The constants were recorded with
+        # routing that scanned every worker ever joined, so any drift in
+        # candidate order or in the in_flight samples changes them.
+        import hashlib
+        import json
+
+        from repro.chaos import ChaosSchedule, RecoveryPolicy
+
+        workload = generate(LoadConfig(seed=13, phases=[
+            LoadPhase(1_500_000.0, 160.0), LoadPhase(1_000_000.0, 12.0),
+            LoadPhase(1_000_000.0, 160.0), LoadPhase(1_000_000.0, 4.0),
+        ], attack_fraction=0.1))
+        overrides = {r.payload: ServiceCost(cycles=20_000.0,
+                                            outcome="quarantined", alerts=1,
+                                            policy_ids=("H2",))
+                     for r in workload if r.kind != "clean"}
+        chaos = ChaosSchedule.campaign(4, workers=6, duration=4_500_000.0,
+                                       crashes=3, stalls=3,
+                                       stall_cycles=50_000.0)
+        result = ServeSim(
+            workers=2, seed=4,
+            service_model=StubModel(cycles=25_000.0, boot=40_000.0,
+                                    overrides=overrides),
+            autoscaler=AutoscalerConfig(min_workers=2, max_workers=6,
+                                        interval=20_000.0,
+                                        cooldown_ticks=1),
+            chaos=chaos, recovery=RecoveryPolicy(), migrate_on_drain=True,
+            migration_cycles=15_000.0).run(workload)
+        actions = [e["action"] for e in result.scale_events]
+        assert actions.count("migrate") == 6
+        assert [r["cause"] for r in result.recoveries].count("stall") == 3
+        assert len(result.recoveries) == 6
+        assert result.digest() == (
+            "40f0cb04e744c39963708c04b18333f6c11317f55ea17b1adfb884cce556a840")
+        assert result.outcome_digest() == (
+            "9a33e62cb61ceb54f9147b0ea68128cc4a2db3d6436442a8cc7e6619157a7177")
+        series = json.dumps([result.depth_series, result.scale_events],
+                            sort_keys=True).encode()
+        assert hashlib.sha256(series).hexdigest() == (
+            "323931f24540cec8ccec25b06018134a98ebf25f6c40288e7b0f6ddd45d5dc9d")
+
     def test_report_is_json_ready(self):
         import json
 

@@ -1,5 +1,10 @@
 """SPEC-like kernel tests: correctness across instrumentation modes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.apps.spec import BENCHMARKS
@@ -36,6 +41,28 @@ class TestCatalogue:
     def test_inputs_deterministic(self):
         for bench in BENCHMARKS.values():
             assert bench.make_input("test") == bench.make_input("test")
+
+    def test_inputs_identical_across_string_hash_seeds(self):
+        # Inputs must not depend on the per-process string-hash salt.
+        script = (
+            "import hashlib\n"
+            "from repro.apps.spec import BENCHMARKS\n"
+            "for b in BENCHMARKS.values():\n"
+            "    for scale in ('test', 'ref'):\n"
+            "        print(b.name, scale,\n"
+            "              hashlib.sha256(b.make_input(scale)).hexdigest())\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+
+        def digests(hash_seed):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=str(src))
+            return subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True, timeout=120).stdout
+
+        first = digests("1")
+        assert first.count("\n") == 2 * len(BENCHMARKS)
+        assert first == digests("2")
 
     def test_unknown_placeholder_rejected(self):
         from repro.apps.spec.common import SpecBenchmark
