@@ -14,8 +14,8 @@ invariant and :attr:`duplicates` > 0 is the dedup machinery visibly
 earning its keep.
 
 The journal is plain deterministic bookkeeping — no clock, no
-randomness — so it is shared verbatim by the simulated serving loop,
-the supervised multiprocessing fleet, and the wall-clock arm.
+randomness — so it is shared verbatim by the simulated serving loop
+and the one process runtime, :mod:`repro.fleet.supervised`.
 """
 
 from __future__ import annotations

@@ -60,9 +60,10 @@ class ChaosEvent:
 class WorkerChaos:
     """Per-process directives for the multiprocessing arm.
 
-    Counts are 1-based serve positions within the worker's own stream:
-    ``crash_after=3`` means the worker SIGKILLs itself the moment it
-    picks up its 3rd request, before any of that request's work runs
+    Counts are 1-based positions in the worker's own message stream
+    (one request per message in paced serving): ``crash_after=3``
+    means the worker SIGKILLs itself the moment it picks up its 3rd
+    message, before any of that message's work runs
     (a fail-stop at a request boundary, deterministic no matter how the
     host schedules the processes).
     """

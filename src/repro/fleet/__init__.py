@@ -10,6 +10,11 @@ payload bytes *and their taint tags* between machines so that policies
 on an interior tier still see taint that entered the system tiers away
 (:mod:`repro.fleet.tiers`).  Fleet-level metrics merging and incident
 reporting live in :mod:`repro.fleet.observe`.
+
+:class:`SupervisedFleet` (:mod:`repro.fleet.supervised`) is the one
+process runtime: every run on real OS processes — the driver's
+``processes=True`` batches and paced open-loop serving alike — goes
+through its spawn, heartbeat, crash-detection, replay and join path.
 """
 
 from repro.fleet.driver import (
@@ -20,7 +25,7 @@ from repro.fleet.driver import (
     run_worker,
 )
 from repro.fleet.frontend import ROUTING_POLICIES, FleetFrontend, WorkerSlot
-from repro.fleet.supervised import SupervisedFleet, SupervisionConfig
+from repro.fleet.supervised import SupervisedFleet
 from repro.fleet.observe import (
     frontend_metrics,
     incident_report,
@@ -38,7 +43,6 @@ __all__ = [
     "FleetResult",
     "ROUTING_POLICIES",
     "SupervisedFleet",
-    "SupervisionConfig",
     "TaggedMessage",
     "WireFormatError",
     "WorkerSlot",

@@ -7,11 +7,13 @@ Two drivers share one worker implementation:
   fleet's simulated duration is the *maximum* worker cycle count, since
   real workers run concurrently — while staying single-threaded and
   bit-deterministic, which is what the tests and the CI gate use.
-* **multiprocessing**: each worker owns its Machine in its own OS
-  process (``processes=True``).  Routing happens up front in the parent
-  with a seeded frontend, so the request->worker assignment — and hence
-  every worker's simulated execution — is identical to the in-process
-  driver no matter how the host schedules the processes.
+* **processes** (``processes=True``): each worker owns its Machine in
+  its own OS process, on the one process runtime,
+  :class:`repro.fleet.supervised.SupervisedFleet`.  Routing happens up
+  front in the parent with a seeded frontend and each worker receives
+  its whole batch as one message, so the request->worker assignment —
+  and hence every worker's simulated execution — is identical to the
+  in-process driver no matter how the host schedules the processes.
 
 Workers default to ``engine_mode="recover"``: a worker that catches an
 attack rolls back via :mod:`repro.resil` and keeps serving (it stays in
@@ -213,13 +215,6 @@ def _incident_dicts(machine, worker_id: str) -> List[Dict]:
     return out
 
 
-def _mp_entry(args) -> Dict:
-    """Top-level multiprocessing target (must be picklable by name)."""
-    config, worker_id, requests = args
-    summary, _machine = run_worker(config, worker_id, requests)
-    return summary
-
-
 @dataclass
 class FleetResult:
     """Outcome of one fleet run."""
@@ -344,11 +339,25 @@ class FleetDriver:
 
     def run(self, requests: Sequence[Request], *,
             processes: bool = False) -> FleetResult:
-        """Route and execute; ``processes=True`` fans out via fork/spawn."""
+        """Route and execute; ``processes=True`` runs one process per worker."""
         frontend = self._route(requests)
         started = time.perf_counter()
         if processes:
-            result = self._run_processes(frontend)
+            from repro.fleet.supervised import SupervisedFleet
+
+            batches = {wid: [encode_request(r)
+                             for r in frontend.slots[wid].queue]
+                       for wid in self.worker_ids}
+            summaries = SupervisedFleet(
+                self.config, workers=len(self.worker_ids), seed=self.seed,
+                routing=self.routing).run_batches(batches)
+            result = FleetResult(
+                workers=summaries,
+                routed={wid: len(batch) for wid, batch in batches.items()},
+                requests=0, dropped=frontend.dropped,
+                spilled=frontend.spilled,
+                unserved=sum(len(s["unserved"]) for s in summaries
+                             if not s["completed"]))
         else:
             result = self._run_inline(frontend)
         result.requests = len(requests)
@@ -390,54 +399,3 @@ class FleetDriver:
             workers=summaries, routed=routed, requests=0,
             dropped=frontend.dropped, spilled=frontend.spilled,
             rerouted=rerouted, unserved=unserved, machines=machines)
-
-    def run_supervised(self, requests: Sequence[Request], *,
-                       chaos=None, supervision=None,
-                       shed_limit: Optional[int] = None) -> Dict:
-        """Multiprocessing execution with heartbeats and crash recovery.
-
-        Unlike :meth:`run`'s plain ``processes=True`` path — where a
-        worker process that dies takes its batch with it — this path
-        supervises every worker (heartbeat failure detection, periodic
-        ``SHFTMIG1`` checkpoint replication, replacement spawn via
-        ``add_worker``, journal-driven replay) and survives the real
-        ``SIGKILL``/stall faults a :class:`~repro.chaos.schedule
-        .ChaosSchedule`'s directives inject.  Returns the supervised
-        report dict (see :class:`repro.fleet.supervised
-        .SupervisedFleet`); wall-clock numbers are real, the
-        exactly-once accounting is the part worth gating.
-        """
-        from repro.fleet.supervised import SupervisedFleet
-
-        fleet = SupervisedFleet(
-            self.config, workers=len(self.worker_ids),
-            seed=self.seed, routing=self.routing,
-            shed_limit=shed_limit, supervision=supervision, chaos=chaos)
-        encoded = []
-        for i, request in enumerate(requests):
-            payload, tags = encode_request(request)
-            encoded.append((i, payload, tags, "clean"))
-        return fleet.run(encoded)
-
-    def _run_processes(self, frontend: FleetFrontend) -> FleetResult:
-        import multiprocessing as mp
-
-        try:
-            ctx = mp.get_context("fork")
-        except ValueError:  # platforms without fork
-            ctx = mp.get_context("spawn")
-        jobs = []
-        routed = {}
-        for wid in self.worker_ids:
-            batch = [encode_request(r) for r in frontend.slots[wid].queue]
-            frontend.slots[wid].queue.clear()
-            routed[wid] = len(batch)
-            jobs.append((self.config, wid, batch))
-        with ctx.Pool(processes=len(jobs)) as pool:
-            summaries = pool.map(_mp_entry, jobs)
-        unserved = sum(len(s["unserved"]) for s in summaries
-                       if not s["completed"])
-        return FleetResult(
-            workers=summaries, routed=routed, requests=0,
-            dropped=frontend.dropped, spilled=frontend.spilled,
-            rerouted=0, unserved=unserved)

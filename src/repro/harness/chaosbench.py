@@ -37,7 +37,7 @@ Five experiments, one report (``BENCH_chaos.json``):
     PYTHONPATH=src python -m repro.harness.chaosbench --quick --gate
 
 ``--gate`` exits non-zero unless every condition above holds — the CI
-``chaos-smoke`` job's contract.
+``smoke (chaos)`` job's contract.
 """
 
 from __future__ import annotations
@@ -48,10 +48,12 @@ from typing import Dict, List
 from repro.chaos import ChaosEvent, ChaosSchedule, RecoveryPolicy, WorkerChaos
 from repro.compiler.instrument import ShiftOptions
 from repro.fleet.driver import FleetConfig
+from repro.fleet.supervised import SupervisedFleet
 from repro.harness.benchcli import bench_parser, write_report
 from repro.serve import (
     LoadConfig,
     LoadPhase,
+    ServeRequest,
     ServeSim,
     ServiceModel,
     describe,
@@ -300,16 +302,14 @@ def wire_run(service: ServiceModel, seed: int, requests: int) -> Dict:
 
 def supervised_run(engine: str, seed: int, requests: int) -> Dict:
     """Real processes, real SIGKILL (reported, never gated)."""
-    from repro.fleet.driver import FleetDriver
-
     chaos = ChaosSchedule(directives={
         "w0": WorkerChaos(crash_after=2),
     }, seed=seed)
-    driver = FleetDriver(_config(engine), workers=2, seed=seed,
-                         routing="round_robin")
-    payloads = [b"GET /static/page-%d.html" % i for i in range(requests)]
-    report = driver.run_supervised(payloads, chaos=chaos)
-    return report
+    workload = [ServeRequest(index=i, session=i, arrival=0.0,
+                             payload=b"GET /static/page-%d.html" % i)
+                for i in range(requests)]
+    return SupervisedFleet(_config(engine), workers=2, seed=seed,
+                           routing="round_robin", chaos=chaos).run(workload)
 
 
 def run_suite(quick: bool, seed: int, engine: str, *,

@@ -28,7 +28,7 @@ Five experiments, one report (``BENCH_fleet.json``):
     PYTHONPATH=src python -m repro.harness.fleetbench --quick --gate
 
 ``--gate`` exits non-zero unless every experiment above holds — the
-conditions the CI ``fleet-smoke`` job enforces (quick mode gates the
+conditions the CI ``smoke (fleet)`` job enforces (quick mode gates the
 1->2 worker scaling at >= 1.6x instead).
 """
 

@@ -37,7 +37,7 @@ fire *through* the interpreter's dispatch-loop indirection:
 no clean mix raised an alert, every alert's origins reach the request
 bytes, reruns are digest-identical, the adaptive arm's alerts match
 always-on bit-for-bit, and the fleet smoke behaved — the conditions the
-CI ``guest-smoke`` job enforces.
+CI ``smoke (guest)`` job enforces.
 """
 
 from __future__ import annotations

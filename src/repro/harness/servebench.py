@@ -23,15 +23,16 @@ Five experiments, one report (``BENCH_serve.json``):
    must produce a bit-identical result digest — the simulated serving
    loop is deterministic end to end.
 5. **Wall-clock mode** (skipped with ``--quick``): the same workload
-   shape on real OS processes via :mod:`repro.serve.wallclock`,
-   reported without gating.
+   shape on real OS processes via
+   :meth:`repro.fleet.supervised.SupervisedFleet.run`, reported
+   without gating.
 
 ::
 
     PYTHONPATH=src python -m repro.harness.servebench --quick --gate
 
 ``--gate`` exits non-zero unless every condition above holds — the CI
-``serve-smoke`` job's contract.
+``smoke (serve)`` job's contract.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from typing import Dict, List
 from repro.apps.webserver import make_request
 from repro.compiler.instrument import ShiftOptions
 from repro.fleet.driver import FleetConfig
+from repro.fleet.supervised import SupervisedFleet
 from repro.harness.benchcli import bench_parser, write_report
 from repro.serve import (
     AutoscalerConfig,
@@ -51,7 +53,6 @@ from repro.serve import (
     ServiceModel,
     describe,
     generate,
-    run_wallclock,
 )
 
 #: Offered-load multipliers of fixed-fleet capacity for the curve
@@ -288,9 +289,8 @@ def wallclock_run(service: ServiceModel, seed: int, engine: str,
     offered = 0.7 * BASE_WORKERS * 1e6 / mean
     workload = _workload(seed, offered, requests,
                          sizes=CURVE_SIZES, weights=CURVE_WEIGHTS)
-    report = run_wallclock(workload, config=_curve_config(engine),
-                           workers=BASE_WORKERS, seed=seed,
-                           time_scale=time_scale)
+    report = SupervisedFleet(_curve_config(engine), workers=BASE_WORKERS,
+                             seed=seed).run(workload, time_scale=time_scale)
     report["offered_load_cycles"] = round(offered, 3)
     return report
 

@@ -21,8 +21,12 @@ makes that measurable, wall-clock-free:
   controller: spawn recover-mode workers past the high-water mark,
   drain (unroutable → queue empties → retire) below the low-water
   mark.
-* :mod:`repro.serve.wallclock` — the same workload on real OS
-  processes with ``perf_counter`` stamps, the non-gated reality check.
+
+The same workload runs on real OS processes through the one process
+runtime, :meth:`repro.fleet.supervised.SupervisedFleet.run`: paced in
+wall time, routed by the same session-affinity key, and reported as
+the same per-request records in wall seconds — the non-gated reality
+check.
 
 ``python -m repro.harness.servebench`` sweeps offered load across the
 knee and emits ``BENCH_serve.json``.
@@ -47,7 +51,6 @@ from repro.serve.simclock import (
     SimClock,
     percentile,
 )
-from repro.serve.wallclock import run_wallclock
 
 __all__ = [
     "ATTACK_KINDS",
@@ -66,5 +69,4 @@ __all__ = [
     "generate",
     "offered_duration",
     "percentile",
-    "run_wallclock",
 ]

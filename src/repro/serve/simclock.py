@@ -16,8 +16,10 @@ each request records its enqueue / dispatch / complete stamps, and the
 run emits p50/p95/p99 latency, a queue-depth time series, and the
 autoscaler's worker-count trace.
 
-For *real* (non-simulated) measurements there is a parallel
-multiprocessing wall-clock mode in :mod:`repro.serve.wallclock`.
+For *real* (non-simulated) measurements the same workload runs on OS
+processes through :meth:`repro.fleet.supervised.SupervisedFleet.run`,
+which routes by the same affinity key and reports the same
+:class:`RequestRecord` rows in wall seconds.
 """
 
 from __future__ import annotations

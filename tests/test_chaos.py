@@ -426,15 +426,17 @@ class TestMigrateWatermark:
 class TestSupervisedFleet:
     @pytest.mark.slow
     def test_real_sigkill_recovery_is_exactly_once(self):
-        from repro.fleet import FleetDriver
+        from repro.fleet import SupervisedFleet
 
         chaos = ChaosSchedule(directives={
             "w0": WorkerChaos(crash_after=1),
         }, seed=0)
-        driver = FleetDriver(FleetConfig(sizes=(1,)), workers=2, seed=0,
-                             routing="round_robin")
-        requests = [b"GET /static/p%d.html" % i for i in range(6)]
-        report = driver.run_supervised(requests, chaos=chaos)
+        fleet = SupervisedFleet(FleetConfig(sizes=(1,)), workers=2, seed=0,
+                                routing="round_robin", chaos=chaos)
+        workload = [ServeRequest(index=i, session=i, arrival=0.0,
+                                 payload=b"GET /static/p%d.html" % i)
+                    for i in range(6)]
+        report = fleet.run(workload)
         journal = report["journal"]
         assert journal["exactly_once"] and journal["open"] == 0
         assert report["completed"] == 6

@@ -522,13 +522,21 @@ class TestFleetDriver:
 
 
 class TestMultiprocessing:
-    def test_process_driver_matches_inline_digest(self):
-        driver = FleetDriver(FleetConfig(), workers=2, seed=0)
-        batch = [make_request(4) for _ in range(4)]
+    @pytest.mark.parametrize("routing", ["round_robin", "least_loaded",
+                                         "hash"])
+    def test_process_driver_matches_inline_digest(self, routing):
+        driver = FleetDriver(FleetConfig(), workers=2, routing=routing,
+                             seed=0)
+        tagged = TaggedMessage.from_flags(make_request(4),
+                                          [True] * len(make_request(4)))
+        batch = [make_request(4), traversal_request(), make_request(4),
+                 tagged, make_request(4)]
         inline = driver.run(batch)
-        forked = driver.run(batch, processes=True)
-        assert forked.served == 4
-        assert forked.digest() == inline.digest()
+        spawned = driver.run(batch, processes=True)
+        assert spawned.served == 4
+        assert spawned.quarantined == inline.quarantined == 1
+        assert spawned.routed == inline.routed
+        assert spawned.digest() == inline.digest()
 
 
 class TestTwoTier:

@@ -5,12 +5,15 @@ import pytest
 from repro.apps.webserver import make_request, traversal_request
 from repro.compiler.instrument import ShiftOptions
 from repro.fleet.driver import FleetConfig
+from repro.fleet.frontend import FleetFrontend
+from repro.fleet.supervised import SupervisedFleet
 from repro.serve import (
     ATTACK_KINDS,
     Autoscaler,
     AutoscalerConfig,
     LoadConfig,
     LoadPhase,
+    ServeRequest,
     ServeSim,
     ServiceCost,
     ServiceModel,
@@ -19,7 +22,6 @@ from repro.serve import (
     generate,
     offered_duration,
     percentile,
-    run_wallclock,
 )
 
 
@@ -409,8 +411,9 @@ class TestServiceModelReal:
 
 
 class TestWallclock:
+    """Paced serving on real processes (``SupervisedFleet.run``)."""
+
     def test_small_run_completes_and_detects(self):
-        from repro.serve import ServeRequest
         from repro.apps.webserver import overflow_request
 
         config = FleetConfig(variant="resil",
@@ -424,11 +427,43 @@ class TestWallclock:
             ServeRequest(index=2, session=2, arrival=2_000.0,
                          payload=make_request(4)),
         ]
-        report = run_wallclock(workload, config=config, workers=2,
-                               seed=0, time_scale=1e9)
+        report = SupervisedFleet(config, workers=2, seed=0).run(
+            workload, time_scale=1e9)
         assert report["completed"] == 3
         assert report["served"] == 2
         assert report["attacks"] == 1
         assert report["detected"] == 1
         assert report["false_alerts"] == 0
         assert report["wall_seconds"] > 0
+
+    def test_paced_runs_route_by_session_affinity(self):
+        # One payload, many sessions: hashing the payload would put
+        # every request on one worker; the affinity key spreads them
+        # exactly as ServeSim's frontend does.
+        workload = [ServeRequest(index=i, session=i // 2, arrival=0.0,
+                                 payload=make_request(4))
+                    for i in range(10)]
+        seed = 3
+        report = SupervisedFleet(FleetConfig(sizes=(4,)), workers=2,
+                                 seed=seed).run(workload)
+        frontend = FleetFrontend(["w0", "w1"], policy="hash", seed=seed)
+        expected = {r.index: frontend.submit(r.payload, key=r.affinity)
+                    for r in workload}
+        assert len(set(expected.values())) == 2
+        assert report["completed"] == 10
+        assert {row["index"]: row["worker"]
+                for row in report["records"]} == expected
+
+    def test_latency_runs_from_the_scheduled_arrival(self):
+        # Two requests due at once on one worker: the second waits for
+        # the first, and that queueing is part of its latency.
+        workload = [ServeRequest(index=i, session=i, arrival=0.0,
+                                 payload=make_request(4)) for i in range(2)]
+        report = SupervisedFleet(FleetConfig(sizes=(4,)), workers=1,
+                                 seed=0).run(workload)
+        first, second = sorted(report["records"],
+                               key=lambda row: row["complete"])
+        assert first["enqueue"] == second["enqueue"] == 0.0
+        service = second["complete"] - second["dispatch"]
+        assert (second["complete"] - second["enqueue"]
+                >= first["complete"] - first["enqueue"] + service)
