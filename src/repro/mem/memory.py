@@ -24,7 +24,9 @@ the pages written since the last checkpoint; the epoch token lets a
 restore prove the live dirty set is relative to *that* checkpoint and
 roll back in O(touched) instead of O(state).  The per-store cost is
 one integer compare (a one-entry "last dirtied page" cache absorbs
-consecutive stores to the same page).
+consecutive stores to the same page).  Checkpoints never call the epoch
+methods directly: ``repro.resil.checkpoint.adopt_epoch`` moves this set
+together with its fd and connection siblings.
 """
 
 from __future__ import annotations

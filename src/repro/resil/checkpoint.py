@@ -10,15 +10,26 @@ and cache state — so a rolled-back run is *bit-identical* to one that
 never executed the discarded segment, under both the reference and the
 predecoded engine.
 
-Copy-on-write deltas: a :class:`DeltaCheckpoint` chains off a parent
-checkpoint and captures only the memory pages written since the parent
-was taken (``SparseMemory`` tracks them — see the dirty-page epoch
-protocol in :mod:`repro.mem.memory`), plus the same small register/OS/
-provenance state.  Reading a page walks the chain child → parent →
-base; a missing page everywhere means all-zero.  Restore is O(touched)
-whenever the live dirty epoch matches the checkpoint being restored
-(the common rollback-to-latest case, full *or* delta), and falls back
-to a full chain walk otherwise — always correct, merely slower.
+One epoch protocol covers every structure that grows with history:
+memory pages, the guest OS fd table and the connection cursors
+(``read_pos`` and the lengths of ``outbound`` and ``outbound_tags``).
+Each keeps a dirty set — ``SparseMemory`` the page numbers written
+(see :mod:`repro.mem.memory`), ``GuestOS.dirty_fds`` the fds opened,
+moved, written or closed, ``SimNetwork.dirty`` the connections read or
+sent on, keyed by ``Connection.index`` — and :func:`adopt_epoch` opens,
+rebinds and re-adopts all three together, so they always describe the
+same epoch.  A :class:`DeltaCheckpoint` chains off a parent checkpoint
+and records only the dirty entries (a closed fd as a ``None``
+tombstone); a :class:`MachineCheckpoint` records them all.  Reading an
+entry walks the chain child → parent → base, and an entry absent
+everywhere is in its initial state (zero page, closed fd, untouched
+connection).  Restore is O(touched) whenever the live dirty epoch
+matches the checkpoint being restored (the common rollback-to-latest
+case, full *or* delta), and falls back to a full chain walk otherwise —
+always correct, merely slower.  Everything else — registers,
+counters, caches, files, provenance, threads, and queue membership as
+two tuples of connection references — is captured wholesale by every
+checkpoint.
 
 Restore is strictly **in place**: the predecoded engine's generated
 closures capture the identity of the register lists, the counters, the
@@ -29,8 +40,10 @@ assigned) instead.
 
 What is deliberately **not** rolled back (external world / evidence):
 
-* connections that *arrived after* the checkpoint stay queued (they are
-  re-appended behind the restored pending queue);
+* connections that *arrived after* the checkpoint stay queued: whether
+  still pending or already accepted, they are re-queued behind the
+  restored pending set in arrival order, with fresh cursors (those that
+  were quarantined stay quarantined);
 * ``SimNetwork._next_index`` keeps counting (arrival numbers are facts);
 * recorded alerts, the trace ring buffer and quarantine lists are
   append-only evidence of what happened before the rollback;
@@ -54,6 +67,51 @@ _COUNTER_FIELDS = (
 )
 
 
+def adopt_epoch(machine, epoch: Optional[int] = None,
+                carry: Optional["_SnapshotBase"] = None) -> int:
+    """Point the page, fd and connection dirty sets at one epoch.
+
+    * ``adopt_epoch(machine)`` opens a fresh epoch (capture): all three
+      sets drain and the new token is returned.
+    * ``adopt_epoch(machine, epoch)`` rebinds (restore): the live state
+      now equals the snapshot owning ``epoch``, so the sets drain.
+    * ``adopt_epoch(machine, epoch, carry)`` re-adopts (repro.spec):
+      ``carry`` is a delta captured on ``epoch``'s snapshot and about to
+      be dropped; the sets keep what they hold and take back everything
+      ``carry`` recorded, so they are relative to ``epoch`` again as if
+      ``carry`` had never been captured.
+    """
+    mem, os, net = machine.memory, machine.os, machine.net
+    if carry is not None:
+        os.dirty_fds.update(carry.fds)
+        net.dirty.update((index, record[0])
+                         for index, record in carry.conns.items())
+        mem.readopt_epoch(epoch, carry.pages.keys())
+        return epoch
+    os.dirty_fds.clear()
+    net.dirty.clear()
+    if epoch is None:
+        return mem.begin_epoch()
+    mem.rebind_epoch(epoch)
+    return epoch
+
+
+def _fd_record(handle):
+    """Checkpoint record of one fd table entry (None: closed)."""
+    if handle is None:
+        return None
+    return (handle.kind, handle.path, handle.pos, handle.conn,
+            None if handle.write_buffer is None
+            else bytes(handle.write_buffer))
+
+
+def _conn_record(conn):
+    """Checkpoint record of one connection's cursors."""
+    tags = conn.outbound_tags
+    return (conn, conn.read_pos, len(conn.outbound),
+            None if tags is None else len(tags))
+
+
 def _capture_context(ctx):
     """Deep-copy one saved CpuContext (None while running on the core)."""
     if ctx is None:
@@ -67,10 +125,15 @@ def _capture_context(ctx):
 class _SnapshotBase:
     """State capture/restore shared by full and delta checkpoints.
 
-    Subclasses differ only in *which memory pages* they carry and how a
-    page is resolved at restore time; everything else — registers,
-    counters, caches, OS, devices, provenance, threads — is small and
-    captured wholesale by :meth:`_capture_state`.
+    Subclasses differ only in *which* entries of the three
+    epoch-tracked tables they record — memory pages (``pages``), fd
+    table entries (``fds``, None for a closed fd) and connection cursors
+    (``conns``, keyed by ``Connection.index``): a full checkpoint
+    records them all, a delta only those dirtied since its parent.
+    Restore resolves each entry child → parent → base.  Everything else
+    — registers, counters, caches, queue membership, files, devices,
+    provenance, threads — is captured wholesale by
+    :meth:`_capture_state`.
     """
 
     kind = "full"
@@ -78,10 +141,12 @@ class _SnapshotBase:
     def __init__(self) -> None:
         self.instruction_count = 0
         self.pages: Dict[int, bytes] = {}
+        self.fds: Dict[int, Optional[tuple]] = {}
+        self.conns: Dict[int, tuple] = {}
         #: Parent in the delta chain (None for a base snapshot).
         self.parent: Optional["_SnapshotBase"] = None
-        #: Dirty-page epoch token this snapshot opened (see
-        #: SparseMemory.begin_epoch).
+        #: Epoch token this snapshot opened for the page, fd and
+        #: connection dirty sets (see adopt_epoch).
         self.epoch = 0
         self.pending_head_index = -1  # Connection.index, -1 when empty
 
@@ -135,29 +200,19 @@ class _SnapshotBase:
         adaptive = getattr(machine, "adaptive", None)
         self._adaptive = None if adaptive is None else adaptive.capture()
 
-        # Guest OS: fd table (connection objects are shared by reference;
-        # their mutable cursors are saved separately below).
+        # Guest OS scalars (the fd table is epoch-tracked: see capture).
         os = machine.os
         self._stdin_pos = os._stdin_pos
         self._next_fd = os._next_fd
-        self._fds = [
-            (fd, h.kind, h.path, h.pos, h.conn,
-             None if h.write_buffer is None else bytes(h.write_buffer))
-            for fd, h in os._fds.items()
-        ]
         self._io_retries = os.io_retries
         self._io_failures = os.io_failures
 
-        # Network: queue membership plus per-connection cursors.
+        # Network queue membership (the per-connection cursors are
+        # epoch-tracked: see capture).
         net = machine.net
         self._pending = tuple(net.pending)
         self._completed = tuple(net.completed)
         self._arrival_watermark = net._next_index
-        self._conn_state = [
-            (conn, conn.read_pos, len(conn.outbound),
-             None if conn.outbound_tags is None else len(conn.outbound_tags))
-            for conn in (*net.pending, *net.completed)
-        ]
         if self._pending:
             self.pending_head_index = self._pending[0].index
         # External-evidence watermarks: restore() on the same machine
@@ -200,44 +255,57 @@ class _SnapshotBase:
 
     # -- restore -------------------------------------------------------
 
-    def _resolve_page(self, pno: int) -> Optional[bytes]:
-        """Effective content of page ``pno`` at this snapshot.
+    def _resolve(self, table: str, key):
+        """Effective record of ``key`` in ``table`` at this snapshot.
 
-        Walks the chain toward the base; None means all-zero (absent
-        everywhere).
+        ``table`` is ``"pages"``, ``"fds"`` or ``"conns"``.  Walks the
+        chain toward the base; None means the entry is in its initial
+        state there (all-zero page, closed fd, untouched connection).
         """
         node: Optional["_SnapshotBase"] = self
         while node is not None:
-            saved = node.pages.get(pno)
-            if saved is not None:
-                return saved
+            records = getattr(node, table)
+            if key in records:
+                return records[key]
             node = node.parent
         return None
 
-    def _restore_memory(self, machine) -> None:
-        """Roll guest memory back to this snapshot, strictly in place.
+    def _restore_tracked(self, machine) -> bool:
+        """Roll pages, fds and connection cursors back, strictly in place.
 
         Fast path: when the live dirty epoch *is* this snapshot's epoch,
-        only the pages in the dirty set can differ — rewrite exactly
-        those, O(touched).  Slow path (restoring an older snapshot, or
-        rehydrating onto a fresh machine): rewrite the union of live and
-        chain-captured pages, materialising pages the target machine
-        never allocated.  Pages allocated after the checkpoint are
-        zero-filled in place (content-equivalent to never-allocated,
-        and it keeps the one-entry page cache valid).
+        only the entries in the three dirty sets can differ — rewrite
+        exactly those, O(touched).  Slow path (restoring an older
+        snapshot, or rehydrating onto a fresh machine): rewrite the
+        union of live and chain-recorded entries, materialising pages
+        the target machine never allocated.  Pages allocated after the
+        checkpoint are zero-filled in place (content-equivalent to
+        never-allocated, and it keeps the one-entry page cache valid).
+        Returns whether the fast path applied.
         """
-        mem = machine.memory
-        if mem.dirty_epoch == self.epoch:
+        mem, os, net = machine.memory, machine.os, machine.net
+        fast = mem.dirty_epoch == self.epoch
+        if fast:
             pnos = set(mem.dirty_pages())
+            fds = set(os.dirty_fds)
+            conns = dict(net.dirty)
         else:
             pnos = set(mem._pages)
+            fds = set(os._fds)
+            # Only accepted connections ever leave their initial
+            # cursors, so the live and the restored queues name every
+            # connection whose cursors can differ.
+            conns = {c.index: c for c in (*net.pending, *net.completed,
+                                          *self._pending, *self._completed)}
             node: Optional["_SnapshotBase"] = self
             while node is not None:
                 pnos |= node.pages.keys()
+                fds |= node.fds.keys()
                 node = node.parent
+
         pages = mem._pages
         for pno in pnos:
-            saved = self._resolve_page(pno)
+            saved = self._resolve("pages", pno)
             page = pages.get(pno)
             if page is None:
                 if saved is None:
@@ -245,7 +313,33 @@ class _SnapshotBase:
                 page = bytearray(PAGE_SIZE)
                 pages[pno] = page
             page[:] = saved if saved is not None else _ZERO_PAGE
-        mem.rebind_epoch(self.epoch)
+
+        from repro.runtime.guest_os import FileHandle
+
+        for fd in fds:
+            record = self._resolve("fds", fd)
+            if record is None:
+                os._fds.pop(fd, None)
+                continue
+            kind, path, pos, conn, write_buffer = record
+            os._fds[fd] = FileHandle(
+                kind=kind, path=path, pos=pos, conn=conn,
+                write_buffer=(None if write_buffer is None
+                              else bytearray(write_buffer)))
+
+        for index, conn in conns.items():
+            record = self._resolve("conns", index)
+            read_pos, outbound_len, tags_len = (
+                (0, 0, None) if record is None else record[1:])
+            conn.read_pos = read_pos
+            del conn.outbound[outbound_len:]
+            if tags_len is None:
+                conn.outbound_tags = None
+            elif conn.outbound_tags is not None:
+                del conn.outbound_tags[tags_len:]
+
+        adopt_epoch(machine, self.epoch)
+        return fast
 
     def restore(self, machine) -> None:
         """Roll the machine back to this snapshot, strictly in place."""
@@ -305,7 +399,7 @@ class _SnapshotBase:
             cache.stats.accesses = accesses
             cache.stats.misses = misses
 
-        self._restore_memory(machine)
+        fast = self._restore_tracked(machine)
         machine._heap_next = self._heap_next
         machine._heap_sizes.clear()
         machine._heap_sizes.update(self._heap_sizes)
@@ -314,35 +408,31 @@ class _SnapshotBase:
         if adaptive is not None and self._adaptive is not None:
             adaptive.restore(self._adaptive)
 
-        from repro.runtime.guest_os import FileHandle
-
         os = machine.os
         os._stdin_pos = self._stdin_pos
         os._next_fd = self._next_fd
-        os._fds.clear()
-        for fd, kind, path, pos, conn, write_buffer in self._fds:
-            os._fds[fd] = FileHandle(
-                kind=kind, path=path, pos=pos, conn=conn,
-                write_buffer=(None if write_buffer is None
-                              else bytearray(write_buffer)))
         os.io_retries = self._io_retries
         os.io_failures = self._io_failures
 
-        net = machine.net
-        for conn, read_pos, outbound_len, tags_len in self._conn_state:
-            conn.read_pos = read_pos
-            del conn.outbound[outbound_len:]
-            if tags_len is None:
-                conn.outbound_tags = None
-            elif conn.outbound_tags is not None:
-                del conn.outbound_tags[tags_len:]
         # Connections that arrived after the checkpoint are external
-        # facts: keep them queued behind the restored pending set.
-        new_arrivals = [c for c in net.pending
-                        if c.index >= self._arrival_watermark]
+        # facts: still pending or already accepted (quarantined ones
+        # stay quarantined), they queue behind the restored pending set
+        # in arrival order, with the fresh cursors the rewrite above
+        # gave them.  Pending is kept in arrival order, so its late
+        # arrivals are a suffix; on the fast path the accepted ones all
+        # sit past the restored completed prefix.
+        net = machine.net
+        watermark = self._arrival_watermark
+        start = len(self._completed) if fast else 0
+        arrivals = [c for c in net.completed[start:] if c.index >= watermark]
+        for conn in reversed(net.pending):
+            if conn.index < watermark:
+                break
+            arrivals.append(conn)
+        arrivals.sort(key=lambda conn: conn.index)
         net.pending.clear()
         net.pending.extend(self._pending)
-        net.pending.extend(new_arrivals)
+        net.pending.extend(arrivals)
         net.completed[:] = self._completed
 
         machine.fs.files.clear()
@@ -422,23 +512,29 @@ class MachineCheckpoint(_SnapshotBase):
         self = cls()
         self._capture_state(machine)
 
-        # Memory: every non-zero page (tag bitmap pages included).
+        # Every non-zero page (tag bitmap pages included), every open
+        # fd and the cursors of every queued or accepted connection.
         self.pages = {
             pno: bytes(page)
             for pno, page in machine.memory._pages.items()
             if page != _ZERO_PAGE
         }
-        self.epoch = machine.memory.begin_epoch()
+        self.fds = {fd: _fd_record(handle)
+                    for fd, handle in machine.os._fds.items()}
+        net = machine.net
+        self.conns = {conn.index: _conn_record(conn)
+                      for conn in (*net.pending, *net.completed)}
+        self.epoch = adopt_epoch(machine)
         return self
 
     def absorb(self, delta: "DeltaCheckpoint") -> None:
         """Fold a direct-child delta into this base, in place.
 
         Afterwards this snapshot is state-identical to ``delta`` (its
-        small state and epoch are adopted wholesale); the caller must
-        repoint any grandchildren's ``parent`` at this object.  Pages
-        dirtied back to all-zero are dropped (at base level, absence
-        already means zero).
+        wholesale state and epoch are adopted as they are); the caller
+        must repoint any grandchildren's ``parent`` at this object.
+        Pages dirtied back to all-zero and fd tombstones are dropped (at
+        base level, absence already means zero and closed).
         """
         if delta.parent is not self:
             raise ValueError("can only absorb a direct child delta")
@@ -447,14 +543,20 @@ class MachineCheckpoint(_SnapshotBase):
                 self.pages.pop(pno, None)
             else:
                 self.pages[pno] = data
+        for fd, record in delta.fds.items():
+            if record is None:
+                self.fds.pop(fd, None)
+            else:
+                self.fds[fd] = record
+        self.conns.update(delta.conns)
         for attr, value in delta.__dict__.items():
-            if attr in ("pages", "parent"):
+            if attr in ("pages", "fds", "conns", "parent"):
                 continue
             setattr(self, attr, value)
 
 
 class DeltaCheckpoint(_SnapshotBase):
-    """A copy-on-write checkpoint: only pages written since ``parent``.
+    """A copy-on-write checkpoint: only entries dirtied since ``parent``.
 
     Valid only when the machine's dirty set is still relative to the
     parent (``memory.dirty_epoch == parent.epoch``) — the supervisor
@@ -466,7 +568,7 @@ class DeltaCheckpoint(_SnapshotBase):
 
     @classmethod
     def capture(cls, machine, parent: _SnapshotBase) -> "DeltaCheckpoint":
-        """Capture the pages dirtied since ``parent`` + small state."""
+        """Capture the entries dirtied since ``parent`` + wholesale state."""
         mem = machine.memory
         if mem.dirty_epoch != parent.epoch:
             raise ValueError(
@@ -483,6 +585,12 @@ class DeltaCheckpoint(_SnapshotBase):
         self.pages = {
             pno: bytes(pages[pno]) for pno in mem.dirty_pages()
         }
+        # A dirty fd that is closed now records its tombstone (None).
+        fds = machine.os._fds
+        self.fds = {fd: _fd_record(fds.get(fd))
+                    for fd in machine.os.dirty_fds}
+        self.conns = {index: _conn_record(conn)
+                      for index, conn in machine.net.dirty.items()}
         self.parent = parent
-        self.epoch = mem.begin_epoch()
+        self.epoch = adopt_epoch(machine)
         return self

@@ -1,8 +1,9 @@
 """Live worker migration: checkpoint chains as a wire transport.
 
 A delta chain (:mod:`repro.resil.checkpoint`) is a complete, serialisable
-description of a machine: base snapshot + per-request COW deltas, small
-register/OS/provenance state included.  :func:`pack_worker` turns one
+description of a machine: base snapshot + per-request COW deltas of
+pages, fds and connection cursors, register/OS/provenance state
+included.  :func:`pack_worker` turns one
 into a self-describing wire blob; :func:`rehydrate_worker` applies it to
 a *freshly built* twin machine (same program, same configuration), which
 then resumes exactly where the source stood — pending requests, live

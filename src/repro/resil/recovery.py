@@ -56,12 +56,12 @@ class ResilienceSupervisor:
 
     Checkpoints form a copy-on-write chain: the first capture is a full
     :class:`MachineCheckpoint`; subsequent request boundaries capture
-    :class:`DeltaCheckpoint`\\ s holding only the pages written since the
-    previous checkpoint (``use_delta=False`` restores the old
-    full-snapshot-every-time behaviour for differential testing).  The
-    chain is compacted by folding the oldest delta into the base once it
-    exceeds ``max_chain`` links, bounding both restore depth and held
-    memory.
+    :class:`DeltaCheckpoint`\\ s holding only the pages, fds and
+    connection cursors touched since the previous checkpoint
+    (``use_delta=False`` restores the old full-snapshot-every-time
+    behaviour for differential testing).  The chain is compacted by
+    folding the oldest delta into the base once it exceeds
+    ``max_chain`` links, bounding both restore depth and held memory.
     """
 
     def __init__(self, machine, *, watchdog: Optional[int] = None,

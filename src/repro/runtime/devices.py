@@ -124,6 +124,11 @@ class SimNetwork:
         #: Requests refused because the pending queue was at capacity.
         self.dropped = 0
         self._next_index = 1
+        #: Connections whose cursors (``read_pos``, ``outbound``,
+        #: ``outbound_tags``) moved since the current checkpoint epoch
+        #: opened, keyed by ``Connection.index`` — the connection dirty
+        #: set of the checkpoint epoch protocol (repro.resil.checkpoint).
+        self.dirty: Dict[int, Connection] = {}
         #: Optional :class:`repro.resil.transient.TransientErrorInjector`;
         #: None (the default) keeps the I/O natives on their zero-cost path.
         self.faults = None
@@ -152,6 +157,20 @@ class SimNetwork:
         conn = self.pending.popleft()
         self.completed.append(conn)
         return conn
+
+    def recv(self, conn: Connection, n: int) -> bytes:
+        """Consume up to n of ``conn``'s inbound bytes (marks it dirty)."""
+        self.dirty[conn.index] = conn
+        return conn.recv(n)
+
+    def send(self, conn: Connection, data: bytes,
+             tags: Optional[List[bool]] = None) -> None:
+        """Append response bytes, and their egress tags when recorded,
+        to ``conn`` (marks it dirty)."""
+        self.dirty[conn.index] = conn
+        if tags is not None:
+            conn.record_outbound_tags(tags)
+        conn.send(data)
 
 
 class Console:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import posixpath
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Set
 
 from repro.cpu.core import CPU
 from repro.cpu.faults import IllegalInstructionFault
@@ -58,6 +58,10 @@ class GuestOS:
         self._stdin_pos = 0
         self._fds: Dict[int, FileHandle] = {}
         self._next_fd = _FD_FIRST_DYNAMIC
+        #: fds opened, moved, written or closed since the current
+        #: checkpoint epoch opened — the fd dirty set of the checkpoint
+        #: epoch protocol (repro.resil.checkpoint).
+        self.dirty_fds: Set[int] = set()
         #: Transient-I/O bookkeeping (resilience layer): retries absorbed
         #: by the backoff loop, and operations that gave up after
         #: exhausting ``DeviceCosts.io_retry_limit``.
@@ -109,6 +113,7 @@ class GuestOS:
         fd = self._next_fd
         self._next_fd += 1
         self._fds[fd] = handle
+        self.dirty_fds.add(fd)
         return fd
 
     def _retry_io(self, cpu: CPU, faults, op: str) -> bool:
@@ -267,6 +272,7 @@ class GuestOS:
                 chunk = chunk[:self.fs.faults.truncated_length(
                     "read", len(chunk))]
             handle.pos += len(chunk)
+            self.dirty_fds.add(fd)
             source, label, stream_index = "file", handle.path, fd
         self.machine.memory.write_bytes(buf, chunk)
         self._taint_input(source, buf, len(chunk), label=label,
@@ -295,14 +301,17 @@ class GuestOS:
             self._ret(cpu, -1)
             return
         handle.write_buffer.extend(data)
+        self.dirty_fds.add(fd)
         self._charge(cpu, self.costs.file_base + self.costs.file_byte * length)
         self._ret(cpu, length)
 
     def _native_close(self, cpu: CPU) -> None:
         fd = self._arg(cpu, 0)
         handle = self._fds.pop(fd, None)
-        if handle is not None and handle.kind == "file-w":
-            self.fs.write(handle.path, bytes(handle.write_buffer))
+        if handle is not None:
+            self.dirty_fds.add(fd)
+            if handle.kind == "file-w":
+                self.fs.write(handle.path, bytes(handle.write_buffer))
         self._charge(cpu, self.costs.close_cost)
         self._ret(cpu, 0)
 
@@ -330,7 +339,7 @@ class GuestOS:
             self._ret(cpu, -1)
             return
         stream_offset = handle.conn.read_pos
-        chunk = handle.conn.recv(length)
+        chunk = self.net.recv(handle.conn, length)
         self.machine.memory.write_bytes(buf, chunk)
         if handle.conn.taint_mask is not None:
             self._apply_wire_tags(handle.conn, buf, len(chunk), stream_offset)
@@ -396,9 +405,7 @@ class GuestOS:
             # rolled-back epoch must leave no phantom bytes on the wire.
             spec.defer_send(handle.conn, data, outbound_tags)
         else:
-            if outbound_tags is not None:
-                handle.conn.record_outbound_tags(outbound_tags)
-            handle.conn.send(data)
+            self.net.send(handle.conn, data, outbound_tags)
         self._charge(cpu, self.costs.net_base + self.costs.net_byte * length)
         self._ret(cpu, length)
 

@@ -34,7 +34,8 @@ from typing import List, Optional, Tuple
 from repro.adaptive.controller import MODE_FAST, MODE_TRACK
 from repro.cpu.faults import SpecGuardTrip
 from repro.isa.operands import GR_SP
-from repro.resil.checkpoint import DeltaCheckpoint, MachineCheckpoint
+from repro.resil.checkpoint import (DeltaCheckpoint, MachineCheckpoint,
+                                    adopt_epoch)
 from repro.spec.watch import TaintWatch
 
 #: Refuse entry when the taint bitmap digests into more merged ranges
@@ -62,7 +63,7 @@ class SpeculationState:
     watch: TaintWatch
     checkpoint: DeltaCheckpoint
     #: 'resil' (delta on the supervisor chain tip, handed back via
-    #: ``readopt_epoch``) or 'own' (delta on the controller's private
+    #: ``adopt_epoch``) or 'own' (delta on the controller's private
     #: base, folded with ``absorb``).
     cp_kind: str
     parent_epoch: int
@@ -316,13 +317,11 @@ class SpeculationController:
         self._epoch.deferred.append(("console", fd, data))
 
     def _release_deferred(self, epoch: SpeculationState) -> None:
-        console = self.machine.console
+        console, net = self.machine.console, self.machine.net
         for item in epoch.deferred:
             if item[0] == "send":
                 _, conn, data, tags = item
-                if tags is not None:
-                    conn.record_outbound_tags(tags)
-                conn.send(data)
+                net.send(conn, data, tags)
             else:
                 _, fd, data = item
                 console.write(fd, data)
@@ -339,10 +338,9 @@ class SpeculationController:
         self._release_deferred(epoch)
         del cpu.spec_ranges[:]
         if epoch.cp_kind == "resil":
-            # Hand the dirty-page lineage back to the supervisor's
-            # chain tip as if the epoch never existed.
-            machine.memory.readopt_epoch(epoch.parent_epoch,
-                                         epoch.checkpoint.pages.keys())
+            # Hand the dirty-set lineage back to the supervisor's chain
+            # tip as if the epoch never existed.
+            adopt_epoch(machine, epoch.parent_epoch, epoch.checkpoint)
         else:
             self._base.absorb(epoch.checkpoint)
         self.commits += 1
@@ -365,8 +363,7 @@ class SpeculationController:
         del cpu.spec_ranges[:]
         epoch.checkpoint.restore(machine)
         if epoch.cp_kind == "resil":
-            machine.memory.readopt_epoch(epoch.parent_epoch,
-                                         epoch.checkpoint.pages.keys())
+            adopt_epoch(machine, epoch.parent_epoch, epoch.checkpoint)
         else:
             self._base.absorb(epoch.checkpoint)
         # The restore rewound the counters; the speculative attempt

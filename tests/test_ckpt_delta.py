@@ -1,5 +1,9 @@
 """Copy-on-write delta checkpoints: dirty-page tracking soundness,
-chain capture/restore, and delta-vs-full supervisor equivalence."""
+chain capture/restore, delta-vs-full supervisor equivalence, the fd
+and connection dirty sets, and a differential property test of the
+epoch protocol."""
+
+import copy
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +16,11 @@ from repro.apps.webserver import (
 )
 from repro.compiler.instrument import ShiftOptions
 from repro.harness.runners import build_web_machine
+from repro.isa.operands import GR_FIRST_ARG, GR_RET
 from repro.mem import PAGE_SIZE, REGION_DATA, SparseMemory, make_address
 from repro.resil import DeltaCheckpoint, MachineCheckpoint
+from repro.resil.checkpoint import adopt_epoch
+from repro.resil.migrate import pack_worker, rehydrate_worker
 from repro.taint.bitmap import TaintMap, pack_flags
 from tests.test_resil import _machine_state
 
@@ -270,3 +277,200 @@ class TestCheckpointObservability:
         assert incident.checkpoint_pages > 0
         assert (incident.checkpoint_bytes
                 == incident.checkpoint_pages * PAGE_SIZE)
+
+
+def _call_native(machine, name, *args):
+    """Run one native handler directly; its return value."""
+    cpu = machine.cpu
+    for i, value in enumerate(args):
+        cpu.write_gr(GR_FIRST_ARG + i, value, nat=False)
+    machine.os._natives[name](cpu)
+    return cpu.read_gr(GR_RET)
+
+
+class TestDirtyOsState:
+    """fd and connection records follow the same epoch protocol as
+    pages: a delta holds what the window touched, not what history
+    left behind."""
+
+    def test_delta_records_do_not_grow_with_served_requests(self):
+        """The resil server never closes a connection fd, so the fd
+        table and the connection list grow by one per request.  The
+        delta captured after 50 served requests and the one after 1,000
+        hold the same few fd and connection records; a full capture
+        holds them all."""
+        machine = _recover_machine("predecoded", clean=1_000)
+        sup = machine.resil
+        capture = sup.checkpoint_now
+        records = []
+
+        def recording(reason="manual"):
+            cp = capture(reason)
+            records.append((cp.kind, len(cp.fds), len(cp.conns)))
+            return cp
+
+        sup.checkpoint_now = recording
+        machine.run()
+        assert len(machine.net.completed) == 1_000
+        # Capture k is taken at the accept after k served requests.
+        assert records[50][0] == records[1_000][0] == "delta"
+        assert records[50][1:] == records[1_000][1:]
+        assert max(records[1_000][1:]) <= 4
+        full = MachineCheckpoint.capture(machine)
+        assert len(full.fds) >= 1_000
+        assert len(full.conns) == 1_000
+
+    def test_every_fd_and_cursor_mutation_is_dirty(self):
+        """Each native that changes the fd table or a connection's
+        cursors puts exactly that entry in its dirty set; a closed fd is
+        recorded as a None tombstone, which absorb drops."""
+        machine = _recover_machine("predecoded", clean=1, mode="raise")
+        os, net = machine.os, machine.net
+        buf, path = machine.address_of("req"), machine.address_of("path")
+
+        def dirtied(name, *args):
+            """Run one native on a fresh epoch; the (fds, connection
+            indexes) it dirtied."""
+            adopt_epoch(machine)
+            _call_native(machine, name, *args)
+            return os.dirty_fds, set(net.dirty)
+
+        assert dirtied("accept") == ({8}, set())
+        assert dirtied("recv", 8, buf, 16) == (set(), {1})
+        assert dirtied("send", 8, buf, 4) == (set(), {1})
+        machine.memory.write_bytes(path, b"/www/file4k.bin\0")
+        assert dirtied("open", path, 0) == ({9}, set())
+        assert dirtied("read", 9, buf + 64, 16) == ({9}, set())
+        machine.memory.write_bytes(path, b"/www/log\0")
+        assert dirtied("open", path, 1) == ({10}, set())
+        assert dirtied("write", 10, buf, 4) == ({10}, set())
+
+        base = MachineCheckpoint.capture(machine)
+        assert set(base.fds) == {8, 9, 10}
+        assert _call_native(machine, "close", 9) == 0
+        assert os.dirty_fds == {9}
+        delta = DeltaCheckpoint.capture(machine, base)
+        assert delta.fds == {9: None}
+        base.absorb(delta)
+        assert set(base.fds) == {8, 10}
+
+    def test_readopt_hands_back_what_the_dropped_delta_recorded(self):
+        """repro.spec drops its epoch delta by re-adopting the parent's
+        epoch: the dirty sets must take back the delta's fds and
+        connections, or a fast-path restore of the parent would keep
+        the epoch's effects."""
+        machine = _recover_machine("predecoded", clean=1, mode="raise")
+        base = MachineCheckpoint.capture(machine)
+        state = _machine_state(machine)
+        fd = _call_native(machine, "accept")
+        _call_native(machine, "recv", fd, machine.address_of("req"), 16)
+        delta = DeltaCheckpoint.capture(machine, base)
+        assert not machine.os.dirty_fds and not machine.net.dirty
+
+        adopt_epoch(machine, base.epoch, delta)
+        assert machine.memory.dirty_epoch == base.epoch
+        assert machine.os.dirty_fds == {fd}
+        assert set(machine.net.dirty) == {1}
+        base.restore(machine)
+        assert _machine_state(machine) == state
+
+
+#: Requests the property test queues: a served file and a 404.
+_REQUESTS = (make_request(4), b"GET /missing.bin HTTP/1.0\r\n\r\n")
+
+_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("arrive"), st.integers(0, len(_REQUESTS) - 1)),
+        st.tuples(st.just("run"), st.integers(200, 30_000)),
+        st.tuples(st.just("delta"), st.just(0)),
+        st.tuples(st.just("full"), st.just(0)),
+        st.tuples(st.just("restore"), st.integers(0, 3)),
+        st.tuples(st.just("restore"), st.integers(0, 3)),
+        st.tuples(st.just("migrate"), st.just(0)),
+    ),
+    min_size=4,
+    max_size=30,
+)
+
+
+class TestEpochProtocolProperty:
+    """Differential property of the epoch protocol: through any
+    interleaving of arrivals, execution, full and delta captures (with
+    ``max_chain=2`` so chains fold), restores of any chain member and a
+    migration round trip, a restore reproduces the machine state deep-
+    copied at the matching capture — OS and network state included."""
+
+    @staticmethod
+    def _worker():
+        machine = _recover_machine("predecoded", clean=2)
+        machine.resil.max_chain = 2
+        return machine
+
+    @staticmethod
+    def _record_captures(machine, at_capture):
+        """Deep-copy the state at every capture, keyed by its epoch
+        (a base that absorbs a delta adopts the delta's epoch)."""
+        sup = machine.resil
+        capture = sup.checkpoint_now
+
+        def recording(reason="manual"):
+            cp = capture(reason)
+            at_capture[cp.epoch] = (_machine_state(machine),
+                                    machine.net._next_index)
+            return cp
+
+        sup.checkpoint_now = recording
+
+    @staticmethod
+    def _expected(recorded, machine):
+        """The captured state as a restore must reproduce it now:
+        connections that arrived since queue behind the restored
+        pending set, with fresh cursors."""
+        state, next_index = recorded
+        os_net = copy.deepcopy(state[-1])
+        for index in range(next_index, machine.net._next_index):
+            os_net["pending"].append(index)
+            os_net["conns"][index] = (0, b"", None)
+        return (*state[:-1], os_net)
+
+    @settings(max_examples=40, deadline=None)
+    @given(steps=_steps)
+    def test_restore_reproduces_state_at_capture(self, steps):
+        machine = self._worker()
+        at_capture = {}
+        self._record_captures(machine, at_capture)
+        # Chain members newer than a restored older one are no longer
+        # restorable (their cursors assume bytes the restore dropped)
+        # until the next capture starts a new chain.
+        limit = None
+        for action, arg in steps:
+            sup = machine.resil
+            if action == "arrive":
+                machine.net.add_request(_REQUESTS[arg])
+            elif action == "run":
+                before = sup.checkpoints_taken
+                if not machine.cpu.halted:
+                    machine.cpu.run_slice(arg)
+                if sup.checkpoints_taken != before:
+                    limit = None
+            elif action in ("delta", "full"):
+                sup.use_delta = action == "delta"
+                sup.checkpoint_now()
+                sup.use_delta = True
+                limit = None
+            elif action == "restore" and sup.chain:
+                members = sup.chain[:limit]
+                pick = arg % len(members)
+                cp = members[pick]
+                cp.restore(machine)
+                assert _machine_state(machine) == self._expected(
+                    at_capture[cp.epoch], machine)
+                limit = pick + 1
+            elif action == "migrate":
+                blob = pack_worker(machine)
+                target = self._worker()
+                rehydrate_worker(blob, target)
+                assert _machine_state(target) == _machine_state(machine)
+                machine = target
+                self._record_captures(machine, at_capture)
+                limit = None

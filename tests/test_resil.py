@@ -26,13 +26,31 @@ ENGINES = ("reference", "predecoded")
 READ = "native int read(int fd, char *buf, int n);\n"
 
 
+def _os_net_state(machine):
+    """Guest OS fd table and network state, by value."""
+    os, net = machine.os, machine.net
+    fds = {fd: (h.kind, h.path, h.pos,
+                None if h.conn is None else h.conn.index,
+                None if h.write_buffer is None else bytes(h.write_buffer))
+           for fd, h in os._fds.items()}
+    conns = {c.index: (c.read_pos, bytes(c.outbound),
+                       None if c.outbound_tags is None
+                       else list(c.outbound_tags))
+             for c in (*net.pending, *net.completed, *net.quarantined)}
+    return {"next_fd": os._next_fd, "fds": fds, "conns": conns,
+            "pending": [c.index for c in net.pending],
+            "completed": [c.index for c in net.completed],
+            "quarantined": [c.index for c in net.quarantined]}
+
+
 def _machine_state(machine):
     """Full observable state tuple for bit-identical comparisons."""
     cpu = machine.cpu
     pages = {pno: bytes(pg) for pno, pg in machine.memory._pages.items()
              if any(pg)}
     return (list(cpu.gr), list(cpu.nat), list(cpu.pr), list(cpu.br),
-            cpu.pc, cpu.halted, machine.counters.snapshot(), pages)
+            cpu.pc, cpu.halted, machine.counters.snapshot(), pages,
+            _os_net_state(machine))
 
 
 class TestCheckpointRoundtrip:
@@ -57,6 +75,33 @@ class TestCheckpointRoundtrip:
         machine.cpu.run_slice(30_000)
         second = _machine_state(machine)
         assert first == second
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_restore_requeues_connections_accepted_after_it(self, engine):
+        """Requests that arrive after a checkpoint and are served before
+        it is restored are queued again, not lost: the rolled-back run
+        answers all three exactly as a run that never rolled back."""
+        def run(roll_back):
+            machine = build_machine(
+                RESIL_WEBSERVER_SOURCE, BYTE_STRICT,
+                policy_config=webserver_policy(),
+                files=make_site((4,)), engine=engine)
+            machine.net.add_request(make_request(4))
+            machine.cpu.run_slice(2_000)
+            snapshot = MachineCheckpoint.capture(machine)
+            machine.net.add_request(make_request(4))
+            machine.net.add_request(make_request(4))
+            machine.run()
+            if roll_back:
+                snapshot.restore(machine)
+                assert [c.index for c in machine.net.pending] == [2, 3]
+                assert [c.index for c in machine.net.completed] == [1]
+                machine.run()
+            return [bytes(c.outbound) for c in machine.net.completed]
+
+        straight = run(roll_back=False)
+        assert len(straight) == 3
+        assert run(roll_back=True) == straight
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_restore_erases_divergent_execution(self, engine):
