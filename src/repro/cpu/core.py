@@ -203,9 +203,10 @@ class CPU:
         #: scheduling slice after the instruction completes.
         self.yield_requested = False
         self._dispatch = self._build_dispatch()
-        #: Execution engine: "predecoded" runs micro-op closures built
-        #: once per program (see repro.cpu.predecode); "reference" keeps
-        #: the original dispatch-per-step loop for differential testing.
+        #: Execution engine: "predecoded" runs generated micro-op and
+        #: fused-block closures, built on first execution (see
+        #: repro.cpu.predecode); "reference" keeps the original
+        #: dispatch-per-step loop for differential testing.
         self.engine = engine
         self._uops: Optional[list] = None
         self._fused: Optional[list] = None
@@ -287,59 +288,47 @@ class CPU:
         Stops early when the guest halts or a native requests a yield
         (thread blocking).  Used by the thread scheduler.
         """
-        if self.engine == "predecoded":
-            return self._run_slice_predecoded(budget)
-        return self._run_slice_reference(budget)
+        self.yield_requested = False
+        executed = self._run(budget, True)
+        self.issue.flush()
+        return executed
 
     def run(self, max_instructions: int = 200_000_000) -> None:
         """Execute until the guest exits; raises on fault or runaway."""
+        self._run(max_instructions, False)
+        if not self.halted:
+            code = self.program.code
+            pc = self.pc
+            raise RunawayError(
+                f"instruction budget exhausted at pc={pc} "
+                f"({code[pc] if 0 <= pc < len(code) else '?'})"
+            )
+        self.issue.flush()
+
+    def _run(self, budget: int, slicing: bool) -> int:
+        """Run up to ``budget`` instructions on the active engine.
+
+        Stops early when the guest halts or, when ``slicing``, a native
+        requests a yield.  Returns the instructions executed; the open
+        issue group is left for the caller to flush.
+        """
         if self.engine == "predecoded":
-            self._run_predecoded(max_instructions)
-        else:
-            self._run_reference(max_instructions)
+            return self._run_predecoded(budget, slicing)
+        return self._run_reference(budget, slicing)
 
     # -- reference engine (dispatch per step, hoisted loop) ---------------
 
-    def _run_reference(self, max_instructions: int) -> None:
-        code = self.program.code
-        n = len(code)
-        dispatch = self._dispatch
-        pr = self.pr
-        issue = self.issue.issue
-        budget = max_instructions
-        while not self.halted:
-            if budget <= 0:
-                raise RunawayError(
-                    f"instruction budget exhausted at pc={self.pc} "
-                    f"({code[self.pc] if 0 <= self.pc < n else '?'})"
-                )
-            budget -= 1
-            pc = self.pc
-            if not 0 <= pc < n:
-                raise IllegalInstructionFault(f"pc out of range: {pc}")
-            instr = code[pc]
-            try:
-                qp = instr.qp
-                if qp and not pr[qp]:
-                    issue(instr)
-                    self.pc = pc + 1
-                else:
-                    dispatch[instr.op](instr)
-            except Fault as fault:
-                self._fault_abort(pc, fault)
-        self.issue.flush()
-
-    def _run_slice_reference(self, budget: int) -> int:
+    def _run_reference(self, budget: int, slicing: bool) -> int:
         counters = self.counters
         start = counters.instructions
-        self.yield_requested = False
+        limit = start + budget
         code = self.program.code
         n = len(code)
         dispatch = self._dispatch
         pr = self.pr
         issue = self.issue.issue
-        while (not self.halted and not self.yield_requested
-               and counters.instructions - start < budget):
+        while (not self.halted and counters.instructions < limit
+               and not (slicing and self.yield_requested)):
             pc = self.pc
             if not 0 <= pc < n:
                 raise IllegalInstructionFault(f"pc out of range: {pc}")
@@ -353,7 +342,6 @@ class CPU:
                     dispatch[instr.op](instr)
             except Fault as fault:
                 self._fault_abort(pc, fault)
-        self.issue.flush()
         return counters.instructions - start
 
     # -- predecoded engine (micro-op closures) ----------------------------
@@ -370,10 +358,11 @@ class CPU:
         fused = self._fused = predecode_fused(self)
         return fused
 
-    def _run_predecoded(self, max_instructions: int) -> None:
+    def _run_predecoded(self, budget: int, slicing: bool) -> int:
+        counters = self.counters
+        start = counters.instructions
         if self.halted:
-            self.issue.flush()
-            return
+            return 0
         uops = self._uops
         if uops is None:
             uops = self._ensure_uops()
@@ -381,11 +370,13 @@ class CPU:
         if fused is None:
             fused = self._ensure_fused()
         n = len(uops)
-        counters = self.counters
-        limit = counters.instructions + max_instructions
+        limit = start + budget
         # A fused block executes up to MAX_BLOCK instructions per call,
-        # so the bulk loop stops short of the budget and a per-pc tail
-        # loop enforces the exact exhaustion point.
+        # so the bulk loop stops short of the budget and the per-micro-op
+        # tail enforces the exact stopping point.  Micro-ops return the
+        # next pc, or its bitwise complement when the halted/yield flags
+        # may have changed (only break micro-ops run handlers), so the
+        # hot loop needs no per-step flag checks.
         safe = limit - 64
         pc = self.pc
         while counters.instructions < safe:
@@ -402,15 +393,10 @@ class CPU:
                     self.pc = pc
                     raise
                 # Fused blocks return plain pcs; only a lazy trampoline
-                # falling back to a break micro-op can return the
-                # complemented sentinel (see below).
+                # falling back to a break micro-op returns the sentinel.
                 if pc >= 0:
                     continue
             else:
-                # Micro-ops return the next pc, or its bitwise
-                # complement when the halted/yield flags may have
-                # changed (only break micro-ops run handlers), so the
-                # hot loop needs no per-step flag checks.
                 try:
                     pc = uops[pc](pc)
                 except Fault as fault:
@@ -420,98 +406,9 @@ class CPU:
                     raise
             if pc < 0:
                 pc = ~pc
-                if self.halted:
+                if self.halted or (slicing and self.yield_requested):
                     self.pc = pc
-                    self.issue.flush()
-                    return
-        self.pc = pc
-        self._run_predecoded_tail(limit - counters.instructions)
-
-    def _run_predecoded_tail(self, budget: int) -> None:
-        """Per-pc loop with exact budget enforcement (rarely reached)."""
-        uops = self._uops
-        n = len(uops)
-        code = self.program.code
-        pc = self.pc
-        while True:
-            if budget <= 0:
-                self.pc = pc
-                raise RunawayError(
-                    f"instruction budget exhausted at pc={pc} "
-                    f"({code[pc] if 0 <= pc < n else '?'})"
-                )
-            budget -= 1
-            if not 0 <= pc < n:
-                self.pc = pc
-                raise IllegalInstructionFault(f"pc out of range: {pc}")
-            try:
-                pc = uops[pc](pc)
-            except Fault as fault:
-                self._fault_abort(pc, fault)
-            except BaseException:
-                self.pc = pc
-                raise
-            if pc < 0:
-                pc = ~pc
-                if self.halted:
-                    break
-        self.pc = pc
-        self.issue.flush()
-
-    def _run_slice_predecoded(self, budget: int) -> int:
-        counters = self.counters
-        start = counters.instructions
-        self.yield_requested = False
-        if self.halted:
-            self.issue.flush()
-            return 0
-        uops = self._uops
-        if uops is None:
-            uops = self._ensure_uops()
-        n = len(uops)
-        pc = self.pc
-        limit = start + budget
-        # Bulk of the slice: fused blocks, exactly as in the unsliced
-        # run loop, so supervised (recover-mode) execution pays no
-        # per-instruction dispatch tax.  Every path increments the
-        # instruction counter 1:1, so stopping 64 short of the budget
-        # (a fused block runs at most MAX_BLOCK < 64 instructions) and
-        # finishing per-uop enforces the exact slice length.
-        safe = limit - 64
-        if counters.instructions < safe:
-            fused = self._fused
-            if fused is None:
-                fused = self._ensure_fused()
-            while counters.instructions < safe:
-                if not 0 <= pc < n:
-                    self.pc = pc
-                    raise IllegalInstructionFault(f"pc out of range: {pc}")
-                blk = fused[pc]
-                if blk is not None:
-                    try:
-                        pc = blk(pc)
-                    except Fault as fault:
-                        self._fault_abort(self._fault_pc, fault)
-                    except BaseException:
-                        self.pc = pc
-                        raise
-                    if pc >= 0:
-                        continue
-                else:
-                    try:
-                        pc = uops[pc](pc)
-                    except Fault as fault:
-                        self._fault_abort(pc, fault)
-                    except BaseException:
-                        self.pc = pc
-                        raise
-                if pc < 0:
-                    pc = ~pc
-                    if self.halted or self.yield_requested:
-                        self.pc = pc
-                        self.issue.flush()
-                        return counters.instructions - start
-        # Exact tail (and the whole slice for small budgets).
+                    return counters.instructions - start
         while counters.instructions < limit:
             if not 0 <= pc < n:
                 self.pc = pc
@@ -525,10 +422,9 @@ class CPU:
                 raise
             if pc < 0:
                 pc = ~pc
-                if self.halted or self.yield_requested:
+                if self.halted or (slicing and self.yield_requested):
                     break
         self.pc = pc
-        self.issue.flush()
         return counters.instructions - start
 
     # ------------------------------------------------------------------

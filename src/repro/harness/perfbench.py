@@ -98,9 +98,10 @@ def web_workload(requests: int, file_kb: int = 4) -> Tuple[Builder, Runner]:
 def measure(build: Builder, run: Runner, engine: str, repeat: int) -> Dict:
     """Best-of-``repeat`` wall time for one workload under one engine.
 
-    Each repetition uses a fresh machine; predecode tables are built
-    before the timer starts, and the process-wide codegen cache makes
-    repetitions after the first warm, so best-of reflects steady state.
+    Each repetition uses a fresh machine.  Predecode tables fill in on
+    first execution, so the first repetition also pays code generation;
+    later ones find the program's block sources and the process-wide
+    code-object cache warm, so best-of reflects steady state.
     """
     best = math.inf
     value = counters = None

@@ -10,11 +10,13 @@ runs one workload under both engines and compares.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps.spec import BENCHMARKS
-from repro.core.shift import build_machine
-from repro.cpu import CPU
-from repro.cpu.faults import NaTConsumptionFault, RunawayError
+from repro.core.shift import build_machine, compile_protected
+from repro.cpu import CPU, IssueConfig
+from repro.cpu.faults import Fault, NaTConsumptionFault, RunawayError
+from repro.cpu.predecode import MAX_BLOCK
 from repro.isa import assemble
 from repro.mem import REGION_DATA, SparseMemory, make_address
 from repro.harness.runners import (
@@ -252,9 +254,9 @@ def _exit_syscall(cpu):
     cpu.exit_code = cpu.read_gr(32)
 
 
-def _asm_cpu(text, engine):
+def _asm_cpu(text, engine, syscall_handler=_exit_syscall):
     return CPU(assemble(text), SparseMemory(),
-               syscall_handler=_exit_syscall, engine=engine)
+               syscall_handler=syscall_handler, engine=engine)
 
 
 class TestFaultKindsDifferential:
@@ -291,6 +293,145 @@ class TestFaultKindsDifferential:
                 cpu.run(max_instructions=1_000)
             outcomes[engine] = cpu.counters.snapshot()
         assert outcomes["reference"] == outcomes["predecoded"]
+
+
+#: Block terminators that run only as one-instruction blocks, each
+#: with the outcome it must reach: (program, syscall handler, expected
+#: fault message or None for a clean exit).
+TERMINATOR_PROGRAMS = {
+    "br_ind_invalid_slot": (f"""
+    func main:
+        movl r14 = 0x1000
+        mov b6 = r14
+        br.ind b6
+        {EXIT}
+    endfunc
+    """, _exit_syscall, "indirect branch to invalid slot 255"),
+    "br_call_ind_invalid_slot": (f"""
+    func main:
+        mov b6 = r0
+        br.call b0 = b6
+        {EXIT}
+    endfunc
+    """, _exit_syscall, "indirect branch to invalid slot -1"),
+    "br_ind_predicated_off": (f"""
+    func main:
+        movl r14 = 0x1000
+        mov b6 = r14
+        cmp.eq p6, p7 = r14, r0
+        (p6) br.ind b6
+        movl r32 = 7
+        {EXIT}
+    endfunc
+    """, _exit_syscall, None),
+    "break_unknown_immediate": (f"""
+    func main:
+        movl r14 = 1
+        break 0x1234
+        {EXIT}
+    endfunc
+    """, _exit_syscall, "break 0x1234"),
+    "break_syscall_without_handler": (f"""
+    func main:
+        movl r32 = 3
+        {EXIT}
+    endfunc
+    """, None, "no syscall handler installed"),
+}
+
+
+class TestTerminatorsDifferential:
+    @pytest.mark.parametrize("name", sorted(TERMINATOR_PROGRAMS))
+    def test_terminator_identical(self, name):
+        text, handler, message = TERMINATOR_PROGRAMS[name]
+        outcomes = {}
+        for engine in ENGINES:
+            cpu = _asm_cpu(text, engine, syscall_handler=handler)
+            try:
+                cpu.run(max_instructions=1_000)
+                fault = None
+            except Fault as exc:
+                fault = (type(exc).__name__, str(exc), exc.pc)
+            outcomes[engine] = (fault, cpu.pc, cpu.halted,
+                                cpu.counters.snapshot())
+        assert outcomes["reference"] == outcomes["predecoded"]
+        fault = outcomes["reference"][0]
+        if message is None:
+            assert fault is None and outcomes["reference"][2]
+        else:
+            assert fault[:2] == ("IllegalInstructionFault", message)
+
+
+class TestProgramSourceCache:
+    def test_issue_model_does_not_leak_between_machines(self):
+        """Generated sources are cached on the program: a narrow
+        machine's issue limits must not reach a later default machine."""
+        bench = BENCHMARKS["gzip"]
+        options = PERF_OPTIONS["byte"]
+        source = bench.source("test")
+        data = bench.make_input("test")
+
+        def counters(compiled, engine="predecoded", issue_config=None):
+            machine = build_machine(
+                compiled, policy_config=spec_policy(False),
+                files={"/data": data}, issue_config=issue_config,
+                engine=engine)
+            machine.run()
+            return machine.counters.snapshot()
+
+        shared = compile_protected(source, options)
+        counters(shared, issue_config=IssueConfig(width=1, mem_ports=1))
+        after_narrow = counters(shared)
+        assert after_narrow == counters(compile_protected(source, options))
+        assert after_narrow == counters(shared, engine="reference")
+
+
+def _gzip_machine(engine):
+    bench = BENCHMARKS["gzip"]
+    return build_machine(
+        compiled_spec(bench, PERF_OPTIONS["byte"], "test"),
+        policy_config=spec_policy(False),
+        files={"/data": bench.make_input("test")}, engine=engine)
+
+
+def _webserver_machine(engine):
+    machine = build_machine(
+        compiled_webserver(PERF_OPTIONS["byte"]),
+        policy_config=webserver_policy(), files=dict(make_site((2,))),
+        engine=engine)
+    for _ in range(3):
+        machine.net.add_request(make_request(2))
+    return machine
+
+
+def _cpu_state(cpu):
+    counters = cpu.counters
+    return (cpu.pc, list(cpu.gr), list(cpu.nat), list(cpu.pr), list(cpu.br),
+            cpu.unat, cpu.halted, counters.snapshot(), counters.groups,
+            [(key, c.slots, c.issue_cycles, c.stall_cycles)
+             for key, c in counters.pair_costs.items()])
+
+
+#: Slice budgets: single steps, values straddling MAX_BLOCK and the run
+#: loop's 64-instruction fused-block margin, and long slices.
+_BUDGETS = st.one_of(
+    st.sampled_from((1, 2, MAX_BLOCK - 1, MAX_BLOCK, MAX_BLOCK + 1,
+                     63, 64, 65, 64 + MAX_BLOCK)),
+    st.integers(min_value=1, max_value=4_000))
+
+
+class TestSlicedExecution:
+    @settings(max_examples=10, deadline=None)
+    @given(budgets=st.lists(_BUDGETS, min_size=100, max_size=400))
+    def test_every_slice_identical(self, budgets):
+        """Slices enter blocks at arbitrary pcs and end in the exact
+        per-micro-op tail; every slice must leave identical state."""
+        for build in (_gzip_machine, _webserver_machine):
+            cpus = [build(engine).cpu for engine in ENGINES]
+            for budget in budgets:
+                ran = [cpu.run_slice(budget) for cpu in cpus]
+                assert ran[0] == ran[1]
+                assert _cpu_state(cpus[0]) == _cpu_state(cpus[1])
 
 
 class TestCheckpointDifferential:
