@@ -8,14 +8,33 @@ config limits are re-fetched every instruction.  This module removes all
 of it by *predecoding*.  One generator, :func:`_block`, turns a
 straight-line run of instructions into the *source code* of one
 function: operand indices, immediates, dependency bitmasks, branch-target
-pcs and the issue-model limits are embedded as literals, the issue-group
-state lives in plain locals (``gw``/``pw``/``mm``/``sl``), and the
-accounting is the only inline replica of ``IssueModel.issue``, so the
-hot path makes no calls besides memory/cache accesses.
-``counters.instructions`` is batched into one store at block exit
-(members that need the live value — store-buffer sequence numbers — use
-``ci + j`` with the member's static offset).  Compiled code objects are
-shared process-wide by source text.
+pcs and the issue-model limits are embedded as literals, so the hot path
+makes no calls besides memory/cache accesses.  ``counters.instructions``
+is batched into one store at block exit (members that need the live
+value — store-buffer sequence numbers — use ``ci + j`` with the member's
+static offset).  Compiled code objects are shared process-wide by source
+text.
+
+Issue groups are compiled in, the way an IA-64 compiler writes stop bits
+(``;;``) into the binary.  While generating a block, :class:`_Schedule`
+runs the reference ``IssueModel`` over its members; only the group open
+at block entry is unknown, and ``r`` is the first member before which
+the schedule closes a group whatever that entry group held:
+
+* Members before ``r`` (the *dynamic prefix*) keep an inline replica of
+  ``IssueModel.issue`` on plain locals (``gw``/``pw``/``mm``/``sl``):
+  conflict test, ``group.append``, close loop.  Outside
+  ``IssueModel.issue`` it is the only copy of the close rule.
+* At ``r`` the open group closes unconditionally, by the generic loop
+  over ``group`` (it may still hold the entry group's members).
+* From ``r`` on the *fixed schedule* is literal: per close
+  ``counters.groups``, ``counters.issue_cycles`` and one share addition
+  per member in issue order, never folded (the sums are floats); per
+  member only its slot, load/store and stall lines.
+* Every exit, and the ``except Fault`` handler (by the faulting member's
+  offset ``ipc - pc``), writes back the group ``IssueModel`` would hold
+  there: the locals in the prefix, else ``group.extend`` of the open
+  group's cells plus literal masks, memory count and slots.
 
 Two tables index the generated functions.  Both are built lazily: every
 entry starts as a trampoline that generates, installs and runs its
@@ -49,10 +68,12 @@ and a shape reuse the sources and only instantiate fresh closures.
 
 Equivalence rules (enforced by tests/test_engine_differential.py):
 
-* Block-local issue state is reloaded from the shared ``IssueModel`` at
-  entry and written back at every exit (including the fault path), so
-  blocks interleave exactly with reference ``step()`` calls — e.g. the
-  thread scheduler's instrumentation drain.
+* The group open at block entry is read from the shared ``IssueModel``,
+  and the group ``IssueModel`` would hold is written back at every exit
+  (including the fault path), so blocks interleave exactly with
+  reference ``step()`` calls — e.g. the thread scheduler's
+  instrumentation drain.  The fixed schedule depends only on the code
+  and the :class:`_Shape`, so it needs no extra cache key.
 * ``pair_costs`` buckets are created lazily on first execution, never at
   predecode time, so the set of (role, origin) keys matches the
   reference run bit-for-bit.
@@ -84,7 +105,13 @@ from repro.cpu.core import (
     to_signed,
 )
 from repro.cpu.faults import Fault, IllegalInstructionFault, NaTConsumptionFault
-from repro.cpu.perf import RoleCost, perf_meta
+from repro.cpu.perf import (
+    IssueConfig,
+    IssueModel,
+    PerfCounters,
+    RoleCost,
+    perf_meta,
+)
 from repro.isa.instruction import Instruction, LOAD_SIZES, OP_KIND, OpKind, STORE_SIZES
 from repro.isa.program import Program
 from repro.mem.address import IMPL_MASK, is_implemented
@@ -326,6 +353,17 @@ def _cmp_sem(op: str, pt: int, pf: int, ins_idx, imm) -> Optional[List[str]]:
             + _indent(direct))
 
 
+#: ``IssueModel._close_group`` of a group known to be non-empty.
+_CLOSE_GROUP = [
+    "counters.groups += 1",
+    "counters.issue_cycles += 1.0",
+    "share = 1.0 / len(group)",
+    "for c_ in group:",
+    "    c_.issue_cycles += share",
+    "group.clear()",
+]
+
+
 def _close_local() -> List[str]:
     """Inline replica of ``IssueModel._close_group`` on block locals.
 
@@ -333,30 +371,107 @@ def _close_local() -> List[str]:
     reference: an empty group always has zero masks (the invariant holds
     because masks are only set right after an append).
     """
-    return [
-        "if group:",
-        "    counters.groups += 1",
-        "    counters.issue_cycles += 1.0",
-        "    share = 1.0 / len(group)",
-        "    for c_ in group:",
-        "        c_.issue_cycles += share",
-        "    group.clear()",
-        "    gw = 0",
-        "    pw = 0",
-        "    mm = 0",
-        "    sl = 0",
+    return (["if group:"]
+            + _indent(_CLOSE_GROUP + ["gw = 0", "pw = 0", "mm = 0", "sl = 0"]))
+
+
+#: Flush block-local issue state back to the shared model.
+_LOCAL_STATE = [
+    "im._group_writes = gw",
+    "im._group_pr_writes = pw",
+    "im._group_mem = mm",
+    "im._group_slots = sl",
+]
+
+
+def _fixed_close(cells: List[str]) -> List[str]:
+    """``IssueModel._close_group`` of a group known at predecode time.
+
+    One share addition per member in issue order, never folded: the
+    per-role ``issue_cycles`` are float sums.
+    """
+    share = repr(1.0 / len(cells))
+    return (["counters.groups += 1", "counters.issue_cycles += 1.0"]
+            + [f"{c}.issue_cycles += {share}" for c in cells])
+
+
+def _fixed_state(cells: List[str], state) -> List[str]:
+    """Store a group known at predecode time as the shared model's."""
+    gw, pw, mm, sl = state
+    if len(cells) == 1:
+        out = [f"group.append({cells[0]})"]
+    else:
+        out = [f"group.extend(({', '.join(cells)}))"] if cells else []
+    return out + [
+        f"im._group_writes = {hex(gw)}",
+        f"im._group_pr_writes = {hex(pw)}",
+        f"im._group_mem = {mm}",
+        f"im._group_slots = {sl}",
     ]
 
 
-def _writeback(total: int) -> List[str]:
-    """Flush block-local issue state back to the shared model."""
-    return [
-        "im._group_writes = gw",
-        "im._group_pr_writes = pw",
-        "im._group_mem = mm",
-        "im._group_slots = sl",
-        f"counters.instructions = ci + {total}",
-    ]
+class _Schedule:
+    """A block's issue groups, found by running the reference model.
+
+    :meth:`add` issues the block's members, in order, into
+    :class:`~repro.cpu.perf.IssueModel` runs that each start empty at a
+    member where the group open at block entry could close: every
+    member up to the first close of the run started at member 0 (an
+    entry group only adds writes, slots and memory ops, so it closes no
+    later than that).  ``r`` is the first member before which every run
+    closes a group.  From ``r`` on the runs agree, so the groups no
+    longer depend on the entry group and one run carries on alone.
+    """
+
+    def __init__(self, shape: _Shape) -> None:
+        self.config = IssueConfig(
+            width=shape.width, mem_ports=shape.mem_ports,
+            branch_penalty=shape.branch_penalty,
+            cmp_branch_same_group=shape.cmp_branch_same_group)
+        self.runs: List[IssueModel] = []
+        self.entry_open = True
+        #: Members added so far.
+        self.n = 0
+        self.r: Optional[int] = None
+        #: First member of the group open after the last member added.
+        self.first = 0
+        #: From ``r`` on: member -> members of the group closed before it.
+        self.closes: dict = {}
+        #: From ``r`` on: member -> the open group after it issues (not
+        #: taken): its members and (writes, pr_writes, mem, slots).
+        self.after: dict = {}
+
+    @staticmethod
+    def _closes(model: IssueModel, instr: Instruction) -> bool:
+        """Issue one member; True when a group closed before it."""
+        groups = model.counters.groups
+        model.issue(instr)
+        return model.counters.groups != groups
+
+    def add(self, instr: Instruction) -> None:
+        j = self.n
+        self.n += 1
+        if self.r is None:
+            closed = [self._closes(m, instr) for m in self.runs]
+            if closed and all(closed):
+                self.r = self.first = j
+                del self.runs[1:]
+            elif self.entry_open:
+                # The entry group may close before this member: start a
+                # run here.  Once run 0 has closed, no later member can.
+                model = IssueModel(PerfCounters(), self.config)
+                model.issue(instr)
+                self.runs.append(model)
+                self.entry_open = not (closed and closed[0])
+            if self.r is None:
+                return
+        elif self._closes(self.runs[0], instr):
+            self.closes[j] = range(self.first, j)
+            self.first = j
+        m = self.runs[0]
+        self.after[j] = (range(self.first, j + 1),
+                         (m._group_writes, m._group_pr_writes, m._group_mem,
+                          m._group_slots))
 
 
 def _block(program: Program, shape: _Shape, start: int, limit: int):
@@ -374,7 +489,11 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
     cells: List[str] = []
     key_local: dict = {}
     fns: list = []
-    faultable = False
+    #: Members that may fault (each sets ``ipc`` first).
+    faults: List[int] = []
+    sched = _Schedule(shape)
+    #: Member -> the local holding its RoleCost bucket.
+    member_cell: List[str] = []
 
     def use_key(key):
         cname = key_local.get(key)
@@ -394,36 +513,56 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
             f"    {kname} = {cname}",
         ]
 
-    def acct_local(instr, taken=None, stall=False):
-        """Inline replica of ``IssueModel.issue`` for one member.
+    def acct_local(instr, j, taken=None, stall=False):
+        """Issue accounting lines for member ``j``.
 
-        ``taken`` is None for non-branch kinds, else the (static) taken
-        flag; ``stall`` emits the mem-stall attribution lines (the
-        runtime value must be in a local named ``stall``).
+        Before ``sched.r`` they are an inline replica of
+        ``IssueModel.issue`` on the block locals.  From ``sched.r`` on
+        they are the fixed schedule: at ``sched.r`` a certain close of
+        whatever group is open (the entry group may be in it), after it
+        the closes the schedule found, with literal shares.  ``taken``
+        is None for non-branch kinds, else the (static) taken flag;
+        ``stall`` emits the mem-stall attribution lines (the runtime
+        value must be in a local named ``stall``).
         """
         reads, writes, prw, is_mem, memkind, is_branch, slots = _meta(instr)
         cname, res = use_key((instr.role, instr.origin))
-        rw = reads | writes
-        conds = []
-        if rw:
-            if taken is not None and is_branch and shape.cmp_branch_same_group:
-                # A branch conflicting only on predicate writes may
-                # issue in the same group as the compare that made them.
-                conds.append(f"gw & {hex(rw)} & ~pw")
+        if j == sched.n:  # a terminator asks again for its other path
+            sched.add(instr)
+            member_cell.append(cname)
+        fixed = sched.r is not None and j >= sched.r
+        if fixed:
+            if j == sched.r:
+                out = list(_CLOSE_GROUP)
+            elif j in sched.closes:
+                out = _fixed_close(cells_of(sched.closes[j]))
             else:
-                conds.append(f"gw & {hex(rw)}")
-        conds.append(f"sl + {slots} > {shape.width}")
-        if is_mem:
-            conds.append(f"mm >= {shape.mem_ports}")
-        out = ["if " + " or ".join(conds) + ":"] + _indent(_close_local())
-        out += res
-        out += [f"group.append({cname})", f"sl += {slots}"]
-        if writes:
-            out.append(f"gw |= {hex(writes)}")
-        if prw:
-            out.append(f"pw |= {hex(prw)}")
-        if is_mem:
-            out.append("mm += 1")
+                out = []
+            out += res
+        else:
+            rw = reads | writes
+            conds = []
+            if rw:
+                if (taken is not None and is_branch
+                        and shape.cmp_branch_same_group):
+                    # A branch conflicting only on predicate writes may
+                    # issue in the same group as the compare that made
+                    # them.
+                    conds.append(f"gw & {hex(rw)} & ~pw")
+                else:
+                    conds.append(f"gw & {hex(rw)}")
+            conds.append(f"sl + {slots} > {shape.width}")
+            if is_mem:
+                conds.append(f"mm >= {shape.mem_ports}")
+            out = ["if " + " or ".join(conds) + ":"] + _indent(_close_local())
+            out += res
+            out += [f"group.append({cname})", f"sl += {slots}"]
+            if writes:
+                out.append(f"gw |= {hex(writes)}")
+            if prw:
+                out.append(f"pw |= {hex(prw)}")
+            if is_mem:
+                out.append("mm += 1")
         out.append(f"{cname}.slots += 1")
         if memkind == 1:
             out.append("counters.loads += 1")
@@ -437,11 +576,26 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
             out += ["counters.branches_taken += 1",
                     f"counters.branch_penalty_cycles += "
                     f"{shape.branch_penalty!r}"]
-            out += _close_local()
+            out += (_fixed_close(cells_of(sched.after[j][0])) if fixed
+                    else _close_local())
         return out
 
+    def cells_of(members) -> List[str]:
+        return [member_cell[p] for p in members]
+
+    def state_after(j, taken=None) -> List[str]:
+        """Store the issue state after member ``j`` in the shared model."""
+        if sched.r is None or j < sched.r:
+            return _LOCAL_STATE
+        if taken:
+            return _fixed_state([], (0, 0, 0, 0))
+        members, state = sched.after[j]
+        return _fixed_state(cells_of(members), state)
+
+    def exit_after(j, taken=None) -> List[str]:
+        return state_after(j, taken) + [f"counters.instructions = ci + {j + 1}"]
+
     def plain_fragment(instr, j):
-        nonlocal faultable
         op = instr.op
         kind = OP_KIND[op]
         qp = instr.qp
@@ -525,7 +679,7 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
                         f" + fwd(addr, {size}, ci + {j})",
                         f"gr[{dest}] = value",
                         nat_dest]
-            faultable = True
+            faults.append(j)
             stall = True
         elif kind is OpKind.STORE:
             if len(instr.ins) < 2:
@@ -565,7 +719,7 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
                     "if len(recent) > 4:",
                     "    recent.pop(0)",
                     f"stall = cache_access(addr, {size})"]
-            faultable = True
+            faults.append(j)
             stall = True
         elif kind is OpKind.MOVBR:
             if not instr.ins or not instr.outs:
@@ -579,7 +733,7 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
                            "    raise NaTConsumptionFault"
                            "(\"branch_move\")",
                            f"br[{ob}] = gr[{i0}]"]
-                    faultable = True
+                    faults.append(j)
                 else:
                     sem = [f"br[{ob}] = 0"]
             else:
@@ -598,7 +752,7 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
                            f"if nats[{i0}]:",
                            "    raise NaTConsumptionFault(\"ar_move\")",
                            f"cpu.unat = gr[{i0}]"]
-                    faultable = True
+                    faults.append(j)
                 else:
                     sem = ["cpu.unat = 0"]
             else:
@@ -619,15 +773,20 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
                 out = []
         else:
             out = sem
-        return out + acct_local(instr, stall=stall)
+        return out + acct_local(instr, j, stall=stall)
 
     def term_fragment(instr, i, j):
         """Lines for a block-ending member, or None to end before it."""
         op = instr.op
         kind = OP_KIND[op]
         qp = instr.qp
-        exit_ = _writeback(j + 1)
-        after = exit_ + [f"return pc + {j + 1}"]
+        # The member runs ``head``, its accounting (a taken branch's
+        # included), ``flush``, the exit writeback and ``tail`` when
+        # ``guard`` holds; otherwise it falls through not taken.
+        guard = f"pr[{qp}]" if qp else None
+        head: List[str] = []
+        flush: List[str] = []
+        taken = True
         if op == "chk.s":
             if not instr.ins:
                 return None
@@ -635,22 +794,21 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
             tidx = _resolve(program, instr.target) if i0 else None
             if i0 and tidx is None:
                 return None
-            _, pre = use_key((instr.role, instr.origin))
-            nottaken = acct_local(instr, taken=False) + after
             if i0 == 0:
-                return pre + nottaken
-            cond = f"pr[{qp}] and nats[{i0}]" if qp else f"nats[{i0}]"
-            taken = (acct_local(instr, taken=True)
-                     + exit_ + [f"return {tidx}"])
-            return pre + [f"if {cond}:"] + _indent(taken) + nottaken
-        if op in ("br", "br.cond", "br.call"):
+                guard, taken = None, False
+                tail = [f"return pc + {j + 1}"]
+            else:
+                guard = (f"pr[{qp}] and nats[{i0}]" if qp
+                         else f"nats[{i0}]")
+                tail = [f"return {tidx}"]
+        elif op in ("br", "br.cond", "br.call"):
             tidx = _resolve(program, instr.target)
             if tidx is None or (op == "br.call" and not instr.outs):
                 return None
-            head = ([f"br[{instr.outs[0].index}] = {hex(code_address(i + 1))}"]
-                    if op == "br.call" else [])
-            taken = True
-            tail = exit_ + [f"return {tidx}"]
+            if op == "br.call":
+                head = [f"br[{instr.outs[0].index}] = "
+                        f"{hex(code_address(i + 1))}"]
+            tail = [f"return {tidx}"]
         elif j:
             return None  # indirect branches and breaks run alone
         elif op in ("br.call.ind", "br.ret", "br.ind"):
@@ -661,15 +819,12 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
             if op == "br.call.ind":
                 head.append(f"br[{instr.outs[0].index}] = "
                             f"{hex(code_address(i + 1))}")
-            taken = True
-            tail = exit_ + [
-                f"if 0 <= t < {n}:",
-                "    return t",
-                "raise IllegalInstructionFault("
-                "f\"indirect branch to invalid slot {t}\")"]
+            tail = [f"if 0 <= t < {n}:",
+                    "    return t",
+                    "raise IllegalInstructionFault("
+                    "f\"indirect branch to invalid slot {t}\")"]
         elif kind is OpKind.SYS:
             imm = instr.imm or 0
-            head = []
             taken = None
             if imm == BREAK_SYSCALL and shape.syscall:
                 call = "syscall(cpu)"
@@ -680,8 +835,8 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
             if call is not None:
                 # The handler runs the guest OS on a drained pipeline
                 # and may halt or yield: return the flag-check sentinel.
-                tail = (_close_local() + exit_
-                        + ["cpu.pc = pc", call, "return ~(pc + 1)"])
+                flush = _close_local()
+                tail = ["cpu.pc = pc", call, "return ~(pc + 1)"]
             else:
                 if imm == BREAK_SYSCALL:
                     msg = "no syscall handler installed"
@@ -689,16 +844,18 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
                     msg = "no native handler installed"
                 else:
                     msg = f"break {imm:#x}"
-                tail = exit_ + [f"raise IllegalInstructionFault({msg!r})"]
+                tail = [f"raise IllegalInstructionFault({msg!r})"]
         else:
             return None
         _, pre = use_key((instr.role, instr.origin))
-        run = head + acct_local(instr, taken=taken) + tail
-        if qp:
-            # Predicated-off: the slot is consumed, nothing else happens.
-            return (pre + [f"if pr[{qp}]:"] + _indent(run)
-                    + acct_local(instr, taken=False) + after)
-        return pre + run
+        run = (head + acct_local(instr, j, taken=taken) + flush
+               + exit_after(j, taken) + tail)
+        if guard is None:
+            return pre + run
+        # Guard false: the slot is consumed, nothing else happens.
+        return (pre + [f"if {guard}:"] + _indent(run)
+                + acct_local(instr, j, taken=False) + exit_after(j)
+                + [f"return pc + {j + 1}"])
 
     body: List[str] = []
     i = start
@@ -729,15 +886,20 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
     if term is not None:
         body += term
     else:
-        body += _writeback(j) + [f"return pc + {j}"]
-    if faultable:
+        body += exit_after(j - 1) + [f"return pc + {j}"]
+    if faults:
+        # A faulting member has not issued: store the group open after
+        # the member before it, chosen by the faulting member's offset.
+        handler: List[str] = []
+        for f in faults:
+            if sched.r is not None and f > sched.r:
+                handler += [f"{'elif' if handler else 'if'} d == {f}:"]
+                handler += _indent(state_after(f - 1))
+        handler = (handler + ["else:"] + _indent(_LOCAL_STATE) if handler
+                   else _LOCAL_STATE)
         body = (["try:"] + _indent(body)
-                + ["except Fault:",
-                   "    im._group_writes = gw",
-                   "    im._group_pr_writes = pw",
-                   "    im._group_mem = mm",
-                   "    im._group_slots = sl",
-                   "    counters.instructions = ci + (ipc - pc)",
+                + ["except Fault:", "    d = ipc - pc"] + _indent(handler)
+                + ["    counters.instructions = ci + d",
                    "    cpu._fault_pc = ipc",
                    "    raise"])
     body = (["gw = im._group_writes",

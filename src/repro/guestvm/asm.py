@@ -198,9 +198,11 @@ def _tokenize(source: str) -> List[_Token]:
             tokens.append(_Token("ident", source[i:j], line))
             i = j
             continue
-        if c.isdigit():
+        # ASCII digits only: str.isdigit also accepts digits int() rejects
+        # ('¹') and digits of other scripts int() reads as ASCII ('٣').
+        if "0" <= c <= "9":
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and "0" <= source[j] <= "9":
                 j += 1
             tokens.append(_Token("number", int(source[i:j]), line))
             i = j
@@ -521,13 +523,21 @@ class _Compiler:
     def _primary(self) -> None:
         token = self.current
         if token.kind == "number":
+            if token.value >= 1 << 31:
+                raise MiniScriptError(
+                    f"integer literal {token.value} does not fit 32 bits",
+                    token.line)
             self.advance()
             self.emit_i32(Op.PUSHI, token.value)
             return
         if token.kind == "string":
+            try:
+                data = token.value.encode("latin-1")
+            except UnicodeEncodeError:
+                raise MiniScriptError(
+                    "string literal is not latin-1", token.line) from None
             self.advance()
-            index = self.intern_const(token.value.encode("latin-1"),
-                                      token.line)
+            index = self.intern_const(data, token.line)
             self.emit_u8(Op.PUSHC, index)
             return
         if token.kind == "op" and token.value == "(":
@@ -582,22 +592,31 @@ def assemble(source: str) -> Assembled:
 
 
 def disassemble(blob: bytes) -> str:
-    """Human-readable listing of a bytecode container (for tests/docs)."""
+    """Human-readable listing of a bytecode container (for tests/docs).
+
+    Raises :class:`MiniScriptError` for a container that is truncated
+    anywhere or holds an unknown opcode.
+    """
     if blob[:4] != MAGIC:
         raise MiniScriptError("not a MiniScript container")
-    version, nconsts, nfuncs = blob[4], blob[5], blob[6]
-    code_len = struct.unpack_from("<H", blob, 8)[0]
-    pos = 10
+    pos = 4
+
+    def take(size: int, what: str) -> bytes:
+        nonlocal pos
+        if pos + size > len(blob):
+            raise MiniScriptError(f"container truncated in its {what}")
+        pos += size
+        return blob[pos - size:pos]
+
+    version, nconsts, nfuncs, _ = take(4, "header")
+    (code_len,) = struct.unpack("<H", take(2, "header"))
     consts: List[bytes] = []
     for _ in range(nconsts):
-        length = struct.unpack_from("<H", blob, pos)[0]
-        consts.append(blob[pos + 2:pos + 2 + length])
-        pos += 2 + length
-    funcs = []
-    for _ in range(nfuncs):
-        funcs.append(struct.unpack_from("<H", blob, pos)[0])
-        pos += 2
-    code = blob[pos:pos + code_len]
+        (length,) = struct.unpack("<H", take(2, "const table"))
+        consts.append(take(length, "const table"))
+    funcs = [struct.unpack("<H", take(2, "function table"))[0]
+             for _ in range(nfuncs)]
+    code = take(code_len, "code")
     lines = [f"; MSB v{version}: {nconsts} consts, {nfuncs} funcs, "
              f"{code_len} code bytes"]
     for i, const in enumerate(consts):
@@ -607,8 +626,14 @@ def disassemble(blob: bytes) -> str:
     while i < len(code):
         if i in entries:
             lines.append(f"{entries[i]}:")
-        op = Op(code[i])
+        try:
+            op = Op(code[i])
+        except ValueError:
+            raise MiniScriptError(
+                f"unknown opcode {code[i]:#04x} at {i}") from None
         width = OPERAND_WIDTH.get(op, 0)
+        if i + 1 + width > len(code):
+            raise MiniScriptError(f"{op.name} at {i} is missing its operand")
         operand = ""
         if width == 1:
             operand = f" {code[i + 1]}"

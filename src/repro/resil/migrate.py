@@ -131,7 +131,16 @@ def unpack_blob(blob: bytes) -> dict:
     body = blob[len(MAGIC) + _HEADER.size:]
     if zlib.crc32(body) != crc:
         raise MigrationError("migration blob failed its integrity check")
-    payload = pickle.loads(body)
+    # The CRC catches corruption, not forgery: only unpack blobs from
+    # trusted peers (pickle.loads runs whatever the body asks it to).
+    try:
+        payload = pickle.loads(body)
+    except Exception as exc:
+        raise MigrationError(
+            f"migration blob body does not unpickle: {exc!r}") from exc
+    if not isinstance(payload, dict):
+        raise MigrationError(
+            f"migration blob body is a {type(payload).__name__}, not a dict")
     if payload.get("version") != 1:
         raise MigrationError(
             f"unsupported migration format version {payload.get('version')}")

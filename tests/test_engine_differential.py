@@ -9,6 +9,8 @@ security alerts, and the same trace-event streams.  Every test here
 runs one workload under both engines and compares.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -259,10 +261,17 @@ def _asm_cpu(text, engine, syscall_handler=_exit_syscall):
                syscall_handler=syscall_handler, engine=engine)
 
 
+def _open_group(cpu):
+    im = cpu.issue
+    return (len(im._group), im._group_writes, im._group_pr_writes,
+            im._group_mem, im._group_slots)
+
+
 class TestFaultKindsDifferential:
     @pytest.mark.parametrize("kind", NaTConsumptionFault.KINDS)
     def test_every_kind_identical(self, kind):
         outcomes = {}
+        cpus = {}
         for engine in ENGINES:
             cpu = _asm_cpu(FAULT_PROGRAMS[kind], engine)
             with pytest.raises(NaTConsumptionFault) as excinfo:
@@ -274,7 +283,16 @@ class TestFaultKindsDifferential:
             assert fault.instr is not None
             outcomes[engine] = (fault.pc, str(fault.instr),
                                 cpu.counters.snapshot())
+            cpus[engine] = cpu
         assert outcomes["reference"] == outcomes["predecoded"]
+        # The faulting member follows a certain group close, so the
+        # group left open by the fault comes from a fixed issue schedule:
+        # it must match, and closing it must charge the same members.
+        ref, pre = cpus["reference"], cpus["predecoded"]
+        assert _open_group(ref) == _open_group(pre)
+        ref.issue.flush()
+        pre.issue.flush()
+        assert_counters_identical(ref.counters, pre.counters)
 
     def test_runaway_identical(self):
         text = f"""
@@ -432,6 +450,131 @@ class TestSlicedExecution:
                 ran = [cpu.run_slice(budget) for cpu in cpus]
                 assert ran[0] == ran[1]
                 assert _cpu_state(cpus[0]) == _cpu_state(cpus[1])
+
+
+#: ALU-chain registers; r20 alone may carry a NaT (for ``chk.s``), r28
+#: and r29 hold data addresses, r30 the data base, r31 the trip count.
+_POOL = tuple(range(2, 10))
+_DATA_BASE = make_address(REGION_DATA, 0x1000)
+_ROLES = ((None, None), ("tag_compute", "load"), ("tag_mem", "store"),
+          ("relax", "cmp"))
+_RELS = ("eq", "ne", "lt", "ltu", "ge")
+
+
+@st.composite
+def _grid_member(draw):
+    """One straight-line instruction line and its (role, origin)."""
+    kind = draw(st.sampled_from(
+        ("alu", "alu", "adds", "movl", "cmp", "addr", "load", "store",
+         "tag")))
+    d, a, b = (draw(st.sampled_from(_POOL)) for _ in range(3))
+    qp = draw(st.sampled_from((0, 0, 0, 6, 7, 8, 11)))
+    ptr = draw(st.sampled_from((28, 29)))
+    if kind == "alu":
+        op = draw(st.sampled_from(("add", "sub", "xor", "and", "or")))
+        line = f"{op} r{d} = r{a}, r{b}"
+    elif kind == "adds":
+        line = f"adds r{d} = {draw(st.integers(-8, 8))}, r{a}"
+    elif kind == "movl":
+        line = f"movl r{d} = {draw(st.integers(0, 1 << 40))}"
+    elif kind == "cmp":
+        p = draw(st.sampled_from((6, 8, 10)))
+        line = (f"cmp.{draw(st.sampled_from(_RELS))} p{p}, p{p + 1}"
+                f" = r{a}, r{b}")
+    elif kind == "addr":
+        line = f"adds r{ptr} = {8 * draw(st.integers(0, 7))}, r30"
+    elif kind == "load":
+        line = f"ld8 r{d} = [r{ptr}]"
+    elif kind == "store":
+        line = f"st8 [r{ptr}] = r{a}"
+    else:
+        line = draw(st.sampled_from(("settag r20", "cleartag r20")))
+    prefix = f"(p{qp}) " if qp else ""
+    return prefix + line, draw(st.sampled_from(_ROLES))
+
+
+@st.composite
+def _grid_segment(draw, k):
+    """Straight-line members ending in ``chk.s``, ``br.cond`` or ``br``
+    to ``L{k}`` (or, for a taken ``chk.s``, its recovery code)."""
+    lines = draw(st.lists(_grid_member(), max_size=30))
+    term = draw(st.sampled_from(("chk", "chk", "cmp_br", "br_cond", "br")))
+    if term == "chk":
+        reg = draw(st.sampled_from((20, 2)))
+        ends = [f"chk.s r{reg}, rec{k}"]
+    elif term == "cmp_br":
+        a, b = (draw(st.sampled_from(_POOL)) for _ in range(2))
+        ends = [f"cmp.{draw(st.sampled_from(_RELS))} p12, p13 = r{a}, r{b}",
+                f"(p12) br.cond L{k}"]
+    elif term == "br_cond":
+        qp = draw(st.sampled_from((6, 7, 9, 11)))
+        ends = [f"(p{qp}) br.cond L{k}"]
+    else:
+        ends = [f"br L{k}"]
+    role = draw(st.sampled_from(_ROLES))
+    return lines + [(ln, role) for ln in ends]
+
+
+@st.composite
+def _grid_program(draw):
+    """A loop over generated segments, with each member's role."""
+    prologue = [f"movl r30 = {_DATA_BASE}", "adds r29 = 0, r30",
+                "adds r28 = 0, r30", f"movl r31 = {draw(st.integers(2, 6))}"]
+    prologue += [f"movl r{r} = {r * 3}" for r in _POOL]
+    lines = [(ln, (None, None)) for ln in prologue] + [("top:", None)]
+    segments = draw(st.integers(1, 3))
+    for k in range(segments):
+        lines += draw(_grid_segment(k)) + [(f"L{k}:", None)]
+    lines += [(ln, (None, None)) for ln in (
+        "adds r31 = -1, r31", "cmp.ne p14, p15 = r31, r0",
+        "(p14) br.cond top", EXIT)]
+    for k in range(segments):
+        lines += [(f"rec{k}:", None), ("cleartag r20", (None, None)),
+                  (f"br L{k}", (None, None))]
+    text = "\n".join(["func main:"] + [ln for ln, _ in lines]
+                     + ["endfunc"])
+    program = assemble(text)
+    roles = [role for _, role in lines if role is not None]
+    assert len(roles) == len(program.code)
+    program.code[:] = [instr.with_role(*role)
+                       for instr, role in zip(program.code, roles)]
+    return program
+
+
+def _issue_state(cpu):
+    """The open issue group, members named by their cost bucket's key."""
+    im = cpu.issue
+    keys = {id(cost): key for key, cost in cpu.counters.pair_costs.items()}
+    return ([keys[id(cost)] for cost in im._group], im._group_writes,
+            im._group_pr_writes, im._group_mem, im._group_slots)
+
+
+class TestIssueConfigGrid:
+    @settings(max_examples=40, deadline=None)
+    @given(program=_grid_program(),
+           budgets=st.lists(st.integers(1, 200), min_size=1, max_size=20))
+    def test_generated_blocks_identical(self, program, budgets):
+        """Blocks compiled under every issue config match the reference
+        model, entered with whatever group a slice boundary, a not-taken
+        branch or a block split left open."""
+        grid = itertools.product((1, 2, 6), (1, 2), (True, False))
+        for width, mem_ports, same_group in grid:
+            config = IssueConfig(width=width, mem_ports=mem_ports,
+                                 cmp_branch_same_group=same_group)
+            cpus = [CPU(program, SparseMemory(), issue_config=config,
+                        syscall_handler=_exit_syscall, engine=engine)
+                    for engine in ENGINES]
+            for budget in itertools.cycle(budgets):
+                # _run leaves the open group for the next slice's blocks.
+                ran = [cpu._run(budget, False) for cpu in cpus]
+                assert ran[0] == ran[1]
+                assert cpus[0].pc == cpus[1].pc
+                assert_counters_identical(cpus[0].counters,
+                                          cpus[1].counters)
+                assert _issue_state(cpus[0]) == _issue_state(cpus[1])
+                if cpus[0].halted:
+                    break
+            assert cpus[1].halted
 
 
 class TestCheckpointDifferential:

@@ -116,6 +116,65 @@ class TestAssembler:
             assert len(out.blob) < 2000
 
 
+class TestDecoderErrors:
+    """Bad MiniScript source or a damaged MSB1 container raises
+    MiniScriptError, never a raw error and never a silent success."""
+
+    BLOB = assemble('emit("hi" + arg);').blob
+
+    def test_superscript_digit_rejected(self):
+        with pytest.raises(MiniScriptError, match="unexpected character"):
+            assemble("emit(\u00b9);")
+
+    def test_trailing_superscript_digit_rejected(self):
+        with pytest.raises(MiniScriptError, match="unexpected character"):
+            assemble("emit(1\u00b2);")
+
+    def test_non_ascii_digit_is_not_a_number(self):
+        # Arabic-Indic three used to compile exactly like emit(3);.
+        with pytest.raises(MiniScriptError, match="unexpected character"):
+            assemble("emit(\u0663);")
+
+    def test_oversized_literal_rejected(self):
+        with pytest.raises(MiniScriptError, match="32 bits"):
+            assemble("emit(2147483648);")
+
+    def test_non_latin1_string_rejected(self):
+        with pytest.raises(MiniScriptError, match="latin-1"):
+            assemble('emit("\u20ac");')
+
+    def test_magic_alone_rejected(self):
+        with pytest.raises(MiniScriptError, match="header"):
+            disassemble(b"MSB1")
+
+    def test_truncated_header_rejected(self):
+        with pytest.raises(MiniScriptError, match="header"):
+            disassemble(self.BLOB[:9])
+
+    def test_const_count_past_end_rejected(self):
+        blob = bytearray(self.BLOB)
+        blob[5] = 200
+        with pytest.raises(MiniScriptError, match="truncated"):
+            disassemble(bytes(blob))
+
+    def test_unknown_opcode_rejected(self):
+        blob = bytearray(self.BLOB)
+        blob[-1] = 0xFF  # the trailing HALT
+        with pytest.raises(MiniScriptError, match="unknown opcode 0xff"):
+            disassemble(bytes(blob))
+
+    def test_short_code_section_rejected(self):
+        with pytest.raises(MiniScriptError, match="code"):
+            disassemble(self.BLOB[:-1])
+
+    def test_operand_cut_off_by_code_length_rejected(self):
+        blob = assemble("emit(5);").blob  # no consts, no funcs
+        assert blob[10] == Op.PUSHI
+        cut = blob[:8] + (3).to_bytes(2, "little") + blob[10:13]
+        with pytest.raises(MiniScriptError, match="missing its operand"):
+            disassemble(cut)
+
+
 # ---------------------------------------------------------------------------
 # VM end-to-end under SHIFT
 # ---------------------------------------------------------------------------

@@ -2,6 +2,10 @@
 live taint and pending queues, and drain-via-migration in the serving
 simulator."""
 
+import pickle
+import struct
+import zlib
+
 import pytest
 
 from repro.apps.webserver import make_request, overflow_request
@@ -72,6 +76,20 @@ class TestWireBlob:
         blob[-1] ^= 0xFF
         with pytest.raises(MigrationError, match="integrity"):
             unpack_blob(bytes(blob))
+
+    @pytest.mark.parametrize("body", [[1, 2], "version", None],
+                             ids=["list", "str", "none"])
+    def test_crc_valid_non_dict_body_is_rejected(self, body):
+        pickled = pickle.dumps(body)
+        blob = MAGIC + struct.pack("<I", zlib.crc32(pickled)) + pickled
+        with pytest.raises(MigrationError, match="not a dict"):
+            unpack_blob(blob)
+
+    def test_crc_valid_garbage_body_is_rejected(self):
+        body = b"\x80\x05not a pickle"
+        blob = MAGIC + struct.pack("<I", zlib.crc32(body)) + body
+        with pytest.raises(MigrationError, match="does not unpickle"):
+            unpack_blob(blob)
 
     def test_rehydrate_refuses_a_different_program(self):
         machine = _source("predecoded", _mix(1))
