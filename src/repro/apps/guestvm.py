@@ -777,11 +777,6 @@ def render_guestvm(blob: bytes) -> str:
             .replace("@REQLIMIT@", str(REQUEST_LIMIT)))
 
 
-def guestvm_source(script: str) -> str:
-    """Compile a MiniScript program and embed it in the MiniC VM."""
-    return render_guestvm(assemble(script).blob)
-
-
 # ---------------------------------------------------------------------------
 # The two vulnerable services (MiniScript).
 # ---------------------------------------------------------------------------
@@ -962,9 +957,3 @@ def ping_request(host: str, validated: bool = False) -> bytes:
     """Shell out to ping (PING = vulnerable, VPING = validated)."""
     verb = "VPING" if validated else "PING"
     return f"{verb} {host}".encode()
-
-
-def command_injection_request(host: str = "localhost;cat /etc/passwd"
-                              ) -> bytes:
-    """Classic injection: a tainted metachar chains a second command."""
-    return ping_request(host, validated=False)

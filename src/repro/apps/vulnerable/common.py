@@ -11,7 +11,7 @@ unprotected program and are detected on the protected one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.runtime.machine import Machine
 from repro.taint.policy import PolicyConfig
@@ -24,10 +24,6 @@ class Scenario:
     stdin: bytes = b""
     files: Tuple[Tuple[str, bytes], ...] = ()
     requests: Tuple[bytes, ...] = ()
-
-    def file_dict(self) -> Dict[str, bytes]:
-        """Files as a mutable dict for Machine construction."""
-        return dict(self.files)
 
 
 @dataclass(frozen=True)

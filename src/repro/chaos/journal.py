@@ -90,9 +90,6 @@ class RequestJournal:
 
     # -- queries ----------------------------------------------------------
 
-    def is_completed(self, index: int) -> bool:
-        return index in self._outcome
-
     def outcome(self, index: int) -> Optional[str]:
         """The authoritative outcome, or None while still open."""
         return self._outcome.get(index)

@@ -63,6 +63,16 @@ class RecoveryPolicy:
         """Worst-case cycles from silent death to declared death."""
         return self.heartbeat_interval * self.miss_threshold
 
+    def rehydrate_cost(self, service) -> float:
+        """Cycles to rehydrate a replacement from a blob, on top of boot.
+
+        ``rehydrate_cycles`` when set, else ``service``'s measured
+        ``migration_cycles`` (pack, ship and rehydrate one worker).
+        """
+        if self.rehydrate_cycles is not None:
+            return self.rehydrate_cycles
+        return service.migration_cycles
+
 
 @dataclass(frozen=True)
 class Replica:

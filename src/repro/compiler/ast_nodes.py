@@ -88,14 +88,6 @@ class Call(Expr):
 
 
 @dataclass
-class IndirectCall(Expr):
-    """Call through a function-pointer expression."""
-
-    func: Expr = None
-    args: List[Expr] = field(default_factory=list)
-
-
-@dataclass
 class Index(Expr):
     """Array/pointer subscript base[index]."""
 
@@ -125,13 +117,6 @@ class SizeOf(Expr):
     """sizeof(type) -- a compile-time constant."""
 
     target_type: CType = None
-
-
-@dataclass
-class AddrOfFunc(Expr):
-    """Address of a named function."""
-
-    name: str = ""
 
 
 # --- Statements ---------------------------------------------------------

@@ -8,7 +8,6 @@ only the compiled (and instrumented) application code is compared.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from repro.compiler.pipeline import CompiledProgram
 
@@ -40,11 +39,3 @@ def expansion_percent(base: CodeSize, instrumented: CodeSize) -> float:
     if base.bytes == 0:
         return 0.0
     return 100.0 * (instrumented.bytes - base.bytes) / base.bytes
-
-
-def per_function_sizes(compiled: CompiledProgram) -> Dict[str, int]:
-    """Bytes per function."""
-    return {
-        name: instructions_to_bytes(count)
-        for name, count in compiled.function_sizes.items()
-    }

@@ -143,8 +143,3 @@ def struct_type(tag: str, members) -> CType:
     total = (offset + 7) // 8 * 8
     return CType("struct", tag=tag, fields=tuple(fields),
                  struct_size=max(total, 8))
-
-
-def function_type(ret: CType, params: Tuple[CType, ...]) -> CType:
-    """Function type (used for signatures)."""
-    return CType("func", ret=ret, params=params)

@@ -5,6 +5,9 @@ process.  Workers start with the ``spawn`` method (forking a parent
 that runs queue feeder threads is unsafe) and all run one loop: each
 inbox message is a batch of encoded requests, served by
 :func:`repro.fleet.driver.run_worker` and answered with its summary.
+Each worker answers on its own one-way pipe, so a worker killed in the
+middle of writing an answer tears only its own channel: the parent
+reads end-of-file there, and every other worker's answers still flow.
 A daemon thread heartbeats from the moment a worker starts, and every
 :data:`REPLICATE_EVERY` answers the worker ships its packed machine
 state (a real ``SHFTMIG1`` blob, watermarked with the message index)
@@ -17,10 +20,11 @@ batch, which is how ``FleetDriver.run(processes=True)`` matches the
 in-process digest.
 
 The parent runs the failure detector: a worker is dead when its
-process has exited *or* its heartbeats go silent for
-:data:`DETECTION_SECONDS`, timed from its first heartbeat so a spawned
-interpreter that is still importing never reads as a stall.  Recovery rehydrates a replacement
-from the dead worker's last replicated blob
+process has exited or its channel has closed, *or* its heartbeats go
+silent for :data:`DETECTION_SECONDS`, timed from its first heartbeat so
+a spawned interpreter that is still importing never reads as a stall.
+Recovery rehydrates a replacement from the dead worker's last
+replicated blob
 (:func:`repro.chaos.replica.recover_from_replica`, so banked
 quarantine evidence survives), joins a new process to the rotation via
 :meth:`FleetFrontend.add_worker`, and resends exactly the request-id
@@ -42,7 +46,6 @@ from __future__ import annotations
 
 import hashlib
 import time
-from queue import Empty
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
 from repro.chaos.journal import RequestJournal
@@ -72,7 +75,7 @@ POLL_SECONDS = 0.05
 RESULT_TIMEOUT = 120.0
 
 
-def _worker_main(config: FleetConfig, worker_id: str, inbox, outbox,
+def _worker_main(config: FleetConfig, worker_id: str, inbox, channel,
                  directive) -> None:
     """Worker-process loop: serve one batch per inbox message until None.
 
@@ -80,10 +83,13 @@ def _worker_main(config: FleetConfig, worker_id: str, inbox, outbox,
     first compile and boot, and beats throughout so a worker deep in a
     slow batch still looks alive; a ``stall_after`` directive suppresses
     the beats for the stall's duration (a frozen process is silent
-    *everywhere*, not just on its answer queue).  A ``crash_after``
-    directive is honoured at the message *boundary* — the SIGKILL fires
-    before any of the doomed message's work (or answers) run, so the
-    parent's journal sees a cleanly open request, never a torn one.
+    *everywhere*, not just on its answers).  The heartbeat thread and
+    the serving loop take turns on ``channel``, the worker's write end
+    of its answer pipe, so their frames never interleave.  A
+    ``crash_after`` directive is honoured at the message *boundary* —
+    the SIGKILL fires before any of the doomed message's work (or
+    answers) run, so the parent's journal sees a cleanly open request,
+    never a torn one.
     """
     import os
     import signal
@@ -91,11 +97,16 @@ def _worker_main(config: FleetConfig, worker_id: str, inbox, outbox,
 
     beating = threading.Event()
     beating.set()
+    writing = threading.Lock()
+
+    def answer(msg: Dict) -> None:
+        with writing:
+            channel.send(msg)
 
     def pulse() -> None:
         while True:
             if beating.is_set():
-                outbox.put({"type": "heartbeat", "worker": worker_id})
+                answer({"type": "heartbeat", "worker": worker_id})
             time.sleep(HEARTBEAT_SECONDS)
 
     threading.Thread(target=pulse, daemon=True).start()
@@ -103,7 +114,7 @@ def _worker_main(config: FleetConfig, worker_id: str, inbox, outbox,
     from repro.resil.migrate import pack_worker
 
     run_worker(config, worker_id, [])  # compile and boot once, up front
-    outbox.put({"type": "ready", "worker": worker_id})
+    answer({"type": "ready", "worker": worker_id})
     picked_up = 0
     while True:
         item = inbox.get()
@@ -120,14 +131,14 @@ def _worker_main(config: FleetConfig, worker_id: str, inbox, outbox,
                 beating.set()
         started = time.perf_counter()
         summary, machine = run_worker(config, worker_id, batch)
-        outbox.put({"type": "done", "index": index, "worker": worker_id,
-                    "started": started, "finished": time.perf_counter(),
-                    "summary": summary})
+        answer({"type": "done", "index": index, "worker": worker_id,
+                "started": started, "finished": time.perf_counter(),
+                "summary": summary})
         if picked_up % REPLICATE_EVERY == 0:
-            outbox.put({"type": "replica", "worker": worker_id,
-                        "watermark": index,
-                        "blob": pack_worker(machine, watermark=index,
-                                            reason="replicate")})
+            answer({"type": "replica", "worker": worker_id,
+                    "watermark": index,
+                    "blob": pack_worker(machine, watermark=index,
+                                        reason="replicate")})
 
 
 def _outcome(summary: Dict) -> str:
@@ -152,7 +163,6 @@ class _Run:
             [f"w{i}" for i in range(fleet.initial_workers)],
             policy=fleet.routing, seed=fleet.seed,
             shed_limit=fleet.shed_limit)
-        self.outbox = self.ctx.Queue()
         self.workers: Dict[str, Dict] = {}
         self.journal = RequestJournal()
         self.store = ReplicaStore()
@@ -172,12 +182,15 @@ class _Run:
         directive = (self.chaos.directives.get(wid)
                      if self.chaos is not None else None)
         inbox = self.ctx.Queue()
+        answers, channel = self.ctx.Pipe(duplex=False)
         proc = self.ctx.Process(
             target=_worker_main,
-            args=(self.config, wid, inbox, self.outbox, directive),
+            args=(self.config, wid, inbox, channel, directive),
             daemon=True)
         proc.start()
+        channel.close()  # the worker holds the only write end
         self.workers[wid] = {"proc": proc, "inbox": inbox,
+                             "answers": answers,
                              "spawned": time.perf_counter(),
                              "last_seen": None, "ready": False,
                              "dead": False}
@@ -213,14 +226,27 @@ class _Run:
                 queue.pop(0)
 
     def _drain(self, timeout: float) -> None:
-        """Handle every message that arrives within ``timeout``."""
-        try:
-            msg = self.outbox.get(timeout=timeout)
-            while True:
+        """Handle every message that arrives within ``timeout``.
+
+        A channel at end of file, or torn by a worker killed mid-frame,
+        is closed and dropped: its worker is gone.
+        """
+        from multiprocessing.connection import wait
+
+        channels = {state["answers"]: state
+                    for state in self.workers.values()
+                    if state["answers"] is not None}
+        ready = wait(list(channels), timeout)
+        while ready:
+            for answers in ready:
+                try:
+                    msg = answers.recv()
+                except (EOFError, OSError):
+                    answers.close()
+                    channels.pop(answers)["answers"] = None
+                    continue
                 self._handle(msg)
-                msg = self.outbox.get_nowait()
-        except Empty:
-            pass
+            ready = wait(list(channels), 0)
 
     def poll(self, timeout: float) -> None:
         """Handle pending messages, then run the failure detector."""
@@ -229,7 +255,8 @@ class _Run:
         for wid, state in list(self.workers.items()):
             if state["dead"]:
                 continue
-            crashed = not state["proc"].is_alive()
+            crashed = (state["answers"] is None
+                       or not state["proc"].is_alive())
             silent = (state["last_seen"] is not None
                       and now - state["last_seen"] > DETECTION_SECONDS)
             if crashed or silent:
@@ -305,6 +332,8 @@ class _Run:
             if state["proc"].is_alive():
                 state["proc"].terminate()
             state["proc"].join()
+            if state["answers"] is not None:
+                state["answers"].close()
 
 
 class SupervisedFleet:

@@ -46,19 +46,16 @@ import sys
 from typing import Dict, List
 
 from repro.chaos import ChaosEvent, ChaosSchedule, RecoveryPolicy, WorkerChaos
-from repro.compiler.instrument import ShiftOptions
-from repro.fleet.driver import FleetConfig
 from repro.fleet.supervised import SupervisedFleet
 from repro.harness.benchcli import bench_parser, write_report
-from repro.serve import (
-    LoadConfig,
-    LoadPhase,
-    ServeRequest,
-    ServeSim,
-    ServiceModel,
-    describe,
-    generate,
+from repro.harness.servebench import (
+    ATTACK_SIZES,
+    ATTACK_WEIGHTS,
+    _attack_config,
+    _mean_service,
+    _workload,
 )
+from repro.serve import ServeRequest, ServeSim, ServiceModel, describe
 
 #: Campaign fleet size (crashes walk the workers round-robin).
 CAMPAIGN_WORKERS = 3
@@ -80,40 +77,15 @@ WIRE_DROP = 0.1
 #: Attack share of campaign traffic.
 ATTACK_FRACTION = 0.25
 
-#: Strict byte granularity so planted overflows are caught (the same
-#: configuration the serving and fleet benches gate detection with).
-ATTACK_OPTIONS = ShiftOptions(granularity=1)
-ATTACK_SIZES = (4, 8)
-ATTACK_WEIGHTS = (0.8, 0.2)
-
-#: Per-request instruction budget for recover-mode workers.
-SERVE_WATCHDOG = 2_000_000
-
 #: Slack multiplier on the analytic recovery-latency bound.
 RECOVERY_SLACK = 1.5
 
 
-def _config(engine: str) -> FleetConfig:
-    return FleetConfig(variant="resil", options=ATTACK_OPTIONS,
-                       sizes=ATTACK_SIZES, engine=engine,
-                       recover_watchdog=SERVE_WATCHDOG)
-
-
-def _mean_service(service: ServiceModel) -> float:
-    from repro.apps.webserver import make_request
-
-    total = sum(ATTACK_WEIGHTS)
-    return sum(service.cost(make_request(kb)).cycles * w
-               for kb, w in zip(ATTACK_SIZES, ATTACK_WEIGHTS)) / total
-
-
-def _workload(seed: int, offered: float, requests: int, *,
-              attack_fraction: float = ATTACK_FRACTION) -> List:
-    duration = requests * 1e6 / offered
-    return generate(LoadConfig(
-        seed=seed, phases=[LoadPhase(duration, offered)],
-        sizes_kb=ATTACK_SIZES, size_weights=ATTACK_WEIGHTS,
-        attack_fraction=attack_fraction))
+def _attack_workload(seed: int, offered: float, requests: int, *,
+                     attack_fraction: float = ATTACK_FRACTION) -> List:
+    """One steady open-loop phase of the attack-mix file sizes."""
+    return _workload(seed, offered, requests, sizes=ATTACK_SIZES,
+                     weights=ATTACK_WEIGHTS, attack_fraction=attack_fraction)
 
 
 def recovery_bound(service: ServiceModel, policy: RecoveryPolicy) -> float:
@@ -123,16 +95,13 @@ def recovery_bound(service: ServiceModel, policy: RecoveryPolicy) -> float:
     pays boot plus blob rehydration.  Anything slower than this bound
     means recovery is doing work it should not be.
     """
-    rehydrate = (policy.rehydrate_cycles
-                 if policy.rehydrate_cycles is not None
-                 else service.migration_cycles)
-    return RECOVERY_SLACK * (policy.detection_cycles
-                             + service.boot_cycles + rehydrate)
+    return RECOVERY_SLACK * (policy.detection_cycles + service.boot_cycles
+                             + policy.rehydrate_cost(service))
 
 
 def campaign_run(service: ServiceModel, seed: int, requests: int) -> Dict:
     """One seeded crash campaign vs. its uncrashed control."""
-    mean = _mean_service(service)
+    mean = _mean_service(service, ATTACK_SIZES, ATTACK_WEIGHTS)
     capacity = CAMPAIGN_WORKERS * 1e6 / mean
     offered = 0.8 * capacity
     duration = requests * 1e6 / offered
@@ -143,7 +112,7 @@ def campaign_run(service: ServiceModel, seed: int, requests: int) -> Dict:
         stall_cycles=4.0 * policy.detection_cycles,
         corrupt_rate=CAMPAIGN_CORRUPT, drop_rate=CAMPAIGN_DROP)
 
-    workload = _workload(seed, offered, requests)
+    workload = _attack_workload(seed, offered, requests)
     control = ServeSim(workers=CAMPAIGN_WORKERS, seed=seed,
                        service_model=service).run(workload)
     result = ServeSim(workers=CAMPAIGN_WORKERS, seed=seed,
@@ -152,7 +121,7 @@ def campaign_run(service: ServiceModel, seed: int, requests: int) -> Dict:
     rerun = ServeSim(workers=CAMPAIGN_WORKERS, seed=seed,
                      service_model=service, chaos=chaos,
                      recovery=policy).run(
-        _workload(seed, offered, requests))
+        _attack_workload(seed, offered, requests))
 
     detection = result.attack_detection()
     bound = recovery_bound(service, policy)
@@ -205,7 +174,7 @@ def campaign_run(service: ServiceModel, seed: int, requests: int) -> Dict:
 
 def zombie_run(service: ServiceModel, seed: int, requests: int) -> Dict:
     """Stall one worker past the detector: the journal must dedup."""
-    mean = _mean_service(service)
+    mean = _mean_service(service, ATTACK_SIZES, ATTACK_WEIGHTS)
     offered = 0.9 * 1e6 / mean  # keep the single worker busy
     duration = requests * 1e6 / offered
     policy = RecoveryPolicy()
@@ -215,7 +184,7 @@ def zombie_run(service: ServiceModel, seed: int, requests: int) -> Dict:
     ], seed=seed)
     result = ServeSim(workers=1, seed=seed, service_model=service,
                       chaos=chaos, recovery=policy).run(
-        _workload(seed, offered, requests, attack_fraction=0.0))
+        _attack_workload(seed, offered, requests, attack_fraction=0.0))
     journal = result.journal.to_dict()
     return {
         "requests": len(result.records),
@@ -232,7 +201,7 @@ def zombie_run(service: ServiceModel, seed: int, requests: int) -> Dict:
 
 def shed_run(service: ServiceModel, seed: int, requests: int) -> Dict:
     """Twice-capacity load with admission control armed."""
-    mean = _mean_service(service)
+    mean = _mean_service(service, ATTACK_SIZES, ATTACK_WEIGHTS)
     capacity = 2 * 1e6 / mean
     offered = 2.0 * capacity
     duration = requests * 1e6 / offered
@@ -242,7 +211,7 @@ def shed_run(service: ServiceModel, seed: int, requests: int) -> Dict:
     result = ServeSim(workers=2, seed=seed, service_model=service,
                       chaos=chaos, recovery=policy,
                       shed_limit=6).run(
-        _workload(seed, offered, requests))
+        _attack_workload(seed, offered, requests))
     journal = result.journal.to_dict()
     detection = result.attack_detection()
     return {
@@ -268,11 +237,11 @@ def shed_run(service: ServiceModel, seed: int, requests: int) -> Dict:
 
 def wire_run(service: ServiceModel, seed: int, requests: int) -> Dict:
     """Heavy wire damage absorbed by bounded retransmit."""
-    mean = _mean_service(service)
+    mean = _mean_service(service, ATTACK_SIZES, ATTACK_WEIGHTS)
     offered = 0.7 * 2 * 1e6 / mean
     chaos = ChaosSchedule(seed=seed, corrupt_rate=WIRE_CORRUPT,
                           drop_rate=WIRE_DROP)
-    workload = _workload(seed, offered, requests)
+    workload = _attack_workload(seed, offered, requests)
     control = ServeSim(workers=2, seed=seed,
                        service_model=service).run(workload)
     result = ServeSim(workers=2, seed=seed, service_model=service,
@@ -308,7 +277,7 @@ def supervised_run(engine: str, seed: int, requests: int) -> Dict:
     workload = [ServeRequest(index=i, session=i, arrival=0.0,
                              payload=b"GET /static/page-%d.html" % i)
                 for i in range(requests)]
-    return SupervisedFleet(_config(engine), workers=2, seed=seed,
+    return SupervisedFleet(_attack_config(engine), workers=2, seed=seed,
                            routing="round_robin", chaos=chaos).run(workload)
 
 
@@ -317,10 +286,10 @@ def run_suite(quick: bool, seed: int, engine: str, *,
     """All experiments; returns the full report dict."""
     requests = 50 if quick else 110
     seeds = [seed + i for i in range(2 if quick else 3)]
-    service = ServiceModel(_config(engine))
+    service = ServiceModel(_attack_config(engine))
 
     print("chaosbench: measuring service budgets", flush=True)
-    mean = _mean_service(service)
+    mean = _mean_service(service, ATTACK_SIZES, ATTACK_WEIGHTS)
     print(f"  boot {service.boot_cycles:.0f} cycles, mix mean "
           f"{mean:.0f} cycles ({service.measured} payloads measured)",
           flush=True)

@@ -41,11 +41,3 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def fmt_slowdown(value: float) -> str:
-    """Format a slowdown as '2.81X'."""
-    return f"{value:.2f}X"
-
-
-def fmt_percent(value: float, digits: int = 1) -> str:
-    """Format a percentage."""
-    return f"{value:.{digits}f}%"

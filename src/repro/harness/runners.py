@@ -7,7 +7,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.apps.guestvm import (GUESTVM_KV_SOURCE, GUESTVM_PING_SOURCE,
                                 GUESTVM_TMPL_SOURCE)
-from repro.apps.spec import BENCHMARKS, SpecBenchmark
+from repro.apps.spec import SpecBenchmark
 from repro.apps.specstore import SPECSTORE_SOURCE
 from repro.apps.webserver import (
     BACKEND_SOURCE,
@@ -352,8 +352,3 @@ def run_webserver(options: ShiftOptions, file_kb: int, requests: int = 50,
         total_cycles=machine.counters.cycles,
         io_cycles=machine.counters.io_cycles,
     )
-
-
-def all_benchmarks() -> Dict[str, SpecBenchmark]:
-    """Copy of the SPEC kernel registry."""
-    return dict(BENCHMARKS)

@@ -216,8 +216,3 @@ class Label:
 
     def __str__(self) -> str:
         return f"{self.name}:"
-
-
-def is_label(item: object) -> bool:
-    """True if the stream item is a Label."""
-    return isinstance(item, Label)

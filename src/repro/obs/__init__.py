@@ -30,8 +30,6 @@ from repro.obs.events import (
     InjectionEvent,
     QuarantineEvent,
     RollbackEvent,
-    ScaleEvent,
-    ServeRequestEvent,
     SyscallEvent,
     TaintSourceEvent,
     TaintStoreEvent,
@@ -89,8 +87,6 @@ __all__ = [
     "ProvenanceTracker",
     "QuarantineEvent",
     "RollbackEvent",
-    "ScaleEvent",
-    "ServeRequestEvent",
     "SyscallEvent",
     "TaintOrigin",
     "TaintSourceEvent",

@@ -188,69 +188,6 @@ class SpecEvent(Event):
     instruction_count: int = 0
 
 
-@dataclass
-class ServeRequestEvent(Event):
-    """One open-loop request completed its lifecycle (repro.serve).
-
-    Timestamps are simulated cycles on the serving clock: ``enqueue``
-    when the request arrived at the frontend, ``dispatch`` when a
-    worker started it, ``complete`` when the worker finished (or the
-    drop/ejection was recorded).
-    """
-
-    KIND: ClassVar[str] = "serve_request"
-
-    index: int  # arrival order in the workload
-    request_kind: str  # 'clean' | 'traversal' | 'overflow' | ...
-    worker: str  # '' when the request was dropped
-    outcome: str  # 'served' | 'quarantined' | 'fatal' | 'dropped' | ...
-    enqueue: float
-    dispatch: float
-    complete: float
-
-
-@dataclass
-class ScaleEvent(Event):
-    """The autoscaler changed the worker set (repro.serve)."""
-
-    KIND: ClassVar[str] = "scale"
-
-    action: str  # 'scale_up' | 'drain' | 'retire' | 'eject'
-    worker: str
-    depth: float  # smoothed queue depth per routable worker at decision
-    workers: int  # routable workers after the action
-    time: float  # simulated cycles
-
-
-@dataclass
-class WorkerCrashEvent(Event):
-    """Chaos injected a fail-stop crash or stall (repro.chaos)."""
-
-    KIND: ClassVar[str] = "worker_crash"
-
-    fault: str  # 'crash' | 'stall'
-    worker: str
-    time: float  # simulated cycles at injection
-    duration: float = 0.0  # stall length (stalls only)
-    applied: bool = True  # False when the target was already gone
-
-
-@dataclass
-class RecoveryEvent(Event):
-    """A dead worker was detected and replaced (repro.chaos)."""
-
-    KIND: ClassVar[str] = "recovery"
-
-    worker: str  # the worker declared dead
-    replacement: str  # the worker spawned in its place
-    cause: str  # 'crash' | 'stall'
-    failed_at: float  # simulated cycles when the fault fired
-    detected_at: float  # when the failure detector declared death
-    recovered_at: float  # when the replacement could first dispatch
-    watermark: int = -1  # replica watermark the replacement rehydrated
-    replayed: int = 0  # open requests moved to the replacement
-
-
 #: Every event type, for schema documentation and exporters.
 EVENT_TYPES: Tuple[type, ...] = (
     TaintSourceEvent,
@@ -265,8 +202,4 @@ EVENT_TYPES: Tuple[type, ...] = (
     InjectionEvent,
     AdaptiveSwitchEvent,
     SpecEvent,
-    ServeRequestEvent,
-    ScaleEvent,
-    WorkerCrashEvent,
-    RecoveryEvent,
 )

@@ -47,10 +47,6 @@ class RetryPolicy:
         """Cycles to wait before the given retry (0-based)."""
         return self.backoff_base * self.backoff_factor ** retry
 
-    def total_backoff(self, retries: int) -> float:
-        """Cycles spent backing off across the first ``retries`` retries."""
-        return sum(self.backoff(i) for i in range(retries))
-
 
 class TransientErrorInjector:
     """Deterministic per-attempt transient failures and short reads.

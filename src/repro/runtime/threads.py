@@ -192,9 +192,6 @@ class ThreadManager:
         """True once any thread beyond main exists."""
         return len(self.threads) > 1
 
-    def _runnable(self) -> List[GuestThread]:
-        return [t for t in self.threads.values() if t.status in ("ready", "running")]
-
     def _next_thread(self) -> Optional[GuestThread]:
         """Round-robin: the next ready thread after the current one."""
         tids = sorted(self.threads)

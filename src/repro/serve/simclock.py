@@ -223,12 +223,6 @@ class ServiceModel:
             alerts=len(summary["alerts"]), response_sha=response_sha,
             spec_commits=spec_commits, spec_rollbacks=spec_rollbacks)
 
-    def mean_cycles(self, payloads: Sequence[bytes]) -> float:
-        """Mean measured budget over a payload set (capacity planning)."""
-        if not payloads:
-            return 0.0
-        return sum(self.cost(p).cycles for p in payloads) / len(payloads)
-
 
 # -- per-request bookkeeping --------------------------------------------
 
@@ -298,7 +292,6 @@ class _SimWorker:
     #: older incarnation are cancelled (the work died with the worker).
     incarnation: int = 0
     crashed: bool = False
-    crashed_at: float = -1.0
     #: Frozen (unresponsive but alive) until this cycle stamp.
     stall_until: float = 0.0
     #: The request currently executing (recovered on crash detection).
@@ -608,6 +601,445 @@ class ServeResult:
 # -- the serving loop ----------------------------------------------------
 
 
+#: Bounded retransmit for response frames under wire chaos.
+WIRE_RETRY = RetryPolicy()
+
+
+class _Run:
+    """One serving run: the loop state, and one handler per event kind.
+
+    :meth:`ServeSim.run` pops each event off :attr:`clock` and calls
+    ``on_<kind>`` with the event's data as its arguments.  The helpers
+    below the handlers (dispatch, resubmit, spawn, ...) are the steps
+    the handlers share.
+    """
+
+    KINDS = ("arrival", "complete", "ready", "migrated", "chaos", "detect",
+             "tick")
+
+    def __init__(self, sim: ServeSim,
+                 workload: Sequence[ServeRequest]) -> None:
+        self.sim = sim
+        self.service = sim.service
+        self.clock = SimClock()
+        self.frontend = FleetFrontend(
+            [f"w{i}" for i in range(sim.initial_workers)],
+            policy=sim.routing, seed=sim.seed,
+            queue_capacity=sim.queue_capacity, shed_limit=sim.shed_limit)
+        self.workers: Dict[str, _SimWorker] = {
+            wid: _SimWorker(wid) for wid in self.frontend.order
+        }
+        self.autoscaler = (Autoscaler(sim.autoscaler_config)
+                           if sim.autoscaler_config is not None else None)
+        self.chaos = sim.chaos
+        #: Replication and failure detection arm only when asked for: a
+        #: chaos-free run never replicates or declares a worker dead.
+        self.protected = sim.chaos is not None or sim.recovery is not None
+        self.policy = sim.recovery or RecoveryPolicy()
+        self.journal = RequestJournal()
+        self.store = ReplicaStore()
+        self.result = ServeResult(
+            records=[], workers=self.workers, frontend=self.frontend,
+            journal=self.journal,
+            replica_store=self.store if self.protected else None)
+        self.records: Dict[int, RequestRecord] = {}
+        #: Admitted requests not yet completed or dropped.
+        self.open_requests = 0
+        #: Workers with ``busy`` set, kept exact where the flag flips.
+        self.in_flight = 0
+        #: Workers waiting to migrate at their next request boundary.
+        self.migrating: set = set()
+        #: Wire-attempt offsets for re-delivered responses: a failed
+        #: delivery must not replay the same doomed attempt sequence.
+        self.wire_base: Dict[int, int] = {}
+
+        for request in workload:
+            self.clock.schedule(request.arrival, "arrival", (request,))
+        if self.autoscaler is not None and workload:
+            self.clock.schedule(sim.autoscaler_config.interval, "tick", ())
+        if self.chaos is not None:
+            for event in self.chaos.events:
+                self.clock.schedule(event.time, "chaos", (event,))
+
+    # -- event handlers --------------------------------------------------
+
+    def on_arrival(self, request: ServeRequest) -> None:
+        """Admit a new request to a worker queue, or refuse it."""
+        record = RequestRecord(
+            index=request.index, session=request.session,
+            kind=request.kind, enqueue=self.clock.now)
+        self.records[request.index] = record
+        self.result.records.append(record)
+        frontend = self.frontend
+        shed_before = frontend.rejected
+        wid = frontend.submit(request, key=request.affinity)
+        if wid is None:
+            if frontend.rejected > shed_before:
+                record.outcome = "rejected"
+                self.result.shed += 1
+            else:
+                record.outcome = "dropped"
+                self.result.dropped += 1
+            return
+        self.journal.admit(request.index, wid)
+        self.open_requests += 1
+        self.dispatch(wid)
+
+    def on_complete(self, wid: str, request: ServeRequest,
+                    cost: ServiceCost, incarnation: int) -> None:
+        """A worker finished a request: ack it, then pick the next step."""
+        worker = self.workers[wid]
+        now = self.clock.now
+        if incarnation != worker.incarnation:
+            # A completion from a crashed incarnation: the work died
+            # with the worker; recovery replays the request.
+            self.result.stale_completions += 1
+            return
+        if now < worker.stall_until:
+            # Frozen mid-request: the completion thaws with the worker
+            # (a zombie's late finish arrives here too).
+            self.clock.schedule(worker.stall_until, "complete",
+                                (wid, request, cost, incarnation))
+            return
+        worker.busy = False
+        self.in_flight -= 1
+        worker.inflight = None
+        worker.busy_cycles += cost.cycles
+        ack_delay = self.deliver(wid, request, cost)
+        if ack_delay is None:
+            # Undeliverable ack: re-execute on the same worker (or let
+            # the replay complete it if this worker is gone).
+            if not worker.ejected and not worker.crashed:
+                self.frontend.slots[wid].queue.insert(0, request)
+                self.dispatch(wid)
+            return
+        authoritative = self.journal.complete(request.index, cost.outcome)
+        if authoritative:
+            self.open_requests -= 1
+            record = self.records[request.index]
+            record.complete = now + ack_delay
+            record.outcome = cost.outcome
+            record.policy_ids = cost.policy_ids
+            record.alerts = cost.alerts
+            record.response_sha = cost.response_sha
+            record.spec_commits = cost.spec_commits
+            record.spec_rollbacks = cost.spec_rollbacks
+            if cost.outcome == "quarantined":
+                worker.evidence += 1
+        if cost.fatal:
+            self.eject(wid)
+            return
+        worker.served += 1
+        if worker.ejected:
+            return  # a zombie: declared dead and replaced already
+        if self.protected and authoritative:
+            worker.completed_mark = max(worker.completed_mark,
+                                        request.index)
+            worker.since_replicate += 1
+            every = self.policy.replicate_every
+            if every and worker.since_replicate >= every:
+                self.replicate(wid)
+                return
+        if wid in self.migrating:
+            self.try_migrate(wid)
+            return
+        self.dispatch(wid)
+        self.finish_draining(wid)
+
+    def on_ready(self, wid: str) -> None:
+        """A worker finished booting, replicating or stalling."""
+        self.dispatch(wid)
+        self.finish_draining(wid)
+
+    def on_migrated(self, moved: List[ServeRequest]) -> None:
+        """A state blob landed: requeue its requests on the survivors."""
+        self.resubmit(moved, migrated=True)
+
+    def on_chaos(self, event) -> None:
+        """Apply one scheduled fault: a fail-stop crash or a stall."""
+        worker = self.workers.get(event.worker)
+        now = self.clock.now
+        applied = (worker is not None and not worker.ejected
+                   and not worker.crashed and worker.retired_at is None)
+        entry = {"time": now, "kind": event.kind,
+                 "worker": event.worker, "applied": applied}
+        if event.kind == "stall":
+            entry["duration"] = event.duration
+        self.result.chaos_events.append(entry)
+        if not applied:
+            return
+        patience = self.policy.detection_cycles
+        if event.kind == "crash":
+            # Fail-stop: silent death.  The frontend learns nothing
+            # until the heartbeat detector's patience runs out.
+            worker.crashed = True
+            worker.incarnation += 1
+            self.clock.schedule(now + patience, "detect",
+                                (event.worker, "crash", now))
+        else:
+            worker.stall_until = now + event.duration
+            if not worker.busy:
+                self.clock.schedule(worker.stall_until, "ready",
+                                    (event.worker,))
+            if event.duration >= patience:
+                # The freeze outlasts the detector: the worker will be
+                # declared dead while still (slowly) alive.
+                self.clock.schedule(now + patience, "detect",
+                                    (event.worker, "stall", now))
+
+    def on_detect(self, wid: str, cause: str, failed_at: float) -> None:
+        """The failure detector's verdict: eject, replace, replay."""
+        worker = self.workers[wid]
+        now = self.clock.now
+        if worker.ejected or worker.retired_at is not None:
+            return
+        if not (worker.crashed or worker.stall_until > now):
+            return  # heartbeats resumed before the verdict
+        worker.ejected = True
+        orphans = self.frontend.eject(wid, f"failure detector: {cause}")
+        if worker.inflight is not None:
+            # Crash: the in-flight request died with the worker.  Stall:
+            # the zombie may yet finish it — replay anyway; the journal
+            # suppresses whichever completion is second.
+            orphans = [worker.inflight] + orphans
+            if worker.crashed:
+                worker.inflight = None
+                worker.busy = False
+                self.in_flight -= 1
+        self.scale_event("eject", wid)
+        # Spawn the replacement: boot a twin, rehydrate it from the last
+        # replicated checkpoint (evidence and all).
+        replica = self.store.latest(wid)
+        delay = self.service.boot_cycles
+        if replica is not None:
+            delay += self.policy.rehydrate_cost(self.service)
+        replacement = self.spawn("recover", delay)
+        if replica is not None:
+            replacement.evidence = replica.evidence
+            replacement.completed_mark = replica.watermark
+        # Replay exactly the journal's open set for the dead worker —
+        # completed requests stay completed, nothing is re-run.
+        open_ids = set(self.journal.open_for(wid))
+        replay = [r for r in orphans if r.index in open_ids]
+        new_wid = replacement.worker_id
+        self.journal.reassign([r.index for r in replay], new_wid)
+        queue = self.frontend.slots[new_wid].queue
+        for request in replay:
+            queue.append(request)
+            self.records[request.index].rerouted = True
+        self.result.replayed += len(replay)
+        self.result.recoveries.append({
+            "worker": wid, "replacement": new_wid, "cause": cause,
+            "failed_at": failed_at, "detected_at": now,
+            "recovered_at": replacement.available_at,
+            "recovery_latency": replacement.available_at - failed_at,
+            "watermark": replica.watermark if replica is not None else -1,
+            "evidence": replica.evidence if replica is not None else 0,
+            "replayed": len(replay),
+        })
+
+    def on_tick(self) -> None:
+        """The autoscaler's control step: sample depth, scale, re-arm."""
+        # Drop trailing ticks once all work has finished.
+        if not (self.open_requests > 0 or self.clock):
+            return
+        frontend = self.frontend
+        now = self.clock.now
+        queued = frontend.total_queued
+        routable = frontend.routable_count
+        action = self.autoscaler.observe(now, queued, routable)
+        self.result.depth_series.append({
+            "time": now,
+            "queued": queued,
+            "in_flight": self.in_flight,
+            "routable_workers": routable,
+            "smoothed": round(self.autoscaler.smoothed, 4),
+        })
+        if action == "scale_up":
+            self.spawn("scale_up", self.service.boot_cycles)
+        elif action == "drain":
+            # Scale-down unwinds LIFO: the newest live worker drains.
+            live = self.live_workers()
+            if live:
+                victim = live[-1]
+                frontend.drain(victim)
+                self.scale_event("drain", victim)
+                if (self.sim.migrate_on_drain
+                        and frontend.routable_count >= 1):
+                    self.migrating.add(victim)
+                    self.try_migrate(victim)
+                else:
+                    self.finish_draining(victim)
+        if self.open_requests > 0 or self.clock:
+            self.clock.schedule(now + self.sim.autoscaler_config.interval,
+                                "tick", ())
+
+    # -- shared steps ----------------------------------------------------
+
+    def dispatch(self, wid: str) -> None:
+        """Start the worker's next queued request if it is free to."""
+        worker = self.workers[wid]
+        slot = self.frontend.slots[wid]
+        if (worker.busy or not slot.queue or worker.ejected
+                or worker.crashed):
+            return
+        now = self.clock.now
+        if now < worker.available_at or now < worker.stall_until:
+            return  # booting/stalled; a 'ready' event will retry
+        request = slot.queue.pop(0)
+        record = self.records[request.index]
+        cost = self.service.cost(request.payload, request.tags)
+        record.worker = wid
+        record.dispatch = now
+        record.service = cost.cycles
+        worker.busy = True
+        self.in_flight += 1
+        worker.inflight = request
+        self.journal.assign(request.index, wid)
+        self.clock.schedule(now + cost.cycles, "complete",
+                            (wid, request, cost, worker.incarnation))
+
+    def deliver(self, wid: str, request: ServeRequest,
+                cost: ServiceCost) -> Optional[float]:
+        """Ship the response frame over the (possibly chaotic) wire.
+
+        Returns the backoff cycles the frontend spent retransmitting,
+        or None when the ack was undeliverable within one retry budget
+        — at-least-once transport's worst case, handled by re-executing
+        the request (the journal still completes the id exactly once).
+        """
+        chaos = self.chaos
+        if chaos is None or not chaos.wire_active:
+            return 0.0
+        frame = TaggedMessage(
+            payload=(cost.response_sha or cost.outcome).encode(),
+            request_id=request.index & 0xFFFFFFFF,
+            origin=f"worker:{wid}").to_bytes()
+        base = self.wire_base.get(request.index, 0)
+        try:
+            _msg, backoff = self.frontend.receive_frame(
+                lambda attempt: chaos.transmit(
+                    frame, request.index, base + attempt),
+                retry=WIRE_RETRY)
+        except WireFormatError:
+            self.wire_base[request.index] = base + WIRE_RETRY.limit + 1
+            self.result.acks_lost += 1
+            return None
+        self.result.retransmit_cycles += backoff
+        return backoff
+
+    def resubmit(self, requests: Sequence[ServeRequest], *,
+                 migrated: bool) -> None:
+        """Re-route admitted requests whose worker left the rotation.
+
+        Fatal-ejection orphans and landed migrations come through here.
+        Migrated requests are admitted work already: when routing
+        refuses one it goes to the least-loaded live survivor, past the
+        admission check.  A request with nowhere to go is dropped.
+        """
+        frontend = self.frontend
+        for request in requests:
+            record = self.records[request.index]
+            target = frontend.submit(request, key=request.affinity)
+            if target is None and migrated:
+                live = self.live_workers()
+                if live:
+                    target = min(
+                        live, key=lambda wid: len(frontend.slots[wid].queue))
+                    frontend.slots[target].queue.append(request)
+            if target is None:
+                record.outcome = "dropped"
+                self.result.dropped += 1
+                self.open_requests -= 1
+                self.journal.complete(request.index, "dropped")
+                continue
+            self.journal.assign(request.index, target)
+            if migrated:
+                record.migrated = True
+                self.result.migrated += 1
+            else:
+                record.rerouted = True
+                self.result.rerouted += 1
+            self.dispatch(target)
+
+    def eject(self, wid: str) -> None:
+        """A fatal request took the worker down: re-route its queue."""
+        self.workers[wid].ejected = True
+        orphans = self.frontend.eject(wid, "fatal request")
+        self.scale_event("eject", wid)
+        self.resubmit(orphans, migrated=False)
+
+    def spawn(self, action: str, delay: float) -> _SimWorker:
+        """Join a new worker that can first dispatch ``delay`` from now."""
+        now = self.clock.now
+        wid = f"w{len(self.workers)}"
+        self.frontend.add_worker(wid)
+        worker = _SimWorker(wid, spawned_at=now, available_at=now + delay)
+        self.workers[wid] = worker
+        self.scale_event(action, wid)
+        self.clock.schedule(worker.available_at, "ready", (wid,))
+        return worker
+
+    def replicate(self, wid: str) -> None:
+        """Ship one checkpoint replica; the worker pays the window."""
+        worker = self.workers[wid]
+        now = self.clock.now
+        worker.since_replicate = 0
+        self.store.store(Replica(worker=wid,
+                                 watermark=worker.completed_mark,
+                                 evidence=worker.evidence, time=now))
+        worker.available_at = now + self.policy.replication_cycles
+        self.clock.schedule(worker.available_at, "ready", (wid,))
+
+    def finish_draining(self, wid: str) -> None:
+        """Retire a draining worker once its queue and hands are empty."""
+        slot = self.frontend.slots[wid]
+        worker = self.workers[wid]
+        if slot.draining and not slot.queue and not worker.busy:
+            self.frontend.retire(wid)
+            worker.retired_at = self.clock.now
+            self.scale_event("retire", wid)
+
+    def try_migrate(self, wid: str) -> None:
+        """Pack and retire a draining worker at a request boundary.
+
+        Waits for the in-flight request to finish (the pack point is
+        the accept boundary, exactly where repro.resil takes its
+        checkpoints); queued requests ship inside the blob and land on
+        the survivors after the measured migration delay.
+        """
+        worker = self.workers[wid]
+        if wid not in self.migrating or worker.busy:
+            return
+        self.migrating.discard(wid)
+        slot = self.frontend.slots[wid]
+        moved = list(slot.queue)
+        slot.queue.clear()
+        self.frontend.retire(wid)
+        worker.retired_at = self.clock.now
+        self.scale_event("migrate", wid)
+        if moved:
+            self.clock.schedule(
+                self.clock.now + self.service.migration_cycles,
+                "migrated", (moved,))
+
+    def live_workers(self) -> List[str]:
+        """Routable workers not known here to be ejected or crashed."""
+        return [wid for wid in self.frontend.routable_ids
+                if not self.workers[wid].ejected
+                and not self.workers[wid].crashed]
+
+    def scale_event(self, action: str, wid: str) -> None:
+        """Record a change to the worker set at the current depth."""
+        depth = self.autoscaler.smoothed if self.autoscaler else 0.0
+        self.result.scale_events.append({
+            "action": action, "worker": wid,
+            "depth": round(depth, 4),
+            "workers": self.frontend.routable_count,
+            "time": self.clock.now,
+        })
+
+
 class ServeSim:
     """Open-loop serving of a workload over measured worker budgets.
 
@@ -636,23 +1068,19 @@ class ServeSim:
     def __init__(self, *, workers: int = 2, seed: int = 0,
                  routing: str = "hash",
                  queue_capacity: Optional[int] = None,
-                 config: Optional[FleetConfig] = None,
                  service_model: Optional[ServiceModel] = None,
                  autoscaler: Optional[AutoscalerConfig] = None,
                  migrate_on_drain: bool = False,
-                 migration_cycles: Optional[float] = None,
                  chaos: Optional[ChaosSchedule] = None,
                  recovery: Optional[RecoveryPolicy] = None,
-                 shed_limit: Optional[int] = None,
-                 wire_retry: Optional[RetryPolicy] = None,
-                 tracing: bool = False) -> None:
+                 shed_limit: Optional[int] = None) -> None:
         if workers <= 0:
             raise ValueError("serving needs at least one worker")
         self.initial_workers = workers
         self.seed = seed
         self.routing = routing
         self.queue_capacity = queue_capacity
-        self.service = service_model or ServiceModel(config)
+        self.service = service_model or ServiceModel()
         self.autoscaler_config = autoscaler
         #: Seeded adversity for this run (None = a polite fleet).
         self.chaos = chaos
@@ -660,7 +1088,6 @@ class ServeSim:
         #: armed whenever chaos is present.
         self.recovery = recovery
         self.shed_limit = shed_limit
-        self.wire_retry = wire_retry
         #: Drain via live migration: a drained worker finishes its
         #: in-flight request (the pack point is a request boundary, as
         #: in repro.resil.migrate), then its queued requests ship to the
@@ -668,493 +1095,13 @@ class ServeSim:
         #: zero dropped, zero re-executed.  Plain drain instead serves
         #: out the whole queue before retiring.
         self.migrate_on_drain = migrate_on_drain
-        #: Override for the measured pack+ship+rehydrate cost (None =
-        #: price a real blob via ServiceModel.migration_cycles).
-        self._migration_cycles = migration_cycles
-        self.tracer = None
-        if tracing:
-            from repro.obs.tracer import Tracer
-
-            self.tracer = Tracer()
-
-    @property
-    def migration_cycles(self) -> float:
-        """Simulated cost of one worker migration."""
-        if self._migration_cycles is not None:
-            return self._migration_cycles
-        return self.service.migration_cycles
-
-    # -- event handlers --------------------------------------------------
 
     def run(self, workload: Sequence[ServeRequest]) -> ServeResult:
         """Serve one workload to completion; returns the full result."""
-        clock = SimClock()
-        frontend = FleetFrontend(
-            [f"w{i}" for i in range(self.initial_workers)],
-            policy=self.routing, seed=self.seed,
-            queue_capacity=self.queue_capacity,
-            shed_limit=self.shed_limit)
-        workers: Dict[str, _SimWorker] = {
-            wid: _SimWorker(wid) for wid in frontend.order
-        }
-        autoscaler = (Autoscaler(self.autoscaler_config)
-                      if self.autoscaler_config is not None else None)
-        chaos = self.chaos
-        #: Replication + failure detection arm only when asked for —
-        #: a chaos-free run stays byte-for-byte the PR-6/7 loop.
-        protected = chaos is not None or self.recovery is not None
-        policy = self.recovery or RecoveryPolicy()
-        wire_retry = self.wire_retry or RetryPolicy()
-        journal = RequestJournal()
-        store = ReplicaStore()
-        result = ServeResult(records=[], workers=workers, frontend=frontend,
-                             journal=journal,
-                             replica_store=store if protected else None)
-        records: Dict[int, RequestRecord] = {}
-        open_requests = 0
-        #: Workers with ``busy`` set, kept exact where the flag flips.
-        in_flight = 0
-        next_worker = self.initial_workers
-        #: Workers waiting to migrate at their next request boundary.
-        migrating: set = set()
-        #: Wire-attempt offsets for re-delivered responses: a failed
-        #: delivery must not replay the same doomed attempt sequence.
-        wire_base: Dict[int, int] = {}
-
-        for request in workload:
-            clock.schedule(request.arrival, "arrival", request)
-        if autoscaler is not None and workload:
-            clock.schedule(self.autoscaler_config.interval, "tick")
-        if chaos is not None:
-            for event in chaos.events:
-                clock.schedule(event.time, "chaos", event)
-
-        def dispatch(wid: str) -> None:
-            nonlocal in_flight
-            worker = workers[wid]
-            slot = frontend.slots[wid]
-            if (worker.busy or not slot.queue or worker.ejected
-                    or worker.crashed):
-                return
-            if clock.now < worker.available_at or clock.now < worker.stall_until:
-                return  # booting/stalled; a 'ready' event will retry
-            request = slot.queue.pop(0)
-            record = records[request.index]
-            cost = self.service.cost(request.payload, request.tags)
-            record.worker = wid
-            record.dispatch = clock.now
-            record.service = cost.cycles
-            worker.busy = True
-            in_flight += 1
-            worker.inflight = request
-            journal.assign(request.index, wid)
-            clock.schedule(clock.now + cost.cycles, "complete",
-                           (wid, request, cost, worker.incarnation))
-
-        def finish_draining(wid: str) -> None:
-            slot = frontend.slots[wid]
-            worker = workers[wid]
-            if slot.draining and not slot.queue and not worker.busy:
-                frontend.retire(wid)
-                worker.retired_at = clock.now
-                scale_event("retire", wid,
-                            autoscaler.smoothed if autoscaler else 0.0)
-
-        def try_migrate(wid: str) -> None:
-            """Pack and retire a draining worker at a request boundary.
-
-            Waits for the in-flight request to finish (the pack point
-            is the accept boundary, exactly where repro.resil takes its
-            checkpoints); queued requests ship inside the blob and land
-            on the survivors after the measured migration delay.
-            """
-            worker = workers[wid]
-            if wid not in migrating or worker.busy:
-                return
-            migrating.discard(wid)
-            slot = frontend.slots[wid]
-            moved = list(slot.queue)
-            slot.queue.clear()
-            frontend.retire(wid)
-            worker.retired_at = clock.now
-            scale_event("migrate", wid,
-                        autoscaler.smoothed if autoscaler else 0.0)
-            if moved:
-                clock.schedule(clock.now + self.migration_cycles,
-                               "migrated", (wid, moved))
-
-        def on_migrated(wid: str, moved: List[ServeRequest]) -> None:
-            """The state blob landed: requeue its requests, never drop."""
-            nonlocal open_requests
-            for request in moved:
-                record = records[request.index]
-                target = frontend.submit(request, key=request.affinity)
-                if target is None:
-                    # Migrated requests are already admitted work — pick
-                    # the least-loaded routable survivor, bypassing the
-                    # admission capacity check.
-                    candidates = [
-                        s for s in frontend.routable_ids
-                        if not workers[s].ejected and not workers[s].crashed
-                    ]
-                    if not candidates:
-                        record.outcome = "dropped"
-                        result.dropped += 1
-                        open_requests -= 1
-                        journal.complete(request.index, "dropped")
-                        continue
-                    target = min(
-                        candidates,
-                        key=lambda s: len(frontend.slots[s].queue))
-                    frontend.slots[target].queue.append(request)
-                journal.assign(request.index, target)
-                record.migrated = True
-                result.migrated += 1
-                dispatch(target)
-
-        def scale_event(action: str, wid: str, depth: float) -> None:
-            event = {
-                "action": action, "worker": wid,
-                "depth": round(depth, 4),
-                "workers": frontend.routable_count,
-                "time": clock.now,
-            }
-            result.scale_events.append(event)
-            if self.tracer is not None:
-                from repro.obs.events import ScaleEvent
-
-                self.tracer.emit(ScaleEvent(
-                    action=action, worker=wid, depth=event["depth"],
-                    workers=event["workers"], time=clock.now))
-
-        def complete_record(record: RequestRecord, cost: ServiceCost,
-                            delay: float = 0.0) -> None:
-            record.complete = clock.now + delay
-            record.outcome = cost.outcome
-            record.policy_ids = cost.policy_ids
-            record.alerts = cost.alerts
-            record.response_sha = cost.response_sha
-            record.spec_commits = cost.spec_commits
-            record.spec_rollbacks = cost.spec_rollbacks
-            if self.tracer is not None:
-                from repro.obs.events import ServeRequestEvent
-
-                self.tracer.emit(ServeRequestEvent(
-                    index=record.index, request_kind=record.kind,
-                    worker=record.worker, outcome=record.outcome,
-                    enqueue=record.enqueue, dispatch=record.dispatch,
-                    complete=record.complete))
-
-        def on_arrival(request: ServeRequest) -> None:
-            nonlocal open_requests
-            record = RequestRecord(
-                index=request.index, session=request.session,
-                kind=request.kind, enqueue=clock.now)
-            records[request.index] = record
-            result.records.append(record)
-            shed_before = frontend.rejected
-            wid = frontend.submit(request, key=request.affinity)
-            if wid is None:
-                if frontend.rejected > shed_before:
-                    record.outcome = "rejected"
-                    result.shed += 1
-                else:
-                    record.outcome = "dropped"
-                    result.dropped += 1
-                return
-            journal.admit(request.index, wid)
-            open_requests += 1
-            dispatch(wid)
-
-        def deliver_response(wid: str, request: ServeRequest,
-                             cost: ServiceCost):
-            """Ship the response frame over the (possibly chaotic) wire.
-
-            Returns the backoff cycles the frontend spent retransmitting,
-            or None when the ack was undeliverable within one retry
-            budget — at-least-once transport's worst case, handled by
-            re-executing the request (the journal still completes the
-            id exactly once).
-            """
-            if chaos is None or not chaos.wire_active:
-                return 0.0
-            frame = TaggedMessage(
-                payload=(cost.response_sha or cost.outcome).encode(),
-                request_id=request.index & 0xFFFFFFFF,
-                origin=f"worker:{wid}").to_bytes()
-            base = wire_base.get(request.index, 0)
-            try:
-                _msg, backoff = frontend.receive_frame(
-                    lambda attempt: chaos.transmit(
-                        frame, request.index, base + attempt),
-                    retry=wire_retry)
-            except WireFormatError:
-                wire_base[request.index] = base + wire_retry.limit + 1
-                result.acks_lost += 1
-                return None
-            result.retransmit_cycles += backoff
-            return backoff
-
-        def on_complete(wid: str, request: ServeRequest,
-                        cost: ServiceCost, incarnation: int) -> None:
-            nonlocal open_requests, in_flight
-            worker = workers[wid]
-            if incarnation != worker.incarnation:
-                # A completion from a crashed incarnation: the work
-                # died with the worker; recovery replays the request.
-                result.stale_completions += 1
-                return
-            if clock.now < worker.stall_until:
-                # Frozen mid-request: the completion thaws with the
-                # worker (a zombie's late finish arrives here too).
-                clock.schedule(worker.stall_until, "complete",
-                               (wid, request, cost, incarnation))
-                return
-            worker.busy = False
-            in_flight -= 1
-            worker.inflight = None
-            worker.busy_cycles += cost.cycles
-            ack_delay = deliver_response(wid, request, cost)
-            if ack_delay is None:
-                # Undeliverable ack: re-execute on the same worker (or
-                # let the replay complete it if this worker is gone).
-                if not worker.ejected and not worker.crashed:
-                    frontend.slots[wid].queue.insert(0, request)
-                    dispatch(wid)
-                return
-            record = records[request.index]
-            authoritative = journal.complete(request.index, cost.outcome)
-            if authoritative:
-                open_requests -= 1
-                complete_record(record, cost, delay=ack_delay)
-                if cost.outcome == "quarantined":
-                    worker.evidence += 1
-            if cost.fatal:
-                eject(wid)
-                return
-            worker.served += 1
-            if worker.ejected:
-                return  # a zombie: declared dead and replaced already
-            if protected and authoritative:
-                worker.completed_mark = max(worker.completed_mark,
-                                            request.index)
-                worker.since_replicate += 1
-                if (policy.replicate_every
-                        and worker.since_replicate >= policy.replicate_every):
-                    replicate(wid)
-                    return
-            if wid in migrating:
-                try_migrate(wid)
-                return
-            dispatch(wid)
-            finish_draining(wid)
-
-        def replicate(wid: str) -> None:
-            """Ship one checkpoint replica; the worker pays the window."""
-            worker = workers[wid]
-            worker.since_replicate = 0
-            store.store(Replica(worker=wid, watermark=worker.completed_mark,
-                                evidence=worker.evidence, time=clock.now))
-            worker.available_at = clock.now + policy.replication_cycles
-            clock.schedule(worker.available_at, "ready", wid)
-
-        def eject(wid: str) -> None:
-            nonlocal open_requests
-            worker = workers[wid]
-            worker.ejected = True
-            orphans = frontend.eject(wid, "fatal request")
-            scale_event("eject", wid,
-                        autoscaler.smoothed if autoscaler else 0.0)
-            for orphan in orphans:
-                open_requests -= 1
-                record = records[orphan.index]
-                target = frontend.submit(orphan, key=orphan.affinity)
-                if target is None:
-                    record.outcome = "dropped"
-                    result.dropped += 1
-                    journal.complete(orphan.index, "dropped")
-                    continue
-                journal.assign(orphan.index, target)
-                record.rerouted = True
-                result.rerouted += 1
-                open_requests += 1
-                dispatch(target)
-
-        def on_tick() -> None:
-            assert autoscaler is not None
-            queued = frontend.total_queued
-            routable = frontend.routable_count
-            action = autoscaler.observe(clock.now, queued, routable)
-            result.depth_series.append({
-                "time": clock.now,
-                "queued": queued,
-                "in_flight": in_flight,
-                "routable_workers": routable,
-                "smoothed": round(autoscaler.smoothed, 4),
-            })
-            if action == "scale_up":
-                nonlocal next_worker
-                wid = f"w{next_worker}"
-                next_worker += 1
-                frontend.add_worker(wid)
-                worker = _SimWorker(
-                    wid, spawned_at=clock.now,
-                    available_at=clock.now + self.service.boot_cycles)
-                workers[wid] = worker
-                scale_event("scale_up", wid, autoscaler.smoothed)
-                clock.schedule(worker.available_at, "ready", wid)
-            elif action == "drain":
-                victim = self._drain_victim(frontend, workers)
-                if victim is not None:
-                    frontend.drain(victim)
-                    scale_event("drain", victim, autoscaler.smoothed)
-                    if (self.migrate_on_drain
-                            and frontend.routable_count >= 1):
-                        migrating.add(victim)
-                        try_migrate(victim)
-                    else:
-                        finish_draining(victim)
-            if open_requests > 0 or clock:
-                clock.schedule(clock.now + self.autoscaler_config.interval,
-                               "tick")
-
-        def on_chaos(event) -> None:
-            worker = workers.get(event.worker)
-            applied = (worker is not None and not worker.ejected
-                       and not worker.crashed
-                       and worker.retired_at is None)
-            entry = {"time": clock.now, "kind": event.kind,
-                     "worker": event.worker, "applied": applied}
-            if event.kind == "stall":
-                entry["duration"] = event.duration
-            result.chaos_events.append(entry)
-            if self.tracer is not None:
-                from repro.obs.events import WorkerCrashEvent
-
-                self.tracer.emit(WorkerCrashEvent(
-                    fault=event.kind, worker=event.worker, time=clock.now,
-                    duration=event.duration, applied=applied))
-            if not applied:
-                return
-            if event.kind == "crash":
-                # Fail-stop: silent death.  The frontend learns nothing
-                # until the heartbeat detector's patience runs out.
-                worker.crashed = True
-                worker.crashed_at = clock.now
-                worker.incarnation += 1
-                clock.schedule(clock.now + policy.detection_cycles,
-                               "detect", (event.worker, "crash", clock.now))
-            else:
-                worker.stall_until = clock.now + event.duration
-                if not worker.busy:
-                    clock.schedule(worker.stall_until, "ready", event.worker)
-                if event.duration >= policy.detection_cycles:
-                    # The freeze outlasts the detector: the worker will
-                    # be declared dead while still (slowly) alive.
-                    clock.schedule(clock.now + policy.detection_cycles,
-                                   "detect",
-                                   (event.worker, "stall", clock.now))
-
-        def on_detect(wid: str, cause: str, failed_at: float) -> None:
-            """The failure detector's verdict: eject, replace, replay."""
-            nonlocal next_worker, in_flight
-            worker = workers[wid]
-            if worker.ejected or worker.retired_at is not None:
-                return
-            if not (worker.crashed or worker.stall_until > clock.now):
-                return  # heartbeats resumed before the verdict
-            worker.ejected = True
-            orphans = frontend.eject(wid, f"failure detector: {cause}")
-            inflight = worker.inflight
-            if inflight is not None:
-                # Crash: the in-flight request died with the worker.
-                # Stall: the zombie may yet finish it — replay anyway;
-                # the journal suppresses whichever completion is second.
-                orphans = [inflight] + orphans
-                if worker.crashed:
-                    worker.inflight = None
-                    worker.busy = False
-                    in_flight -= 1
-            scale_event("eject", wid,
-                        autoscaler.smoothed if autoscaler else 0.0)
-            # Spawn the replacement: boot a twin, rehydrate it from the
-            # last replicated checkpoint (evidence and all).
-            replica = store.latest(wid)
-            new_wid = f"w{next_worker}"
-            next_worker += 1
-            delay = self.service.boot_cycles
-            if replica is not None:
-                delay += (policy.rehydrate_cycles
-                          if policy.rehydrate_cycles is not None
-                          else self.migration_cycles)
-            frontend.add_worker(new_wid)
-            replacement = _SimWorker(new_wid, spawned_at=clock.now,
-                                     available_at=clock.now + delay)
-            if replica is not None:
-                replacement.evidence = replica.evidence
-                replacement.completed_mark = replica.watermark
-            workers[new_wid] = replacement
-            scale_event("recover", new_wid,
-                        autoscaler.smoothed if autoscaler else 0.0)
-            # Replay exactly the journal's open set for the dead worker
-            # — completed requests stay completed, nothing is re-run.
-            open_ids = set(journal.open_for(wid))
-            replay = [r for r in orphans if r.index in open_ids]
-            journal.reassign([r.index for r in replay], new_wid)
-            for request in replay:
-                frontend.slots[new_wid].queue.append(request)
-                records[request.index].rerouted = True
-            result.replayed += len(replay)
-            entry = {
-                "worker": wid, "replacement": new_wid, "cause": cause,
-                "failed_at": failed_at, "detected_at": clock.now,
-                "recovered_at": replacement.available_at,
-                "recovery_latency": replacement.available_at - failed_at,
-                "watermark": (replica.watermark
-                              if replica is not None else -1),
-                "evidence": replica.evidence if replica is not None else 0,
-                "replayed": len(replay),
-            }
-            result.recoveries.append(entry)
-            if self.tracer is not None:
-                from repro.obs.events import RecoveryEvent
-
-                self.tracer.emit(RecoveryEvent(
-                    worker=wid, replacement=new_wid, cause=cause,
-                    failed_at=failed_at, detected_at=clock.now,
-                    recovered_at=replacement.available_at,
-                    watermark=entry["watermark"], replayed=len(replay)))
-            clock.schedule(replacement.available_at, "ready", new_wid)
-
+        run = _Run(self, workload)
+        handlers = {kind: getattr(run, f"on_{kind}") for kind in run.KINDS}
+        clock = run.clock
         while clock:
             kind, data = clock.pop()
-            if kind == "arrival":
-                on_arrival(data)
-            elif kind == "complete":
-                wid, request, cost, incarnation = data
-                on_complete(wid, request, cost, incarnation)
-            elif kind == "ready":
-                dispatch(data)
-                finish_draining(data)
-            elif kind == "migrated":
-                wid, moved = data
-                on_migrated(wid, moved)
-            elif kind == "chaos":
-                on_chaos(data)
-            elif kind == "detect":
-                wid, cause, failed_at = data
-                on_detect(wid, cause, failed_at)
-            elif kind == "tick":
-                # Drop trailing ticks once all work has finished.
-                if open_requests > 0 or clock:
-                    on_tick()
-        return result
-
-    @staticmethod
-    def _drain_victim(frontend: FleetFrontend,
-                      workers: Dict[str, _SimWorker]) -> Optional[str]:
-        """Newest routable worker — scale-down unwinds LIFO."""
-        for wid in reversed(frontend.routable_ids):
-            if not workers[wid].ejected and not workers[wid].crashed:
-                return wid
-        return None
+            handlers[kind](*data)
+        return run.result

@@ -120,13 +120,6 @@ class TaintWatch:
                 break
         return False
 
-    def intersects_linear(self, lo: int, hi: int) -> bool:
-        """True when linearized [lo, hi) overlaps any range."""
-        for rlo, rhi in self.linear_ranges:
-            if rlo < hi and lo < rhi:
-                return True
-        return False
-
     def intersects(self, lo: int, hi: int) -> bool:
         """True when *virtual* [lo, hi) overlaps any watched range."""
         for rlo, rhi in self.ranges:

@@ -24,10 +24,12 @@ from repro.taint.bitmap import pack_flags
 class StubModel:
     """A service model with scripted budgets — no Machines involved."""
 
-    def __init__(self, cycles=100.0, boot=50.0, overrides=None):
+    def __init__(self, cycles=100.0, boot=50.0, overrides=None,
+                 migration_cycles=None):
         self.cycles = cycles
         self.boot_cycles = boot
         self.overrides = overrides or {}
+        self.migration_cycles = migration_cycles
 
     def cost(self, payload, tags=None):
         return self.overrides.get(
@@ -43,12 +45,13 @@ def steady_requests(n, spacing=50.0, payload=b"GET /x"):
 def chaos_sim(chaos=None, *, workers=2, shed_limit=None,
               recovery=None, **kw):
     return ServeSim(workers=workers, seed=3, routing="round_robin",
-                    service_model=StubModel(), chaos=chaos,
+                    service_model=StubModel(migration_cycles=8.0),
+                    chaos=chaos,
                     recovery=recovery or RecoveryPolicy(
                         heartbeat_interval=10.0, miss_threshold=3,
                         replicate_every=2, replication_cycles=4.0,
                         rehydrate_cycles=8.0),
-                    shed_limit=shed_limit, migration_cycles=8.0, **kw)
+                    shed_limit=shed_limit, **kw)
 
 
 class TestChaosSchedule:
@@ -445,3 +448,46 @@ class TestSupervisedFleet:
         assert len(crashes) == 1
         assert crashes[0]["worker"] == "w0"
         assert crashes[0]["replacement"].startswith("w")
+
+    @pytest.mark.slow
+    def test_killed_writer_does_not_block_other_answers(self):
+        # A worker SIGKILLed while its answer sits half-written in an
+        # unread, full channel must not hold up another worker's answers.
+        # SIGALRM bounds the run: a parent stuck reading a torn frame
+        # never returns to its own deadline check.
+        import os
+        import signal
+        import time
+
+        from repro.apps.webserver import make_request
+        from repro.fleet.supervised import POLL_SECONDS, SupervisedFleet, _Run
+
+        def hung(signum, frame):
+            raise TimeoutError("parent blocked reading worker answers")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        run = _Run(SupervisedFleet(FleetConfig(sizes=(4, 64)), workers=2,
+                                   routing="round_robin"))
+        try:
+            run.wait_ready()
+            # Three 64 KB responses: far more than a pipe holds unread.
+            run.send(0, "w0", [(make_request(64), None)] * 3)
+            time.sleep(4.0)
+            victim = run.workers["w0"]["proc"]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(10)
+            assert not victim.is_alive()
+            run.send(1, "w1", [(make_request(4), None)])
+            deadline = time.perf_counter() + 20.0
+            while (1 not in run.completions
+                   and time.perf_counter() < deadline):
+                run.poll(POLL_SECONDS)
+            assert 1 in run.completions
+            assert run.completions[1]["worker"] == "w1"
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            for state in run.workers.values():
+                state["proc"].kill()
+                state["proc"].join(10)

@@ -192,9 +192,10 @@ def _always_drain():
 class TestServeDrainMigration:
     def _run(self, migrate):
         return ServeSim(
-            workers=2, seed=3, service_model=StubModel(cycles=20_000.0),
+            workers=2, seed=3,
+            service_model=StubModel(cycles=20_000.0,
+                                    migration_cycles=5_000.0),
             autoscaler=_always_drain(), migrate_on_drain=migrate,
-            migration_cycles=5_000.0,
         ).run(generate(_drain_heavy_load()))
 
     def test_busy_queue_drain_ships_requests_in_the_blob(self):

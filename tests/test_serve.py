@@ -28,10 +28,12 @@ from repro.serve import (
 class StubModel:
     """A service model with scripted budgets — no Machines involved."""
 
-    def __init__(self, cycles=100.0, boot=50.0, overrides=None):
+    def __init__(self, cycles=100.0, boot=50.0, overrides=None,
+                 migration_cycles=None):
         self.cycles = cycles
         self.boot_cycles = boot
         self.overrides = overrides or {}
+        self.migration_cycles = migration_cycles
 
     def cost(self, payload, tags=None):
         return self.overrides.get(
@@ -40,6 +42,105 @@ class StubModel:
 
 def steady(offered=20.0, duration=1_000_000.0, **kw):
     return LoadConfig(seed=7, phases=[LoadPhase(duration, offered)], **kw)
+
+
+#: Pinned serving runs: the counters each case exists to exercise, and
+#: the digests of its records, outcomes and depth/scale series.
+PINNED_RUNS = {
+    "migrate-crash-stall": {
+        "counts": {"migrate": 6, "stall_recoveries": 3, "recoveries": 6},
+        "digest": ("40f0cb04e744c39963708c04b18333f6"
+                   "c11317f55ea17b1adfb884cce556a840"),
+        "outcome_digest": ("9a33e62cb61ceb54f9147b0ea68128cc"
+                           "4a2db3d6436442a8cc7e6619157a7177"),
+        "series": ("323931f24540cec8ccec25b06018134a"
+                   "98ebf25f6c40288e7b0f6ddd45d5dc9d"),
+    },
+    "fatal-reroute-wire": {
+        "counts": {"eject": 8, "rerouted": 15, "dropped": 1,
+                   "acks_lost": 3, "stale_completions": 1},
+        "digest": ("d7bca9b1442e2e6cc139ffc2fc16a1a6"
+                   "7b5a94380023eaea46e904fb8de9de5c"),
+        "outcome_digest": ("fe01b5e68eb79cf170c3e2d1cdc22508"
+                           "a827c17d7fe9e07362de0e1b00e4d908"),
+        "series": ("86659ca7723243e006a4b1572c83db5e"
+                   "9595ffaa5e48c3231580c4a7f6c82ab6"),
+    },
+    "shed-wire": {
+        "counts": {"shed": 69, "acks_lost": 3, "stale_completions": 2,
+                   "migrated": 1},
+        "digest": ("e032f3ef7108fdb148d5dff7894a434a"
+                   "0a89d7c3695cf2de53c7e2939cd5da5a"),
+        "outcome_digest": ("1ca3cd6f295b70fb2edc8f9adc4f477c"
+                           "642da1a575ddea314e7456ba7c72a0ed"),
+        "series": ("bd2a6b196e2ed3e5fc96b5ab6cf27468"
+                   "9b33a77b2fefd19259d036e111f1350b"),
+    },
+    "drain-shed": {
+        "counts": {"migrate": 1, "shed": 381, "migrated": 10},
+        "digest": ("797773342ea6033df8f5cc8640d4bdca"
+                   "101afbb9b932da077acf68b4b31543dd"),
+        "outcome_digest": ("9991fbcd3bfab923f79cdffa235e4bb5"
+                           "6231249b90a79f6cc5ecfd2071cee2a0"),
+        "series": ("f934359a962973e716472bc0a6c1f89d"
+                   "cc154d237095f3275f50a7358c161673"),
+    },
+}
+
+
+def _pinned_run(case):
+    """Serve one :data:`PINNED_RUNS` case on an autoscaled stub fleet."""
+    from repro.chaos import ChaosSchedule, RecoveryPolicy
+
+    if case == "drain-shed":
+        # Arrivals every ~50 cycles against 20k-cycle service, drained
+        # at every tick: the shipped requests meet the shed limit and
+        # land through the admission bypass.
+        workload = generate(LoadConfig(seed=11, phases=[
+            LoadPhase(20_000.0, 20_000.0)]))
+        return ServeSim(
+            workers=2, seed=3, shed_limit=30,
+            service_model=StubModel(cycles=20_000.0,
+                                    migration_cycles=5_000.0),
+            autoscaler=AutoscalerConfig(min_workers=1, max_workers=2,
+                                        high_water=1000.0, low_water=999.0,
+                                        interval=2_000.0, cooldown_ticks=0),
+            migrate_on_drain=True).run(workload)
+    workload = generate(LoadConfig(seed=13, phases=[
+        LoadPhase(1_500_000.0, 160.0), LoadPhase(1_000_000.0, 12.0),
+        LoadPhase(1_000_000.0, 160.0), LoadPhase(1_000_000.0, 4.0),
+    ], attack_fraction=0.1))
+    overrides = {r.payload: ServiceCost(cycles=20_000.0,
+                                        outcome="quarantined", alerts=1,
+                                        policy_ids=("H2",))
+                 for r in workload if r.kind != "clean"}
+    options = {}
+    if case == "migrate-crash-stall":
+        chaos = ChaosSchedule.campaign(4, workers=6, duration=4_500_000.0,
+                                       crashes=3, stalls=3,
+                                       stall_cycles=50_000.0)
+    else:
+        chaos = ChaosSchedule.campaign(6, workers=6, duration=4_500_000.0,
+                                       crashes=3, stalls=3,
+                                       stall_cycles=50_000.0,
+                                       corrupt_rate=0.2, drop_rate=0.1)
+        if case == "fatal-reroute-wire":
+            options = {"routing": "round_robin", "queue_capacity": 6}
+            overrides.update({
+                r.payload: ServiceCost(cycles=20_000.0, outcome="fatal",
+                                       error="boom")
+                for r in workload if r.kind == "overflow"})
+        else:
+            options = {"queue_capacity": 6, "shed_limit": 12}
+    return ServeSim(
+        workers=2, seed=4,
+        service_model=StubModel(cycles=25_000.0, boot=40_000.0,
+                                overrides=overrides,
+                                migration_cycles=15_000.0),
+        autoscaler=AutoscalerConfig(min_workers=2, max_workers=6,
+                                    interval=20_000.0, cooldown_ticks=1),
+        chaos=chaos, recovery=RecoveryPolicy(), migrate_on_drain=True,
+        **options).run(workload)
 
 
 class TestSimClock:
@@ -312,49 +413,40 @@ class TestServeSim:
         assert flat["frontend.dropped"] == 0
         assert flat["frontend.workers_routable"] == 2
 
-    def test_autoscaled_chaos_run_is_pinned(self):
+    @pytest.mark.parametrize("case", sorted(PINNED_RUNS))
+    def test_autoscaled_chaos_run_is_pinned(self, case):
         # Scale-ups, drains via migration, crash and stall recoveries,
         # zombie completions: every path that changes the routable set
         # or a worker's busy flag.  The constants were recorded with
         # routing that scanned every worker ever joined, so any drift in
-        # candidate order or in the in_flight samples changes them.
+        # candidate order or in the in_flight samples changes them.  The
+        # later cases add fatal-ejection re-routing, bounded-queue drops,
+        # undeliverable acks, admission shedding and migrated requests
+        # landing through the admission bypass.
         import hashlib
         import json
 
-        from repro.chaos import ChaosSchedule, RecoveryPolicy
-
-        workload = generate(LoadConfig(seed=13, phases=[
-            LoadPhase(1_500_000.0, 160.0), LoadPhase(1_000_000.0, 12.0),
-            LoadPhase(1_000_000.0, 160.0), LoadPhase(1_000_000.0, 4.0),
-        ], attack_fraction=0.1))
-        overrides = {r.payload: ServiceCost(cycles=20_000.0,
-                                            outcome="quarantined", alerts=1,
-                                            policy_ids=("H2",))
-                     for r in workload if r.kind != "clean"}
-        chaos = ChaosSchedule.campaign(4, workers=6, duration=4_500_000.0,
-                                       crashes=3, stalls=3,
-                                       stall_cycles=50_000.0)
-        result = ServeSim(
-            workers=2, seed=4,
-            service_model=StubModel(cycles=25_000.0, boot=40_000.0,
-                                    overrides=overrides),
-            autoscaler=AutoscalerConfig(min_workers=2, max_workers=6,
-                                        interval=20_000.0,
-                                        cooldown_ticks=1),
-            chaos=chaos, recovery=RecoveryPolicy(), migrate_on_drain=True,
-            migration_cycles=15_000.0).run(workload)
+        expected = PINNED_RUNS[case]
+        result = _pinned_run(case)
         actions = [e["action"] for e in result.scale_events]
-        assert actions.count("migrate") == 6
-        assert [r["cause"] for r in result.recoveries].count("stall") == 3
-        assert len(result.recoveries) == 6
-        assert result.digest() == (
-            "40f0cb04e744c39963708c04b18333f6c11317f55ea17b1adfb884cce556a840")
-        assert result.outcome_digest() == (
-            "9a33e62cb61ceb54f9147b0ea68128cc4a2db3d6436442a8cc7e6619157a7177")
+        counts = {
+            "migrate": actions.count("migrate"),
+            "eject": actions.count("eject"),
+            "recoveries": len(result.recoveries),
+            "stall_recoveries": [r["cause"] for r in result.recoveries
+                                 ].count("stall"),
+            "rerouted": result.rerouted, "dropped": result.dropped,
+            "shed": result.shed, "acks_lost": result.acks_lost,
+            "stale_completions": result.stale_completions,
+            "migrated": result.migrated,
+        }
+        assert {k: counts[k] for k in expected["counts"]} == \
+            expected["counts"]
+        assert result.digest() == expected["digest"]
+        assert result.outcome_digest() == expected["outcome_digest"]
         series = json.dumps([result.depth_series, result.scale_events],
                             sort_keys=True).encode()
-        assert hashlib.sha256(series).hexdigest() == (
-            "323931f24540cec8ccec25b06018134a98ebf25f6c40288e7b0f6ddd45d5dc9d")
+        assert hashlib.sha256(series).hexdigest() == expected["series"]
 
     def test_report_is_json_ready(self):
         import json
