@@ -24,7 +24,7 @@ Surviving it takes three cooperating pieces:
   503-style rejections, and corrupt frames are retransmitted with
   bounded backoff before being ejected.
 
-``python -m repro.harness.chaosbench`` runs the seeded crash campaigns
+``python -m repro.harness.suites chaos`` runs the seeded crash campaigns
 and emits ``BENCH_chaos.json``.
 """
 

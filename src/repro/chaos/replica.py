@@ -8,8 +8,10 @@ O(touched pages), thanks to the COW deltas — and ships the blob to the
 frontend tagged with a **request-index watermark**: the highest request
 index whose effects (responses, quarantine evidence, console output)
 the blob provably contains.  The frontend's :class:`ReplicaStore` keeps
-only the newest blob per worker, so holding a whole fleet's insurance
-costs one blob per worker, not a history.
+only the newest blob per live worker, so holding a whole fleet's
+insurance costs one blob per worker, not a history: a worker's blob
+goes when it retires, migrates away or is ejected, and when its
+replacement has read it after a crash.
 
 When a worker dies, recovery is mechanical: build a twin, rehydrate it
 from the last blob (:func:`recover_from_replica`), and replay only the
@@ -122,8 +124,8 @@ class ReplicaStore:
         return self._latest.get(worker)
 
     def drop(self, worker: str) -> None:
-        """Forget a worker's replica (it retired cleanly; no insurance
-        needed for a worker that drained its queue and left)."""
+        """Forget a worker's replica: it left the fleet (retired,
+        migrated away or ejected), or its replacement has read it."""
         self._latest.pop(worker, None)
 
     @property

@@ -66,7 +66,6 @@ def build_machine(
     trace_capacity: Optional[int] = None,
     engine: str = "predecoded",
     recover_watchdog: Optional[int] = None,
-    recover_max_recoveries: int = 1000,
     machine_id: Optional[str] = None,
     net_capacity: Optional[int] = None,
     adaptive: bool = False,
@@ -103,7 +102,6 @@ def build_machine(
         trace_capacity=trace_capacity,
         engine=engine,
         recover_watchdog=recover_watchdog,
-        recover_max_recoveries=recover_max_recoveries,
         machine_id=machine_id,
         net_capacity=net_capacity,
         adaptive=adaptive_switching,

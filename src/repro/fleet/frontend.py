@@ -240,10 +240,22 @@ class FleetFrontend:
         a degraded fleet inside its depth bound instead of silently
         absorbing a backlog it cannot serve.
         """
-        if (self.shed_limit is not None
-                and self.total_queued >= self.shed_limit):
+        if self.shedding:
             self.rejected += 1
             return None
+        wid = self.place(request, key)
+        if wid is None:
+            self.dropped += 1
+        return wid
+
+    def place(self, request: Request,
+              key: Optional[bytes] = None) -> Optional[str]:
+        """Queue a request at its first candidate with room; the worker id.
+
+        :meth:`submit` without admission control: None, counted
+        nowhere, when every routable queue is full.  The serving layer
+        re-homes requests it already admitted through here.
+        """
         for rank, wid in enumerate(self._candidates(request, key)):
             slot = self.slots[wid]
             if slot.has_room:
@@ -252,7 +264,6 @@ class FleetFrontend:
                 if rank > 0:
                     self.spilled += 1
                 return wid
-        self.dropped += 1
         return None
 
     def submit_all(self, requests: Sequence[Request]) -> Dict[str, int]:
@@ -384,6 +395,12 @@ class FleetFrontend:
     def total_queued(self) -> int:
         """Requests waiting across every healthy worker queue."""
         return sum(len(self.slots[wid].queue) for wid in self._healthy)
+
+    @property
+    def shedding(self) -> bool:
+        """True while admission control refuses new requests."""
+        return (self.shed_limit is not None
+                and self.total_queued >= self.shed_limit)
 
     @property
     def healthy_count(self) -> int:

@@ -208,7 +208,7 @@ class _Run:
         state["last_seen"] = time.perf_counter()
         if msg["type"] == "ready":
             state["ready"] = True
-        elif msg["type"] == "replica":
+        elif msg["type"] == "replica" and not state["dead"]:
             self.store.store(Replica(
                 worker=wid, watermark=msg["watermark"],
                 evidence=sum(done["summary"]["quarantined"]
@@ -276,6 +276,7 @@ class _Run:
             _machine, found = recover_from_replica(
                 replica, self.config, new_wid)
             evidence = len(found)
+            self.store.drop(wid)
         self.evidence_recovered += evidence
         self.frontend.add_worker(new_wid).queue.extend(orphans)
         self._spawn(new_wid)

@@ -7,47 +7,41 @@ Five experiments, one report (``BENCH_chaos.json``):
    .ChaosSchedule` kills workers fail-stop, freezes one long enough to
    become a zombie, and corrupts/drops response frames on the wire.
    Each campaign runs against an *uncrashed control* of the same
-   workload; the gate requires the chaos run's outcome digest (what
-   was served, stripped of timing and placement) to equal the
-   control's — crashes replayed exactly the open requests, the journal
-   suppressed every duplicate, and no request was lost.  Quarantine
-   evidence must survive recovery intact and every campaign must
-   replay bit-identically at its seed.
+   workload and compares outcome digests (what was served, stripped of
+   timing and placement): equal means crashes replayed exactly the
+   open requests, the journal suppressed every duplicate, and no
+   request was lost.  Quarantine evidence across recovery and a
+   same-seed replay are checked too.
 2. **Zombie dedup**: a single worker stalled past the failure
    detector's patience is declared dead and replaced; when it wakes
-   and finishes its request anyway, the request-id journal must
-   suppress the duplicate (``duplicates_suppressed >= 1``).
+   and finishes its request anyway, the request-id journal suppresses
+   the duplicate (``duplicates_suppressed``).
 3. **Graceful degradation**: offered load at twice capacity with
-   admission control armed.  Shedding must actually happen, every
-   refusal must be an explicit 503-style rejection (zero silent
-   drops), and every *accepted* request must complete exactly once
-   with all admitted attacks quarantined.
+   admission control armed: shedding, explicit 503-style rejections
+   against silent drops, and exactly-once completion of every
+   *accepted* request, admitted attacks quarantined.
 4. **Wire chaos**: heavy frame corruption/drop rates absorbed by the
-   frontend's bounded retransmit; the gate requires visible
-   ``fleet.retransmits``/``fleet.frame_rejects`` counters and an
-   outcome digest equal to a clean-wire control.
-5. **Supervised wall-clock arm** (skipped with ``--quick`` unless
-   ``--wall``): real worker processes, a real ``SIGKILL`` directive,
-   heartbeat detection and blob-rehydrated replacement via
+   frontend's bounded retransmit: the ``fleet.retransmits`` /
+   ``fleet.frame_rejects`` counters and an outcome digest compared to
+   a clean-wire control.
+5. **Supervised wall-clock arm** (full mode only): real worker
+   processes, a real ``SIGKILL`` directive, heartbeat detection and
+   blob-rehydrated replacement via
    :class:`repro.fleet.supervised.SupervisedFleet` — reported, never
    gated (wall-clock numbers are not bit-reproducible).
 
-::
+Run and gated as the ``chaos`` suite of :mod:`repro.harness.suites`,
+whose gate table holds the conditions::
 
-    PYTHONPATH=src python -m repro.harness.chaosbench --quick --gate
-
-``--gate`` exits non-zero unless every condition above holds — the CI
-``smoke (chaos)`` job's contract.
+    PYTHONPATH=src python -m repro.harness.suites chaos --quick --gate
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Dict, List
 
 from repro.chaos import ChaosEvent, ChaosSchedule, RecoveryPolicy, WorkerChaos
 from repro.fleet.supervised import SupervisedFleet
-from repro.harness.benchcli import bench_parser, write_report
 from repro.harness.servebench import (
     ATTACK_SIZES,
     ATTACK_WEIGHTS,
@@ -281,10 +275,10 @@ def supervised_run(engine: str, seed: int, requests: int) -> Dict:
                            routing="round_robin", chaos=chaos).run(workload)
 
 
-def run_suite(quick: bool, seed: int, engine: str, *,
-              wall: bool) -> Dict:
-    """All experiments; returns the full report dict."""
+def run_suite(quick: bool, seed: int) -> Dict:
+    """All experiments; returns the report body."""
     requests = 50 if quick else 110
+    engine = "predecoded"
     seeds = [seed + i for i in range(2 if quick else 3)]
     service = ServiceModel(_attack_config(engine))
 
@@ -326,7 +320,7 @@ def run_suite(quick: bool, seed: int, engine: str, *,
           f"{wire['outcome_matches_control']}", flush=True)
 
     supervised = None
-    if wall:
+    if not quick:
         print("chaosbench: supervised wall-clock arm (real SIGKILL)",
               flush=True)
         supervised = supervised_run(engine, seed, requests=8)
@@ -335,15 +329,6 @@ def run_suite(quick: bool, seed: int, engine: str, *,
               f"{supervised['journal']['exactly_once']}", flush=True)
 
     return {
-        "config": {
-            "seed": seed,
-            "seeds": seeds,
-            "engine": engine,
-            "quick": quick,
-            "requests": requests,
-            "workers": CAMPAIGN_WORKERS,
-            "python": sys.version.split()[0],
-        },
         "service_model": {
             "boot_cycles": service.boot_cycles,
             "payloads_measured": service.measured,
@@ -356,86 +341,3 @@ def run_suite(quick: bool, seed: int, engine: str, *,
         "wire": wire,
         "supervised": supervised,
     }
-
-
-def gate(report: Dict) -> int:
-    """Check the CI gate conditions; returns a process exit code."""
-    failures = []
-    for trial in report["campaigns"]:
-        tag = f"campaign seed {trial['seed']}"
-        if not trial["exactly_once"]:
-            failures.append(
-                f"{tag}: lost or duplicated requests (journal "
-                f"{trial['journal']}, dropped {trial['dropped']})")
-        if not trial["outcome_matches_control"]:
-            failures.append(
-                f"{tag}: outcome digest diverged from uncrashed control")
-        if len(trial["recoveries"]) < CAMPAIGN_CRASHES + CAMPAIGN_STALLS:
-            failures.append(
-                f"{tag}: {len(trial['recoveries'])} recoveries < "
-                f"{CAMPAIGN_CRASHES + CAMPAIGN_STALLS} injected faults")
-        if trial["detection"]["detection_rate"] < 1.0:
-            failures.append(
-                f"{tag}: attack detection "
-                f"{trial['detection']['detection_rate']:.2f} < 1.0")
-        if not trial["evidence_intact"]:
-            failures.append(
-                f"{tag}: quarantine evidence lost across recovery "
-                f"({trial['quarantined']} vs control "
-                f"{trial['control']['quarantined']})")
-        if trial["false_alerts"]:
-            failures.append(
-                f"{tag}: {trial['false_alerts']} false alert(s)")
-        if not trial["recovery_bounded"]:
-            failures.append(
-                f"{tag}: recovery latency "
-                f"{trial['recovery_latency_max']:.0f} exceeds bound "
-                f"{trial['recovery_bound']:.0f} cycles")
-        if not trial["rerun_identical"]:
-            failures.append(f"{tag}: re-run digest diverged at fixed seed")
-    zombie = report["zombie"]
-    if not zombie["deduped"]:
-        failures.append("zombie arm suppressed no duplicate completion")
-    if not zombie["exactly_once"]:
-        failures.append("zombie arm lost or duplicated requests")
-    shed = report["shedding"]
-    if not shed["shed"]:
-        failures.append("degradation arm shed nothing at 2x capacity")
-    if not shed["no_silent_drops"]:
-        failures.append(
-            f"degradation arm dropped silently (dropped {shed['dropped']}, "
-            f"shed {shed['shed']} vs rejected {shed['rejected_counter']})")
-    if not shed["accepted_complete"] or not shed["exactly_once"]:
-        failures.append("degradation arm lost accepted requests")
-    if shed["detection"]["detection_rate"] < 1.0:
-        failures.append("degradation arm missed an admitted attack")
-    wire = report["wire"]
-    if not wire["wire_visible"]:
-        failures.append("wire arm surfaced no retransmit/reject counters")
-    if not wire["outcome_matches_control"]:
-        failures.append("wire arm outcome diverged from clean-wire control")
-    if not wire["exactly_once"]:
-        failures.append("wire arm lost or duplicated requests")
-    for failure in failures:
-        print(f"GATE FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
-def main(argv=None) -> int:
-    parser = bench_parser("repro.harness.chaosbench", __doc__,
-                          output="BENCH_chaos.json")
-    parser.add_argument("--wall", action="store_true",
-                        help="force the supervised wall-clock arm "
-                             "(default: full mode only)")
-    args = parser.parse_args(argv)
-
-    report = run_suite(args.quick, args.seed, args.engine,
-                       wall=args.wall or not args.quick)
-    write_report(report, args.output)
-    if args.gate:
-        return gate(report)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,31 +1,33 @@
 """Checkpoint benchmark: COW delta capture, recover-mode throughput
 and live-migration round trips.
 
-    PYTHONPATH=src python -m repro.harness.ckptbench --quick --gate
-
-Four experiments:
+Four experiments, one report (``BENCH_ckpt.json``):
 
 * **capture scaling** — full-snapshot capture pays for the resident
   set; delta capture pays only for pages touched since the last
   checkpoint.  Measured over growing resident footprints.
 * **throughput** — the webserver mix run in ``standard`` mode (no
   checkpointing), ``recover`` with COW deltas, and ``recover`` with
-  full per-request snapshots.  ``--gate`` enforces the headline claim:
-  delta-checkpointed recover mode within 10% of standard.
+  full per-request snapshots: the headline claim is delta-checkpointed
+  recover mode within 10% of standard.
 * **equivalence** — the resilbench attack mix under ``use_delta``
-  on/off must quarantine identically and end in a byte-identical
-  machine state, under both engines.
+  on/off: quarantines and final machine states compared, under both
+  engines.
 * **migration** — pack a mid-stream session (pending queue, live
   taint, quarantine evidence) and replay it on a fresh worker; the
-  response stream must be digest-identical.  Pack/rehydrate cost and
-  blob size are reported.
+  response streams are compared.  Pack/rehydrate cost and blob size
+  are reported.
+
+Run and gated as the ``ckpt`` suite of :mod:`repro.harness.suites`,
+whose gate table holds the conditions::
+
+    PYTHONPATH=src python -m repro.harness.suites ckpt --quick --gate
 """
 
 from __future__ import annotations
 
 import gc
 import hashlib
-import sys
 import time
 from typing import Dict, List, Sequence, Tuple
 
@@ -37,7 +39,6 @@ from repro.apps.webserver import (
 )
 from repro.compiler.instrument import ShiftOptions
 from repro.fleet.driver import FleetConfig, build_worker, migrate_worker
-from repro.harness.benchcli import bench_parser, write_report
 from repro.harness.runners import build_web_machine
 from repro.mem import PAGE_SIZE, REGION_DATA, make_address
 from repro.resil import DeltaCheckpoint, MachineCheckpoint
@@ -272,7 +273,9 @@ def migration(engine: str) -> Dict:
     }
 
 
-def run_suite(quick: bool, engine: str) -> Dict:
+def run_suite(quick: bool) -> Dict:
+    """All four experiments; returns the report body."""
+    engine = "predecoded"
     residents: Tuple[int, ...] = (0, 32) if quick else (0, 32, 128, 512)
     requests = 120 if quick else 300
     repeats = 5 if quick else 7
@@ -305,51 +308,8 @@ def run_suite(quick: bool, engine: str) -> Dict:
           f"digest-identical: {mig['digest_identical']}", flush=True)
 
     return {
-        "config": {
-            "quick": quick,
-            "engine": engine,
-            "python": sys.version.split()[0],
-        },
         "capture_scaling": scaling,
         "throughput": tput,
         "equivalence": equiv,
         "migration": mig,
     }
-
-
-def gate(report: Dict) -> int:
-    """Check the CI gate conditions; returns a process exit code."""
-    failures = []
-    tput = report["throughput"]
-    if tput["delta_overhead"] > 0.10:
-        failures.append(
-            f"delta recover overhead {tput['delta_overhead']:+.1%} "
-            "exceeds the 10% budget")
-    if not report["equivalence"]["identical"]:
-        failures.append("delta and full supervision diverged")
-    if not report["migration"]["digest_identical"]:
-        failures.append("migrated replay was not digest-identical")
-    largest = report["capture_scaling"][-1]
-    if largest["delta_pages"] >= largest["full_pages"]:
-        failures.append(
-            f"delta capture ({largest['delta_pages']}p) did not beat the "
-            f"full snapshot ({largest['full_pages']}p) at the largest "
-            "footprint")
-    for failure in failures:
-        print(f"GATE FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
-def main(argv=None) -> int:
-    parser = bench_parser("repro.harness.ckptbench", __doc__,
-                          output="BENCH_ckpt.json", seed=None)
-    args = parser.parse_args(argv)
-    report = run_suite(args.quick, args.engine)
-    write_report(report, args.output)
-    if args.gate:
-        return gate(report)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -3,10 +3,10 @@
 Five experiments, one report (``BENCH_fleet.json``):
 
 1. **Throughput scaling**: the same request batch served by fleets of
-   1/2/4/8 workers.  Workers are independent machines running
-   concurrently in simulated time, so fleet throughput is measured
-   against the *slowest worker's* cycles; the gate requires >= 2.5x
-   simulated throughput going from 1 to 4 workers.
+   1/2/4/8 workers (1/2 in quick mode).  Workers are independent
+   machines running concurrently in simulated time, so fleet throughput
+   is measured against the *slowest worker's* cycles; ``scaling`` is
+   the speedup at 4 workers (2 in quick mode).
 2. **Attack mix**: clean requests interleaved with directory-traversal
    and buffer-overflow attacks, sharded across the fleet.  Workers run
    in ``recover`` mode: every attack must be quarantined (100%
@@ -23,18 +23,14 @@ Five experiments, one report (``BENCH_fleet.json``):
    produce a bit-identical result digest, and the multiprocessing
    driver must match the in-process driver digest exactly.
 
-::
+Run and gated as the ``fleet`` suite of :mod:`repro.harness.suites`,
+whose gate table holds the conditions::
 
-    PYTHONPATH=src python -m repro.harness.fleetbench --quick --gate
-
-``--gate`` exits non-zero unless every experiment above holds — the
-conditions the CI ``smoke (fleet)`` job enforces (quick mode gates the
-1->2 worker scaling at >= 1.6x instead).
+    PYTHONPATH=src python -m repro.harness.suites fleet --quick --gate
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Dict, List
 
 from repro.apps.webserver import (
@@ -44,7 +40,6 @@ from repro.apps.webserver import (
 )
 from repro.compiler.instrument import ShiftOptions
 from repro.fleet import FleetConfig, FleetDriver, two_tier_experiment
-from repro.harness.benchcli import bench_parser, write_report
 
 #: Fleet sizes measured by the scaling experiment.
 SCALING_WORKERS = (1, 2, 4, 8)
@@ -182,9 +177,11 @@ def reproducibility_run(workers: int, requests: int, seed: int,
     }
 
 
-def run_suite(quick: bool, seed: int, engine: str, requests: int) -> Dict:
-    """All five experiments; returns the full report dict."""
+def run_suite(quick: bool, seed: int) -> Dict:
+    """All five experiments; returns the report body."""
     worker_counts = QUICK_WORKERS if quick else SCALING_WORKERS
+    requests = 12 if quick else 32
+    engine = "predecoded"
     mix_workers = 2
 
     print("fleetbench: throughput scaling", flush=True)
@@ -226,68 +223,9 @@ def run_suite(quick: bool, seed: int, engine: str, requests: int) -> Dict:
           flush=True)
 
     return {
-        "config": {
-            "seed": seed,
-            "engine": engine,
-            "quick": quick,
-            "requests": requests,
-            "python": sys.version.split()[0],
-        },
         "scaling": scaling,
         "attack_mix": mix,
         "clean_control": control,
         "two_tier": two_tier,
         "reproducibility": repro,
     }
-
-
-def gate(report: Dict) -> int:
-    """Check the CI gate conditions; returns a process exit code."""
-    failures = []
-    quick = report["config"]["quick"]
-    scaling = report["scaling"]
-    threshold = 1.6 if quick else 2.5
-    if scaling["scaling"] < threshold:
-        failures.append(
-            f"scaling {scaling['scaling']:.2f}x at "
-            f"{scaling['target_workers']} workers < {threshold}x")
-    mix = report["attack_mix"]
-    if mix["detection_rate"] < 1.0:
-        failures.append(f"attack detection {mix['detection_rate']:.2f} < 1.0")
-    if not mix["exact"]:
-        failures.append("attack mix was not exact")
-    if not report["clean_control"]["clean"]:
-        failures.append(
-            f"{report['clean_control']['false_alerts']} false alert(s) "
-            "on clean traffic")
-    if not report["two_tier"]["proof"]:
-        failures.append("two-tier taint-transport proof failed")
-    repro = report["reproducibility"]
-    if not repro["rerun_identical"]:
-        failures.append("re-run digest diverged at fixed seed")
-    if not repro["processes_identical"]:
-        failures.append("multiprocessing digest diverged from in-process")
-    for failure in failures:
-        print(f"GATE FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
-def main(argv=None) -> int:
-    parser = bench_parser("repro.harness.fleetbench", __doc__,
-                          output="BENCH_fleet.json")
-    parser.add_argument("--requests", type=int, default=None,
-                        help="scaling batch size (default: 32, quick: 12)")
-    args = parser.parse_args(argv)
-
-    requests = args.requests
-    if requests is None:
-        requests = 12 if args.quick else 32
-    report = run_suite(args.quick, args.seed, args.engine, requests)
-    write_report(report, args.output)
-    if args.gate:
-        return gate(report)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -29,15 +29,10 @@ fire *through* the interpreter's dispatch-loop indirection:
    quarantined (proof the wire tags are load-bearing); the identical
    payload with zero tags must sail through.
 
-::
+Run and gated as the ``guest`` suite of :mod:`repro.harness.suites`,
+whose gate table holds the conditions::
 
-    PYTHONPATH=src python -m repro.harness.guestbench --quick --gate
-
-``--gate`` exits non-zero unless detection is 100% on every attack mix,
-no clean mix raised an alert, every alert's origins reach the request
-bytes, reruns are digest-identical, the adaptive arm's alerts match
-always-on bit-for-bit, and the fleet smoke behaved — the conditions the
-CI ``smoke (guest)`` job enforces.
+    PYTHONPATH=src python -m repro.harness.suites guest --quick --gate
 """
 
 from __future__ import annotations
@@ -45,7 +40,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.guestvm import (
@@ -58,7 +52,6 @@ from repro.apps.guestvm import (
 from repro.compiler.instrument import ShiftOptions
 from repro.fleet.driver import FleetConfig, FleetDriver
 from repro.fleet.wire import TaggedMessage
-from repro.harness.benchcli import bench_parser, write_report
 from repro.harness.runners import (
     build_web_machine,
     guest_backend_policy,
@@ -383,9 +376,10 @@ def fleet_smoke(seed: int, engine: str) -> Dict:
     return entry
 
 
-def run_suite(quick: bool, seed: int, engine: str) -> Dict:
-    """Full guest campaign; returns the report dict."""
+def run_suite(quick: bool, seed: int) -> Dict:
+    """Full guest campaign; returns the report body."""
     clean, attacks = (6, 3) if quick else (14, 6)
+    engine = "predecoded"
     seeds = [seed] if quick else [seed, seed + 17]
 
     services = {}
@@ -415,61 +409,7 @@ def run_suite(quick: bool, seed: int, engine: str) -> Dict:
           f"origins_ok={fleet['origins_ok']}", flush=True)
 
     return {
-        "config": {
-            "seed": seed,
-            "engine": engine,
-            "quick": quick,
-            "clean_requests": clean,
-            "attacks": attacks,
-            "seeds": seeds,
-            "python": sys.version.split()[0],
-        },
         "services": services,
         "adaptive": adaptive,
         "fleet": fleet,
     }
-
-
-def gate(report: Dict) -> int:
-    """Check the CI gate conditions; returns a process exit code."""
-    failures = []
-    for service, runs in report["services"].items():
-        for entry in runs:
-            tag = f"{service}/seed{entry['seed']}"
-            if entry["detection_rate"] < 1.0:
-                failures.append(
-                    f"{tag}: detection {entry['detection_rate']:.2f} < 1.0")
-            if entry["clean_false_alerts"]:
-                failures.append(
-                    f"{tag}: {entry['clean_false_alerts']} false alert(s) "
-                    "on clean mix")
-            if not entry["origins_ok"]:
-                failures.append(
-                    f"{tag}: alert origins do not reach the request bytes")
-            if not entry["digest_stable"]:
-                failures.append(f"{tag}: rerun digest mismatch")
-            if not entry["exact"]:
-                failures.append(f"{tag}: mix was not exact")
-    if not report["adaptive"]["exact"]:
-        failures.append("adaptive arm: alerts diverged or no switching")
-    if not report["fleet"]["exact"]:
-        failures.append("fleet smoke: wire-tag detection was not exact")
-    for failure in failures:
-        print(f"GATE FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
-def main(argv=None) -> int:
-    parser = bench_parser("repro.harness.guestbench", __doc__,
-                          output="BENCH_guest.json", seed=20080)
-    args = parser.parse_args(argv)
-
-    report = run_suite(args.quick, args.seed, args.engine)
-    write_report(report, args.output)
-    if args.gate:
-        return gate(report)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

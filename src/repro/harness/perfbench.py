@@ -5,30 +5,26 @@ execution engines, cross-validates that they produce bit-identical
 results (checksums and performance counters), and emits
 ``BENCH_interp.json`` with host wall time, simulated instructions per
 second, and the per-workload speedup — so every future change can track
-the interpreter-performance trajectory::
-
-    PYTHONPATH=src python -m repro.harness.perfbench --quick
+the interpreter-performance trajectory.
 
 The JSON is keyed by workload; ``geomean_speedup_spec`` is the headline
-number (the geometric-mean speedup over the SPEC kernels).  With
-``--check-faster`` the process exits non-zero when the predecoded
-engine is slower than the reference loop, which is the only condition
-the CI benchmark job gates on (absolute throughput varies with runner
-hardware; the ratio does not).
+number (the geometric-mean speedup over the SPEC kernels).  Run and
+gated as the ``interp`` suite of :mod:`repro.harness.suites`, whose
+gate table holds the condition::
+
+    PYTHONPATH=src python -m repro.harness.suites interp --gate
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
-import sys
 import time
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.apps.spec import BENCHMARKS
 from repro.apps.webserver import make_request, make_site
 from repro.core.shift import build_machine
+from repro.harness.formatting import geomean
 from repro.harness.runners import (
     PERF_OPTIONS,
     compiled_spec,
@@ -47,6 +43,10 @@ FULL_SPEC = tuple(BENCHMARKS)
 #: Instrumentation used for the measurement: byte-granularity taint
 #: with the permissive pointer policy, the paper's headline config.
 BENCH_OPTIONS = PERF_OPTIONS["byte"]
+
+#: SPEC input scale, and repetitions per engine (best-of is reported).
+SCALE = "test"
+REPEAT = 3
 
 Builder = Callable[[str], object]
 Runner = Callable[[object], int]
@@ -149,74 +149,28 @@ def bench_workload(name: str, build: Builder, run: Runner,
     return entry
 
 
-def geomean(values: List[float]) -> float:
-    """Geometric mean (0.0 for an empty list)."""
-    if not values:
-        return 0.0
-    return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
-def run_suite(quick: bool, scale: str, repeat: int) -> Dict:
-    """Run the full benchmark matrix; returns the report dict."""
+def run_suite(quick: bool) -> Dict:
+    """Run the benchmark matrix; returns the report body."""
     spec_names = QUICK_SPEC if quick else FULL_SPEC
     requests = 20 if quick else 50
     workloads: Dict[str, Dict] = {}
     for name in spec_names:
-        build, run = spec_workload(name, scale)
-        workloads[f"spec:{name}"] = bench_workload(name, build, run, repeat)
+        build, run = spec_workload(name, SCALE)
+        workloads[f"spec:{name}"] = bench_workload(name, build, run, REPEAT)
         print(f"  spec:{name:8s} {workloads[f'spec:{name}']['speedup']:.2f}x",
               flush=True)
     build, run = web_workload(requests)
-    workloads["webserver"] = bench_workload("webserver", build, run, repeat)
+    workloads["webserver"] = bench_workload("webserver", build, run, REPEAT)
     print(f"  webserver     {workloads['webserver']['speedup']:.2f}x",
           flush=True)
     spec_speedups = [w["speedup"] for k, w in workloads.items()
                      if k.startswith("spec:")]
-    return {
-        "config": {
-            "options": BENCH_OPTIONS.label,
-            "scale": scale,
-            "repeat": repeat,
-            "quick": quick,
-            "python": sys.version.split()[0],
-        },
+    report = {
         "workloads": workloads,
         "geomean_speedup_spec": round(geomean(spec_speedups), 3),
         "geomean_speedup_all": round(
             geomean([w["speedup"] for w in workloads.values()]), 3),
     }
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.harness.perfbench", description=__doc__.split("\n")[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="small kernel subset and fewer requests")
-    parser.add_argument("--scale", default="test",
-                        help="SPEC input scale (default: test)")
-    parser.add_argument("--repeat", type=int, default=3,
-                        help="repetitions per engine; best-of is reported")
-    parser.add_argument("--output", default="BENCH_interp.json",
-                        help="report path (default: BENCH_interp.json)")
-    parser.add_argument("--check-faster", action="store_true",
-                        help="exit 1 if predecoded is slower than reference")
-    args = parser.parse_args(argv)
-
-    print(f"perfbench: engines={ENGINES} scale={args.scale} "
-          f"repeat={args.repeat} quick={args.quick}", flush=True)
-    report = run_suite(args.quick, args.scale, args.repeat)
-    with open(args.output, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     print(f"geomean speedup (spec): {report['geomean_speedup_spec']:.2f}x")
     print(f"geomean speedup (all):  {report['geomean_speedup_all']:.2f}x")
-    print(f"wrote {args.output}")
-    if args.check_faster and report["geomean_speedup_all"] < 1.0:
-        print("FAIL: predecoded engine is slower than the reference loop",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return report

@@ -7,7 +7,7 @@ Two experiments, one report (``BENCH_resil.json``):
    NaT drops into SPEC kernels, transient device errors and truncated
    reads — with per-kind detection/recovery rates.  Every workload also
    runs uninjected as a control; a control that alerts is a false
-   positive and fails the gate.
+   positive.
 2. **Attack-mix webserver**: the deliberately vulnerable server
    (:data:`repro.apps.webserver.RESIL_WEBSERVER_SOURCE`) in ``recover``
    mode, fed interleaved clean requests and attacks (buffer overflow,
@@ -15,19 +15,14 @@ Two experiments, one report (``BENCH_resil.json``):
    The server must answer every clean request and quarantine every
    attack without terminating early.
 
-::
+Run and gated as the ``resil`` suite of :mod:`repro.harness.suites`,
+whose gate table holds the conditions::
 
-    PYTHONPATH=src python -m repro.harness.resilbench --quick --gate
-
-``--gate`` exits non-zero unless tag-flip and NaT-drop detection are
-both >= 0.95 on armed injections, no trial or control raised a false
-alert, and the attack mix came out exact — the conditions the CI smoke
-job enforces.
+    PYTHONPATH=src python -m repro.harness.suites resil --quick --gate
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Dict
 
 from repro.apps.webserver import (
@@ -37,7 +32,6 @@ from repro.apps.webserver import (
     traversal_request,
 )
 from repro.compiler.instrument import ShiftOptions
-from repro.harness.benchcli import bench_parser, write_report
 from repro.harness.runners import build_web_machine
 from repro.resil.inject import run_campaign
 
@@ -109,69 +103,17 @@ def attack_mix(engine: str = "predecoded", clean_requests: int = 6,
     }
 
 
-def run_suite(quick: bool, seed: int, trials: int, scale: str,
-              engine: str) -> Dict:
-    """Campaign + attack mix; returns the full report dict."""
+def run_suite(quick: bool, seed: int) -> Dict:
+    """Campaign + attack mix; returns the report body."""
     print("resilbench: fault-injection campaign", flush=True)
-    campaign = run_campaign(trials_per_kind=trials, seed=seed,
-                            engine=engine, quick=quick, scale=scale)
+    campaign = run_campaign(seed=seed, quick=quick)
     for kind, summary in campaign["kinds"].items():
         rate = summary.get("detection_rate")
         shown = f"detection {rate:.2f}" if rate is not None else "no gate"
         print(f"  {kind:14s} {summary['trials']} trials, {shown}", flush=True)
     print("resilbench: attack-mix webserver", flush=True)
-    mix = attack_mix(engine=engine)
+    mix = attack_mix()
     print(f"  served {mix['served']}/{mix['clean_requests']} clean, "
           f"quarantined {mix['quarantined']}/{mix['attacks']} attacks, "
           f"exact={mix['exact']}", flush=True)
-    return {
-        "config": {
-            "seed": seed,
-            "engine": engine,
-            "scale": scale,
-            "quick": quick,
-            "python": sys.version.split()[0],
-        },
-        "campaign": campaign,
-        "attack_mix": mix,
-    }
-
-
-def gate(report: Dict) -> int:
-    """Check the CI gate conditions; returns a process exit code."""
-    failures = []
-    kinds = report["campaign"]["kinds"]
-    for kind in ("tag_flip", "nat_drop"):
-        rate = kinds[kind]["detection_rate"]
-        if rate < 0.95:
-            failures.append(f"{kind} detection {rate:.2f} < 0.95")
-    false_alerts = (
-        sum(c["false_alerts"] for c in report["campaign"]["controls"])
-        + sum(k.get("false_alerts", 0) for k in kinds.values()))
-    if false_alerts:
-        failures.append(f"{false_alerts} false alert(s)")
-    if not report["attack_mix"]["exact"]:
-        failures.append("attack mix was not exact")
-    for failure in failures:
-        print(f"GATE FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
-def main(argv=None) -> int:
-    parser = bench_parser("repro.harness.resilbench", __doc__,
-                          output="BENCH_resil.json", seed=12345,
-                          scale="test")
-    parser.add_argument("--trials", type=int, default=10,
-                        help="trials per injection kind (default: 10)")
-    args = parser.parse_args(argv)
-
-    report = run_suite(args.quick, args.seed, args.trials, args.scale,
-                       args.engine)
-    write_report(report, args.output)
-    if args.gate:
-        return gate(report)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return {"campaign": campaign, "attack_mix": mix}

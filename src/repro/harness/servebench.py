@@ -9,42 +9,37 @@ Five experiments, one report (``BENCH_serve.json``):
    latency, throughput, and peak queue depth — the curve closed-loop
    fleetbench cannot see.
 2. **Autoscaling at the knee**: the above-knee load re-served with the
-   queue-depth autoscaler active.  The gate requires p99 to stay
-   bounded (within :data:`P99_BOUND` mean service times, and below the
-   fixed fleet's p99 at the same load) while the worker count actually
-   grew.
+   queue-depth autoscaler active: its p99 against :data:`P99_BOUND`
+   mean service times and against the fixed fleet's p99 at the same
+   load, and whether the worker count grew.
 3. **Attack mix under scaling**: a burst-then-taper workload laced
    with traversal/overflow attack sessions against the vulnerable
    server variant, forcing scale-up during the burst and drain during
-   the taper.  Every attack must be quarantined (measured on real
-   recover-mode Machines), zero false alerts on clean traffic, and
-   both a scale-up and a drained retire must occur.
-4. **Reproducibility**: the autoscaled run repeated at the same seed
-   must produce a bit-identical result digest — the simulated serving
-   loop is deterministic end to end.
-5. **Wall-clock mode** (skipped with ``--quick``): the same workload
-   shape on real OS processes via
+   the taper: attacks quarantined (measured on real recover-mode
+   Machines), false alerts on clean traffic, scale-ups and drained
+   retires.
+4. **Reproducibility**: the autoscaled run repeated at the same seed,
+   digests compared — the simulated serving loop is deterministic end
+   to end.
+5. **Wall-clock mode** (full mode only): the same workload shape on
+   real OS processes via
    :meth:`repro.fleet.supervised.SupervisedFleet.run`, reported
    without gating.
 
-::
+Run and gated as the ``serve`` suite of :mod:`repro.harness.suites`,
+whose gate table holds the conditions::
 
-    PYTHONPATH=src python -m repro.harness.servebench --quick --gate
-
-``--gate`` exits non-zero unless every condition above holds — the CI
-``smoke (serve)`` job's contract.
+    PYTHONPATH=src python -m repro.harness.suites serve --quick --gate
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Dict, List
 
 from repro.apps.webserver import make_request
 from repro.compiler.instrument import ShiftOptions
 from repro.fleet.driver import FleetConfig
 from repro.fleet.supervised import SupervisedFleet
-from repro.harness.benchcli import bench_parser, write_report
 from repro.serve import (
     AutoscalerConfig,
     LoadConfig,
@@ -295,10 +290,10 @@ def wallclock_run(service: ServiceModel, seed: int, engine: str,
     return report
 
 
-def run_suite(quick: bool, seed: int, engine: str, *,
-              wall: bool) -> Dict:
-    """All experiments; returns the full report dict."""
+def run_suite(quick: bool, seed: int) -> Dict:
+    """All experiments; returns the report body."""
     requests = 60 if quick else 140
+    engine = "predecoded"
     service = ServiceModel(_curve_config(engine))
 
     print("servebench: measuring service budgets", flush=True)
@@ -338,7 +333,7 @@ def run_suite(quick: bool, seed: int, engine: str, *,
           f"zero-downtime: {migration['zero_downtime']}", flush=True)
 
     wallclock = None
-    if wall:
+    if not quick:
         print("servebench: wall-clock mode (multiprocessing)", flush=True)
         wallclock = wallclock_run(service, seed, engine,
                                   requests=min(requests // 3, 40))
@@ -347,14 +342,6 @@ def run_suite(quick: bool, seed: int, engine: str, *,
               f"{wallclock['latency_ms']['p99']:.0f} ms", flush=True)
 
     return {
-        "config": {
-            "seed": seed,
-            "engine": engine,
-            "quick": quick,
-            "requests": requests,
-            "workers": BASE_WORKERS,
-            "python": sys.version.split()[0],
-        },
         "service_model": {
             "boot_cycles": service.boot_cycles,
             "payloads_measured": service.measured,
@@ -365,75 +352,3 @@ def run_suite(quick: bool, seed: int, engine: str, *,
         "attack_mix": attack,
         "wallclock": wallclock,
     }
-
-
-def gate(report: Dict) -> int:
-    """Check the CI gate conditions; returns a process exit code."""
-    failures = []
-    curve = report["curve"]
-    if len(curve["points"]) < 4:
-        failures.append(
-            f"latency curve has {len(curve['points'])} points < 4")
-    for point in curve["points"]:
-        if point["dropped"] or point["served"] != point["requests"]:
-            failures.append(
-                f"curve x{point['multiplier']} did not serve everything "
-                f"({point['served']}/{point['requests']}, "
-                f"{point['dropped']} dropped)")
-    autoscale = report["autoscale"]
-    if not autoscale["scaled_up"]:
-        failures.append("autoscaler never scaled past the base fleet")
-    if not autoscale["p99_bounded"]:
-        failures.append(
-            f"autoscaled p99 {autoscale['latency']['p99']:.0f} exceeds "
-            f"bound {autoscale['p99_bound']:.0f} cycles")
-    if not autoscale["p99_beats_fixed"]:
-        failures.append("autoscaled p99 did not beat the fixed fleet")
-    if not autoscale["rerun_identical"]:
-        failures.append("re-run digest diverged at fixed seed")
-    attack = report["attack_mix"]
-    if attack["detection"]["attacks"] < 2:
-        failures.append("attack mix generated fewer than 2 attacks")
-    if attack["detection"]["detection_rate"] < 1.0:
-        failures.append(
-            f"attack detection "
-            f"{attack['detection']['detection_rate']:.2f} < 1.0")
-    if attack["false_alerts"]:
-        failures.append(
-            f"{attack['false_alerts']} false alert(s) on clean traffic")
-    if not attack["scale_ups"] or not attack["retires"]:
-        failures.append(
-            "attack mix did not exercise scale-up and drained retire")
-    if not attack["exact"]:
-        failures.append("attack mix was not exact")
-    migration = attack["drain_migration"]
-    if not migration["migrations"]:
-        failures.append("drain-via-migration arm never migrated a worker")
-    if not migration["zero_downtime"]:
-        failures.append(
-            "drain-via-migration dropped/re-executed requests "
-            f"(served {migration['served']} vs {attack['served']}, "
-            f"dropped {migration['dropped']})")
-    for failure in failures:
-        print(f"GATE FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
-def main(argv=None) -> int:
-    parser = bench_parser("repro.harness.servebench", __doc__,
-                          output="BENCH_serve.json")
-    parser.add_argument("--wall", action="store_true",
-                        help="force the wall-clock experiment "
-                             "(default: full mode only)")
-    args = parser.parse_args(argv)
-
-    report = run_suite(args.quick, args.seed, args.engine,
-                       wall=args.wall or not args.quick)
-    write_report(report, args.output)
-    if args.gate:
-        return gate(report)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

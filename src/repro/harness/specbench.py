@@ -9,37 +9,33 @@ Three experiments over the contained-taint store
    to always-on; speculation (``adaptive="speculate"``) runs every
    clean request on the fast copy under taint-range guards.  Four arms
    over identical traffic: speculate / on / track (always-on pin) /
-   uninstrumented floor.  The CI gate lives here: >= 1.2x cycle
-   speedup of speculate over always-on with responses, alerts and
-   taint origins bit-identical — under **both** interpreter engines,
-   which must also agree with each other byte for byte.
+   uninstrumented floor: the cycle speedup of speculate over always-on
+   with responses, alerts and taint origins compared — under **both**
+   interpreter engines, which are also compared with each other.
 2. **Misspeculation mix** — seeded guard trips (``GET`` of a watched
    slot) plus one real H4 command injection (``EXEC``).  Every trip
    rolls back to the epoch checkpoint and replays under tracking; the
-   gate requires the replayed run digest-equal (responses, alerts
-   with pcs, origins) to a straight always-on run, with the expected
-   rollback count.
+   replayed run is compared (responses, alerts with pcs, origins) to a
+   straight always-on run, and its rollbacks counted.
 3. **Word granularity** — the contained mix at word tags (8-byte
    granules), showing the watch construction is granularity-blind.
 
-::
+The report's ``metrics`` holds the contained mix's speculate-arm
+metrics registry (``spec.*`` counters included).  Run and gated as the
+``spec`` suite of :mod:`repro.harness.suites`, whose gate table holds
+the conditions::
 
-    PYTHONPATH=src python -m repro.harness.specbench --quick --gate
-
-``--gate`` exits non-zero unless every condition above holds.  A
-metrics render of the speculate arm (``adaptive.spec.*`` counters
-included) is written next to the report as ``metrics.txt``.
+    PYTHONPATH=src python -m repro.harness.suites spec --quick --gate
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Dict, List, Sequence, Tuple
 
 from repro.compiler.instrument import ShiftOptions
-from repro.harness.benchcli import bench_parser, write_report
 from repro.harness.runners import build_web_machine, specstore_policy
 from repro.apps.specstore import contained_mix, misspec_mix
+from repro.obs.metrics import collect_machine
 
 #: Strict byte-granularity tracking: speculation's claim is full
 #: detection strength with fast-path cycles, so the track half carries
@@ -47,8 +43,8 @@ from repro.apps.specstore import contained_mix, misspec_mix
 SPECSTORE_OPTIONS = ShiftOptions(granularity=1)
 WORD_OPTIONS = ShiftOptions(granularity=8)
 
-#: CI gate: minimum contained-mix speedup of speculate over always-on.
-SPEEDUP_GATE = 1.2
+#: Both engines: cross-engine identity is part of the gate.
+ENGINES = ("predecoded", "reference")
 
 #: Expected guard trips in the misspeculation mix: one benign ``GET``
 #: of the watched slot, one ``EXEC`` command injection.
@@ -158,14 +154,14 @@ def misspec_experiment(requests: Sequence[bytes], engine: str) -> Dict:
     }
 
 
-def run_suite(quick: bool, engines: Sequence[str]) -> Tuple[Dict, str]:
-    """All experiments across the requested engines."""
+def run_suite(quick: bool) -> Dict:
+    """All experiments under both engines; returns the report body."""
     sums = 8 if quick else 24
     mis_sums = 4 if quick else 10
     contained: List[Dict] = []
     misspec: List[Dict] = []
-    metrics_text = ""
-    for engine in engines:
+    metrics: Dict = {}
+    for engine in ENGINES:
         print(f"specbench: contained-taint mix ({engine})", flush=True)
         entry = contained_experiment(contained_mix(sums), engine,
                                      SPECSTORE_OPTIONS)
@@ -175,11 +171,8 @@ def run_suite(quick: bool, engines: Sequence[str]) -> Tuple[Dict, str]:
               f"identical={entry['identical_to_always_on']}, "
               f"rollbacks={entry['rollbacks']}", flush=True)
         contained.append(entry)
-        if not metrics_text:
-            from repro.obs.metrics import collect_machine
-
-            metrics_text = collect_machine(speculate["machine"]).render(
-                "specbench metrics — contained mix, speculate arm")
+        if not metrics:
+            metrics = collect_machine(speculate["machine"]).to_dict()
 
         print(f"specbench: misspeculation mix ({engine})", flush=True)
         mis = misspec_experiment(misspec_mix(mis_sums), engine)
@@ -189,7 +182,7 @@ def run_suite(quick: bool, engines: Sequence[str]) -> Tuple[Dict, str]:
         misspec.append(mis)
 
     print("specbench: word granularity (contained mix)", flush=True)
-    word = contained_experiment(contained_mix(sums), engines[0],
+    word = contained_experiment(contained_mix(sums), ENGINES[0],
                                 WORD_OPTIONS, name="contained_word")
     word.pop("_speculate")
     print(f"  speedup {word['speedup']:.2f}x, "
@@ -205,80 +198,10 @@ def run_suite(quick: bool, engines: Sequence[str]) -> Tuple[Dict, str]:
         _engine_key(m["speculate"]) == _engine_key(misspec[0]["speculate"])
         for m in misspec[1:])
 
-    report = {
-        "config": {
-            "engines": list(engines),
-            "quick": quick,
-            "speedup_gate": SPEEDUP_GATE,
-            "python": sys.version.split()[0],
-        },
+    return {
         "contained": contained,
         "misspec": misspec,
         "word": word,
         "cross_engine_identical": cross_engine_identical,
+        "metrics": metrics,
     }
-    return report, metrics_text
-
-
-def gate(report: Dict) -> int:
-    """Check the CI gate conditions; returns a process exit code."""
-    failures = []
-    for entry in report["contained"]:
-        tag = f"contained[{entry['engine']}]"
-        if entry["speedup"] < SPEEDUP_GATE:
-            failures.append(
-                f"{tag} speedup {entry['speedup']:.2f} < {SPEEDUP_GATE}")
-        if not entry["identical_to_always_on"]:
-            failures.append(f"{tag} diverged from always-on")
-        if entry["rollbacks"] != 0:
-            failures.append(
-                f"{tag} rolled back {entry['rollbacks']} clean epochs")
-        if entry["uninstrumented"]["alerts"]:
-            failures.append(f"{tag} uninstrumented arm alerted (traffic bug)")
-    for mis in report["misspec"]:
-        tag = f"misspec[{mis['engine']}]"
-        if mis["rollbacks"] != mis["expected_rollbacks"]:
-            failures.append(
-                f"{tag} rollbacks {mis['rollbacks']} != "
-                f"{mis['expected_rollbacks']}")
-        if not mis["replay_digest_equal"]:
-            failures.append(f"{tag} replay diverged from straight track run")
-        if not mis["h4_detected"]:
-            failures.append(f"{tag} H4 command injection not detected")
-    word = report["word"]
-    if word["speedup"] < SPEEDUP_GATE:
-        failures.append(
-            f"word-granularity speedup {word['speedup']:.2f} < {SPEEDUP_GATE}")
-    if not word["identical_to_always_on"]:
-        failures.append("word-granularity run diverged from always-on")
-    if not report["cross_engine_identical"]:
-        failures.append("engines disagreed on the speculate arm")
-    for failure in failures:
-        print(f"GATE FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
-
-
-def main(argv=None) -> int:
-    # No --seed: the mixes are deterministic.  Cross-engine identity is
-    # part of the gate, so --engine defaults to the both-engine sweep.
-    parser = bench_parser("repro.harness.specbench", __doc__,
-                          output="BENCH_spec.json", seed=None, engine=False)
-    parser.add_argument("--engine", default="both",
-                        choices=("reference", "predecoded", "both"),
-                        help="execution engine (default: both)")
-    args = parser.parse_args(argv)
-    engines = (["predecoded", "reference"] if args.engine == "both"
-               else [args.engine])
-
-    report, metrics_text = run_suite(args.quick, engines)
-    out_path = write_report(report, args.output)
-    metrics_path = out_path.parent / "metrics.txt"
-    metrics_path.write_text(metrics_text + "\n")
-    print(f"wrote {metrics_path}")
-    if args.gate:
-        return gate(report)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -108,7 +108,6 @@ class Machine:
         trace_capacity: Optional[int] = None,
         engine: str = "predecoded",
         recover_watchdog: Optional[int] = None,
-        recover_max_recoveries: int = 1000,
         machine_id: Optional[str] = None,
         net_capacity: Optional[int] = None,
         adaptive: bool = True,
@@ -217,9 +216,7 @@ class Machine:
             from repro.resil.recovery import ResilienceSupervisor
 
             self.resil = ResilienceSupervisor(
-                self, watchdog=recover_watchdog,
-                max_recoveries=recover_max_recoveries,
-                label=self.machine_id)
+                self, watchdog=recover_watchdog, label=self.machine_id)
 
         #: Speculation controller (repro.spec): runs the fast copy
         #: under taint-range guards while taint is live but contained,

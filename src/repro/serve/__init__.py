@@ -28,7 +28,7 @@ wall time, routed by the same session-affinity key, and reported as
 the same per-request records in wall seconds — the non-gated reality
 check.
 
-``python -m repro.harness.servebench`` sweeps offered load across the
+``python -m repro.harness.suites serve`` sweeps offered load across the
 knee and emits ``BENCH_serve.json``.
 """
 

@@ -810,6 +810,7 @@ class _Run:
         # Spawn the replacement: boot a twin, rehydrate it from the last
         # replicated checkpoint (evidence and all).
         replica = self.store.latest(wid)
+        self.store.drop(wid)
         delay = self.service.boot_cycles
         if replica is not None:
             delay += self.policy.rehydrate_cost(self.service)
@@ -934,19 +935,28 @@ class _Run:
 
         Fatal-ejection orphans and landed migrations come through here.
         Migrated requests are admitted work already: when routing
-        refuses one it goes to the least-loaded live survivor, past the
-        admission check.  A request with nowhere to go is dropped.
+        refuses one (shedding or full queues) it goes to the
+        least-loaded live survivor, past the admission check, and the
+        frontend counts no refusal.  A request with nowhere to go is
+        dropped.
         """
         frontend = self.frontend
         for request in requests:
             record = self.records[request.index]
-            target = frontend.submit(request, key=request.affinity)
+            if not migrated:
+                target = frontend.submit(request, key=request.affinity)
+            elif frontend.shedding:
+                target = None
+            else:
+                target = frontend.place(request, key=request.affinity)
             if target is None and migrated:
                 live = self.live_workers()
                 if live:
                     target = min(
                         live, key=lambda wid: len(frontend.slots[wid].queue))
                     frontend.slots[target].queue.append(request)
+                else:
+                    frontend.dropped += 1
             if target is None:
                 record.outcome = "dropped"
                 self.result.dropped += 1
@@ -965,6 +975,7 @@ class _Run:
     def eject(self, wid: str) -> None:
         """A fatal request took the worker down: re-route its queue."""
         self.workers[wid].ejected = True
+        self.store.drop(wid)
         orphans = self.frontend.eject(wid, "fatal request")
         self.scale_event("eject", wid)
         self.resubmit(orphans, migrated=False)
@@ -997,6 +1008,7 @@ class _Run:
         worker = self.workers[wid]
         if slot.draining and not slot.queue and not worker.busy:
             self.frontend.retire(wid)
+            self.store.drop(wid)
             worker.retired_at = self.clock.now
             self.scale_event("retire", wid)
 
@@ -1016,6 +1028,7 @@ class _Run:
         moved = list(slot.queue)
         slot.queue.clear()
         self.frontend.retire(wid)
+        self.store.drop(wid)
         worker.retired_at = self.clock.now
         self.scale_event("migrate", wid)
         if moved:

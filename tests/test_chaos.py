@@ -429,10 +429,23 @@ class TestMigrateWatermark:
 class TestSupervisedFleet:
     @pytest.mark.slow
     def test_real_sigkill_recovery_is_exactly_once(self):
+        # w0 is killed at its first pickup, before it has replicated:
+        # the replacement starts from scratch and the requests still in
+        # w0's inbox are replayed.
+        self._sigkill_w0(crash_after=1)
+
+    @pytest.mark.slow
+    def test_real_sigkill_after_replication_is_exactly_once(self):
+        # w0 replicates after its second request (index 2) and is
+        # killed at its third: the replacement rehydrates that blob.
+        self._sigkill_w0(crash_after=3)
+
+    @staticmethod
+    def _sigkill_w0(crash_after):
         from repro.fleet import SupervisedFleet
 
         chaos = ChaosSchedule(directives={
-            "w0": WorkerChaos(crash_after=1),
+            "w0": WorkerChaos(crash_after=crash_after),
         }, seed=0)
         fleet = SupervisedFleet(FleetConfig(sizes=(1,)), workers=2, seed=0,
                                 routing="round_robin", chaos=chaos)
@@ -448,6 +461,10 @@ class TestSupervisedFleet:
         assert len(crashes) == 1
         assert crashes[0]["worker"] == "w0"
         assert crashes[0]["replacement"].startswith("w")
+        # Whether or not w0 replicated, the store holds nothing for it:
+        # the replacement read and dropped the replica, and a replica
+        # landing after the death was detected is refused.
+        assert "w0" not in report["replication"]["held"]
 
     @pytest.mark.slow
     def test_killed_writer_does_not_block_other_answers(self):

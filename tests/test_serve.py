@@ -447,6 +447,15 @@ class TestServeSim:
         series = json.dumps([result.depth_series, result.scale_events],
                             sort_keys=True).encode()
         assert hashlib.sha256(series).hexdigest() == expected["series"]
+        # Migrated requests landing through the bypass were never
+        # refused, so every rejection is a shed request.
+        assert result.frontend.rejected == result.shed
+        # The store keeps replicas of live workers only.
+        gone = {wid for wid, worker in result.workers.items()
+                if worker.ejected or worker.retired_at is not None}
+        store = result.replica_store
+        held = set(store.workers) if store is not None else set()
+        assert not held & gone
 
     def test_report_is_json_ready(self):
         import json
