@@ -1,81 +1,1 @@
-"""Experiment harness: one module per paper table/figure."""
-
-from repro.harness.charts import (
-    bar_chart,
-    figure7_chart,
-    figure8_chart,
-    figure9_chart,
-)
-from repro.harness.ablations import (
-    ABLATION_OPTIONS,
-    AblationResult,
-    format_ablations,
-    format_width_ablation,
-    run_ablations,
-    run_width_ablation,
-)
-from repro.harness.baselines_cmp import (
-    BaselineResult,
-    format_baselines,
-    run_baseline_comparison,
-)
-from repro.harness.figure6 import Figure6Result, format_figure6, run_figure6
-from repro.harness.figure7 import Figure7Result, format_figure7, run_figure7
-from repro.harness.figure8 import Figure8Result, format_figure8, run_figure8
-from repro.harness.figure9 import Figure9Result, format_figure9, run_figure9
-from repro.harness.formatting import format_table, geomean
-from repro.harness.runners import (
-    MeasuredRun,
-    PERF_OPTIONS,
-    WebRun,
-    run_spec,
-    run_webserver,
-    spec_slowdown,
-)
-from repro.harness.table1 import format_table1_output, run_table1
-from repro.harness.table2 import Table2Result, format_table2, run_table2
-from repro.harness.table3 import Table3Row, format_table3, run_table3
-
-__all__ = [
-    "ABLATION_OPTIONS",
-    "bar_chart",
-    "figure7_chart",
-    "figure8_chart",
-    "figure9_chart",
-    "AblationResult",
-    "BaselineResult",
-    "Figure6Result",
-    "Figure7Result",
-    "Figure8Result",
-    "Figure9Result",
-    "MeasuredRun",
-    "PERF_OPTIONS",
-    "Table2Result",
-    "Table3Row",
-    "WebRun",
-    "format_ablations",
-    "format_baselines",
-    "format_figure6",
-    "format_figure7",
-    "format_figure8",
-    "format_figure9",
-    "format_table",
-    "format_table1_output",
-    "format_table2",
-    "format_table3",
-    "geomean",
-    "format_width_ablation",
-    "run_ablations",
-    "run_baseline_comparison",
-    "run_figure6",
-    "run_figure7",
-    "run_figure8",
-    "run_figure9",
-    "run_spec",
-    "run_table1",
-    "run_table2",
-    "run_table3",
-    "run_webserver",
-    "run_width_ablation",
-    "spec_slowdown",
-]
+"""Experiment harness: one module per paper table/figure, plus the bench suites."""

@@ -17,14 +17,15 @@ in prose:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.apps.spec import BENCHMARKS
 from repro.compiler.instrument import ShiftOptions
 from repro.core.shift import build_machine
 from repro.cpu.perf import IssueConfig
 from repro.harness.formatting import format_table, geomean
-from repro.harness.runners import PERF_OPTIONS, compiled_spec, run_spec, spec_policy
+from repro.harness.runners import (PERF_OPTIONS, SpecTable, compiled_spec,
+                                   spec_policy)
 
 #: Instrumentation variants measured with tainted (unsafe) input.
 #: "no compare relax" runs with *safe* input: without relaxation a NaT
@@ -64,25 +65,17 @@ class AblationResult:
         return geomean(row.slowdowns[label] for row in self.rows)
 
 
-def run_ablations(scale: str = "test",
-                  benchmarks: Optional[Sequence[str]] = None) -> AblationResult:
-    """Measure every ablation variant on the chosen benchmarks."""
-    names = list(benchmarks) if benchmarks else ["gzip", "gcc", "mcf"]
-    rows: List[AblationRow] = []
-    for name in names:
-        bench = BENCHMARKS[name]
-        bases = {
-            safe: run_spec(bench, PERF_OPTIONS["none"], scale, safe_input=safe)
-            for safe in (False, True)
-        }
-        slowdowns: Dict[str, float] = {}
-        for label, (options, safe) in ABLATION_OPTIONS.items():
-            run = run_spec(bench, options, scale, safe_input=safe)
-            if run.checksum != bases[safe].checksum:
-                raise AssertionError(f"{name}/{label}: checksum diverged")
-            slowdowns[label] = run.cycles / bases[safe].cycles
-        rows.append(AblationRow(benchmark=name, slowdowns=slowdowns))
-    return AblationResult(rows=rows, scale=scale)
+def run_ablations(table: SpecTable,
+                  benchmarks: Sequence[str] = ("gzip", "gcc", "mcf"),
+                  ) -> AblationResult:
+    """Every ablation variant on the chosen benchmarks."""
+    rows = [
+        AblationRow(benchmark=name, slowdowns={
+            label: table.slowdown(name, options, safe)
+            for label, (options, safe) in ABLATION_OPTIONS.items()})
+        for name in benchmarks
+    ]
+    return AblationResult(rows=rows, scale=table.scale)
 
 
 def format_ablations(result: AblationResult) -> str:

@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence
 from repro.apps.spec import BENCHMARKS
 from repro.baselines.interp import InterpreterModel
 from repro.harness.formatting import format_table, geomean
-from repro.harness.runners import PERF_OPTIONS, run_spec
+from repro.harness.runners import PERF_OPTIONS, SpecTable
 
 
 @dataclass
@@ -36,26 +36,22 @@ class BaselineResult:
         return geomean(getattr(r, field) for r in self.rows)
 
 
-def run_baseline_comparison(scale: str = "ref",
+def run_baseline_comparison(table: SpecTable,
                             benchmarks: Optional[Sequence[str]] = None,
-                            interp_model: Optional[InterpreterModel] = None,
                             ) -> BaselineResult:
-    """Measure SHIFT, LIFT-style and interpreter slowdowns."""
-    model = interp_model or InterpreterModel()
-    rows: List[BaselineRow] = []
-    for name in (benchmarks or list(BENCHMARKS)):
-        bench = BENCHMARKS[name]
-        base = run_spec(bench, PERF_OPTIONS["none"], scale)
-        values = {}
-        for key, config in (("shift_byte", "byte"), ("shift_word", "word"),
-                            ("lift", "lift")):
-            run = run_spec(bench, PERF_OPTIONS[config], scale)
-            if run.checksum != base.checksum:
-                raise AssertionError(f"{name}/{config}: checksum diverged")
-            values[key] = run.cycles / base.cycles
-        values["interpreter"] = model.slowdown(base.counters)
-        rows.append(BaselineRow(benchmark=name, **values))
-    return BaselineResult(rows=rows, scale=scale)
+    """SHIFT, LIFT-style and interpreter slowdowns, from the SPEC table."""
+    model = InterpreterModel()
+    rows = [
+        BaselineRow(
+            benchmark=name,
+            shift_byte=table.slowdown(name, PERF_OPTIONS["byte"]),
+            shift_word=table.slowdown(name, PERF_OPTIONS["word"]),
+            lift=table.slowdown(name, PERF_OPTIONS["lift"]),
+            interpreter=model.slowdown(
+                table.run(name, PERF_OPTIONS["none"]).counters))
+        for name in benchmarks or BENCHMARKS
+    ]
+    return BaselineResult(rows=rows, scale=table.scale)
 
 
 def format_baselines(result: BaselineResult) -> str:

@@ -9,11 +9,11 @@ gcc is the worst case, mcf the best.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.apps.spec import BENCHMARKS
 from repro.harness.formatting import format_table, geomean
-from repro.harness.runners import PERF_OPTIONS, run_spec
+from repro.harness.runners import PERF_OPTIONS, SpecTable
 
 
 @dataclass
@@ -37,28 +37,17 @@ class Figure7Result:
         return geomean(getattr(row, field) for row in self.rows)
 
 
-def run_figure7(scale: str = "ref",
+def run_figure7(table: SpecTable,
                 benchmarks: Optional[Sequence[str]] = None) -> Figure7Result:
-    """Measure the Figure 7 slowdown matrix."""
-    names = list(benchmarks) if benchmarks else list(BENCHMARKS)
-    rows: List[Figure7Row] = []
-    for name in names:
-        bench = BENCHMARKS[name]
-        values: Dict[str, float] = {}
-        for safe in (False, True):
-            base = run_spec(bench, PERF_OPTIONS["none"], scale, safe_input=safe)
-            for level in ("byte", "word"):
-                run = run_spec(bench, PERF_OPTIONS[level], scale, safe_input=safe)
-                if run.checksum != base.checksum:
-                    raise AssertionError(
-                        f"{name}: {level} checksum diverged "
-                        f"({run.checksum} != {base.checksum})"
-                    )
-                values[f"{level}_{'safe' if safe else 'unsafe'}"] = (
-                    run.cycles / base.cycles
-                )
-        rows.append(Figure7Row(benchmark=name, **values))
-    return Figure7Result(rows=rows, scale=scale)
+    """The Figure 7 slowdown matrix, from the shared SPEC table."""
+    rows = [
+        Figure7Row(benchmark=name, **{
+            f"{level}_{'safe' if safe else 'unsafe'}":
+                table.slowdown(name, PERF_OPTIONS[level], safe)
+            for safe in (False, True) for level in ("byte", "word")})
+        for name in benchmarks or BENCHMARKS
+    ]
+    return Figure7Result(rows=rows, scale=table.scale)
 
 
 def format_figure7(result: Figure7Result) -> str:

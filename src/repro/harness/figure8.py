@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence
 
 from repro.apps.spec import BENCHMARKS
 from repro.harness.formatting import format_table, geomean
-from repro.harness.runners import PERF_OPTIONS, run_spec
+from repro.harness.runners import PERF_OPTIONS, SpecTable
 
 
 @dataclass
@@ -55,25 +55,18 @@ class Figure8Result:
         return (base - enh) * 100.0
 
 
-def run_figure8(scale: str = "ref",
+def run_figure8(table: SpecTable,
                 benchmarks: Optional[Sequence[str]] = None) -> Figure8Result:
-    """Measure the enhancement matrix (Figure 8)."""
-    names = list(benchmarks) if benchmarks else list(BENCHMARKS)
-    rows: List[Figure8Row] = []
-    for name in names:
-        bench = BENCHMARKS[name]
-        base = run_spec(bench, PERF_OPTIONS["none"], scale)
-        for level in ("byte", "word"):
-            slowdowns = {}
-            for config, key in ((level, "unsafe"),
-                                (f"{level}-set/clear", "set_clear"),
-                                (f"{level}-both", "both")):
-                run = run_spec(bench, PERF_OPTIONS[config], scale)
-                if run.checksum != base.checksum:
-                    raise AssertionError(f"{name}/{config}: checksum diverged")
-                slowdowns[key] = run.cycles / base.cycles
-            rows.append(Figure8Row(benchmark=name, level=level, **slowdowns))
-    return Figure8Result(rows=rows, scale=scale)
+    """The enhancement matrix (Figure 8), from the shared SPEC table."""
+    rows = [
+        Figure8Row(
+            benchmark=name, level=level,
+            unsafe=table.slowdown(name, PERF_OPTIONS[level]),
+            set_clear=table.slowdown(name, PERF_OPTIONS[f"{level}-set/clear"]),
+            both=table.slowdown(name, PERF_OPTIONS[f"{level}-both"]))
+        for name in benchmarks or BENCHMARKS for level in ("byte", "word")
+    ]
+    return Figure8Result(rows=rows, scale=table.scale)
 
 
 def format_figure8(result: Figure8Result) -> str:

@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence
 
 from repro.apps.spec import BENCHMARKS
 from repro.harness.formatting import format_table
-from repro.harness.runners import PERF_OPTIONS, run_spec
+from repro.harness.runners import PERF_OPTIONS, SpecTable
 from repro.isa.instruction import ROLE_TAG_COMPUTE, ROLE_TAG_MEM
 
 
@@ -48,17 +48,14 @@ class Figure9Result:
     scale: str
 
 
-def run_figure9(scale: str = "ref",
-                levels: Sequence[str] = ("byte", "word"),
-                benchmarks: Optional[Sequence[str]] = None) -> Figure9Result:
-    """Measure the overhead breakdown (Figure 9)."""
-    names = list(benchmarks) if benchmarks else list(BENCHMARKS)
+def run_figure9(table: SpecTable,
+                benchmarks: Optional[Sequence[str]] = None,
+                levels: Sequence[str] = ("byte", "word")) -> Figure9Result:
+    """The overhead breakdown (Figure 9), from the shared SPEC table."""
     rows: List[Figure9Row] = []
-    for name in names:
-        bench = BENCHMARKS[name]
-        base = run_spec(bench, PERF_OPTIONS["none"], scale)
+    for name in benchmarks or BENCHMARKS:
         for level in levels:
-            run = run_spec(bench, PERF_OPTIONS[level], scale)
+            base, run = table.measure(name, PERF_OPTIONS[level])
             counters = run.counters
             norm = base.cycles
 
@@ -83,7 +80,7 @@ def run_figure9(scale: str = "ref",
                 store_mem=cost(ROLE_TAG_MEM, "store"),
                 other_instrumentation=other,
             ))
-    return Figure9Result(rows=rows, scale=scale)
+    return Figure9Result(rows=rows, scale=table.scale)
 
 
 def format_figure9(result: Figure9Result) -> str:

@@ -4,8 +4,9 @@ Runs the Figure-7 SPEC kernels and the webserver workload under both
 execution engines, cross-validates that they produce bit-identical
 results (checksums and performance counters), and emits
 ``BENCH_interp.json`` with host wall time, simulated instructions per
-second, and the per-workload speedup — so every future change can track
-the interpreter-performance trajectory.
+second, and the per-workload speedup with its quartiles over
+interleaved pairs of runs — so every future change can track the
+interpreter-performance trajectory.
 
 The JSON is keyed by workload; ``geomean_speedup_spec`` is the headline
 number (the geometric-mean speedup over the SPEC kernels).  Run and
@@ -17,7 +18,7 @@ gate table holds the condition::
 
 from __future__ import annotations
 
-import math
+import statistics
 import time
 from typing import Callable, Dict, Tuple
 
@@ -44,9 +45,9 @@ FULL_SPEC = tuple(BENCHMARKS)
 #: with the permissive pointer policy, the paper's headline config.
 BENCH_OPTIONS = PERF_OPTIONS["byte"]
 
-#: SPEC input scale, and repetitions per engine (best-of is reported).
+#: SPEC input scale, and timed pairs of runs (one per engine) per workload.
 SCALE = "test"
-REPEAT = 3
+PAIRS = 5
 
 Builder = Callable[[str], object]
 Runner = Callable[[object], int]
@@ -95,41 +96,42 @@ def web_workload(requests: int, file_kb: int = 4) -> Tuple[Builder, Runner]:
     return build, run
 
 
-def measure(build: Builder, run: Runner, engine: str, repeat: int) -> Dict:
-    """Best-of-``repeat`` wall time for one workload under one engine.
-
-    Each repetition uses a fresh machine.  Predecode tables fill in on
-    first execution, so the first repetition also pays code generation;
-    later ones find the program's block sources and the process-wide
-    code-object cache warm, so best-of reflects steady state.
-    """
-    best = math.inf
-    value = counters = None
-    for _ in range(repeat):
-        machine = build(engine)
-        cpu = machine.cpu
-        cpu._ensure_uops()
-        if engine == "predecoded":
-            cpu._ensure_fused()
-        start = time.perf_counter()
-        value = run(machine)
-        wall = time.perf_counter() - start
-        best = min(best, wall)
-        counters = machine.counters
+def measure(build: Builder, run: Runner, engine: str) -> Dict:
+    """Wall time, result and counters of one run on a fresh machine."""
+    machine = build(engine)
+    cpu = machine.cpu
+    cpu._ensure_uops()
+    if engine == "predecoded":
+        cpu._ensure_fused()
+    start = time.perf_counter()
+    value = run(machine)
     return {
-        "wall_s": best,
-        "instructions": counters.instructions,
-        "ips": counters.instructions / best if best else 0.0,
+        "wall_s": time.perf_counter() - start,
+        "instructions": machine.counters.instructions,
         "result": value,
-        "snapshot": counters.snapshot(),
+        "snapshot": machine.counters.snapshot(),
     }
 
 
 def bench_workload(name: str, build: Builder, run: Runner,
-                   repeat: int) -> Dict:
-    """Measure one workload under both engines and cross-validate."""
-    engines = {e: measure(build, run, e, repeat) for e in ENGINES}
-    ref, pre = engines["reference"], engines["predecoded"]
+                   pairs: int) -> Dict:
+    """Time both engines in interleaved pairs and cross-validate.
+
+    Even pairs run the reference loop first and odd pairs the
+    predecoded engine, so drift in host speed falls on both sides.
+    The speedup is the median of the per-pair wall-time ratios, with
+    its quartiles.  Predecode tables fill in on first execution, so an
+    untimed predecoded run first warms the program's block sources and
+    the process-wide code-object cache.
+    """
+    measure(build, run, "predecoded")
+    walls: Dict[str, list] = {e: [] for e in ENGINES}
+    last: Dict[str, Dict] = {}
+    for i in range(pairs):
+        for engine in (ENGINES if i % 2 == 0 else ENGINES[::-1]):
+            last[engine] = measure(build, run, engine)
+            walls[engine].append(last[engine]["wall_s"])
+    ref, pre = last["reference"], last["predecoded"]
     if ref["result"] != pre["result"]:
         raise AssertionError(
             f"{name}: engines diverged on result "
@@ -138,15 +140,19 @@ def bench_workload(name: str, build: Builder, run: Runner,
         raise AssertionError(
             f"{name}: engines diverged on counters "
             f"({ref['snapshot']} != {pre['snapshot']})")
-    entry = {
+    ratios = [r / p for r, p in zip(walls["reference"], walls["predecoded"])]
+    q1, speedup, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    engines = {}
+    for engine, times in walls.items():
+        wall = statistics.median(times)
+        engines[engine] = {"wall_s": round(wall, 6),
+                           "ips": round(ref["instructions"] / wall, 1)}
+    return {
         "instructions": ref["instructions"],
-        "engines": {
-            e: {"wall_s": round(r["wall_s"], 6), "ips": round(r["ips"], 1)}
-            for e, r in engines.items()
-        },
-        "speedup": pre["ips"] / ref["ips"] if ref["ips"] else 0.0,
+        "engines": engines,
+        "speedup": speedup,
+        "speedup_quartiles": [q1, q3],
     }
-    return entry
 
 
 def run_suite(quick: bool) -> Dict:
@@ -156,11 +162,11 @@ def run_suite(quick: bool) -> Dict:
     workloads: Dict[str, Dict] = {}
     for name in spec_names:
         build, run = spec_workload(name, SCALE)
-        workloads[f"spec:{name}"] = bench_workload(name, build, run, REPEAT)
+        workloads[f"spec:{name}"] = bench_workload(name, build, run, PAIRS)
         print(f"  spec:{name:8s} {workloads[f'spec:{name}']['speedup']:.2f}x",
               flush=True)
     build, run = web_workload(requests)
-    workloads["webserver"] = bench_workload("webserver", build, run, REPEAT)
+    workloads["webserver"] = bench_workload("webserver", build, run, PAIRS)
     print(f"  webserver     {workloads['webserver']['speedup']:.2f}x",
           flush=True)
     spec_speedups = [w["speedup"] for k, w in workloads.items()

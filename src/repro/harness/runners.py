@@ -7,7 +7,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.apps.guestvm import (GUESTVM_KV_SOURCE, GUESTVM_PING_SOURCE,
                                 GUESTVM_TMPL_SOURCE)
-from repro.apps.spec import SpecBenchmark
+from repro.apps.spec import BENCHMARKS, SpecBenchmark
 from repro.apps.specstore import SPECSTORE_SOURCE
 from repro.apps.webserver import (
     BACKEND_SOURCE,
@@ -119,17 +119,46 @@ def run_spec(
     )
 
 
-def spec_slowdown(bench: SpecBenchmark, options: ShiftOptions,
-                  scale: str = "ref", safe_input: bool = False) -> float:
-    """Slowdown of one configuration against the uninstrumented build."""
-    base = run_spec(bench, PERF_OPTIONS["none"], scale, safe_input)
-    run = run_spec(bench, options, scale, safe_input)
-    if run.checksum != base.checksum:
-        raise AssertionError(
-            f"{bench.name}: checksum diverged under {options.label} "
-            f"({run.checksum} != {base.checksum})"
-        )
-    return run.cycles / base.cycles
+class SpecTable:
+    """The SPEC runs of one evaluation, each configuration run once.
+
+    A configuration is a kernel, a :class:`ShiftOptions` and tainted or
+    safe input, at the table's scale.  Every slowdown goes through
+    :meth:`measure`, which checks the instrumented checksum against
+    the uninstrumented twin's.  The table memoizes for as long as its
+    owner keeps it; :func:`run_spec` itself always runs.
+    """
+
+    def __init__(self, scale: str) -> None:
+        self.scale = scale
+        self.runs: Dict[Tuple[str, ShiftOptions, bool], MeasuredRun] = {}
+
+    def run(self, name: str, options: ShiftOptions,
+            safe_input: bool = False) -> MeasuredRun:
+        """One configuration's run, made on first request."""
+        key = (name, options, safe_input)
+        if key not in self.runs:
+            self.runs[key] = run_spec(BENCHMARKS[name], options, self.scale,
+                                      safe_input)
+        return self.runs[key]
+
+    def measure(self, name: str, options: ShiftOptions,
+                safe_input: bool = False) -> Tuple[MeasuredRun, MeasuredRun]:
+        """(uninstrumented twin, run), after checking their checksums."""
+        base = self.run(name, PERF_OPTIONS["none"], safe_input)
+        run = self.run(name, options, safe_input)
+        if run.checksum != base.checksum:
+            raise AssertionError(
+                f"{name}: checksum diverged under {options.label} "
+                f"({run.checksum} != {base.checksum})"
+            )
+        return base, run
+
+    def slowdown(self, name: str, options: ShiftOptions,
+                 safe_input: bool = False) -> float:
+        """Cycles of one configuration over its uninstrumented twin's."""
+        base, run = self.measure(name, options, safe_input)
+        return run.cycles / base.cycles
 
 
 # -- web server (Figure 6) ------------------------------------------------

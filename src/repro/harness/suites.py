@@ -13,7 +13,8 @@ returns the report body) and its gate rows.  A gate row is data,
   ``served`` compares the two).
 
 A row may carry a fourth element, ``"quick"`` or ``"full"``, when its
-threshold differs between the two modes (``config.quick`` decides).
+threshold differs between the two modes or its claim holds in one mode
+only (``config.quick`` decides).
 :func:`check` evaluates every row and returns one
 ``GATE FAIL <suite>: <path> = <actual>, want <op> <expected>`` line
 per violation; a path that does not resolve is a violation too.
@@ -25,7 +26,10 @@ per violation; a path that does not resolve is a violation too.
 
 writes ``BENCH_<NAME>.json``: the suite's report plus one common
 ``config`` block (suite, quick, seed, python).  ``--quick`` is the CI
-smoke configuration; ``--gate`` exits 1 unless every row holds.
+smoke configuration; ``--gate`` exits 1 unless every row holds.  A full
+run of a suite with a ``render`` step (the paper suite) also writes
+each of its ``results/<name>.txt`` tables from the report, in a
+``results/`` directory beside the report file.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import operator
+import pathlib
 import sys
 from typing import (Any, Callable, Dict, Iterable, Iterator, List,
                     NamedTuple, Optional, Tuple)
@@ -43,6 +48,7 @@ from repro.harness import (
     ckptbench,
     fleetbench,
     guestbench,
+    paper,
     perfbench,
     resilbench,
     servebench,
@@ -55,12 +61,18 @@ __all__ = ["OPS", "SUITES", "Suite", "check", "main", "run"]
 OPS: Dict[str, Callable[[Any, Any], bool]] = {
     "==": operator.eq,
     "<": operator.lt,
+    ">": operator.gt,
     "<=": operator.le,
     ">=": operator.ge,
     "len>=": lambda actual, want: len(actual) >= want,
 }
 
 Row = Tuple[Any, ...]
+
+#: The Figure-7 SPEC kernels and the Table 2 programs, in report order.
+_KERNELS = ["gzip", "gcc", "crafty", "bzip2", "vpr", "mcf", "parser", "twolf"]
+_TABLE2_PROGRAMS = ["tar", "gzip", "qwikiwiki", "scry", "php-stats",
+                    "phpsysinfo", "phpmyfaq", "bftpd"]
 
 
 class Suite(NamedTuple):
@@ -73,6 +85,9 @@ class Suite(NamedTuple):
     gates: Tuple[Row, ...]
     #: Default seed; None for a suite with no seeded randomness.
     seed: Optional[int] = None
+    #: ``render(report)`` -> ``{name: text}`` for ``results/<name>.txt``,
+    #: written after a full run.
+    render: Optional[Callable[[Dict], Dict[str, str]]] = None
 
 
 _SUITES = (
@@ -174,6 +189,62 @@ _SUITES = (
         # Absolute throughput varies with the host; the ratio does not.
         ("geomean_speedup_all", ">=", 1.0),
     )),
+    # The paper's shape claims.  Each holds at test and ref scale
+    # unless marked "full".
+    Suite("paper", paper.run_suite, (
+        ("table1.policy_ids", "==",
+         ["H1", "H2", "H3", "H4", "H5", "L1", "L2", "L3"]),
+        ("table2.programs", "==", _TABLE2_PROGRAMS),
+        ("table2.apps.*.attack_succeeds_unprotected", "==", True),
+        ("table2.apps.*.detected_byte", "==", True),
+        ("table2.apps.*.detected_word", "==", True),
+        ("table2.apps.*.hit_expected", "==", True),
+        ("table2.all_detected", "==", True),
+        ("table2.no_false_positives", "==", True),
+        ("table3.apps", "==", ["libc", *_KERNELS]),
+        ("table3.libc.word_overhead_percent", ">", 0),
+        ("table3.libc.word_overhead_percent", "<", "@byte_overhead_percent"),
+        ("table3.spec.*.word_overhead_percent", "<", "@byte_overhead_percent"),
+        ("table3.spec.*.word_overhead_percent", ">=", 100),
+        ("table3.spec.*.word_overhead_percent", "<=", 260),
+        ("table3.spec.*.byte_overhead_percent", ">=", 140),
+        ("table3.spec.*.byte_overhead_percent", "<=", 320),
+        ("figure6.mean_overhead_percent", ">=", 0.0),
+        ("figure6.mean_overhead_percent", "<", 5.0),
+        ("figure6.rows.*.byte_latency", "<", 1.10),
+        ("figure6.rows.*.word_le_byte", "==", True),
+        ("figure6.rows.*.byte_throughput", ">", 0.90),
+        ("figure6.small_file_worst", "==", True),
+        ("figure7.benchmarks", "==", _KERNELS),
+        ("figure7.rows.*.byte_unsafe", ">", 1.0),
+        ("figure7.rows.*.byte_ge_word", "==", True),
+        ("figure7.rows.*.unsafe_ge_safe", "==", True),
+        ("figure7.mcf_cheapest", "==", True),
+        ("figure7.gcc_worst", "==", True, "full"),
+        ("figure7.mean.byte_unsafe", ">", 1.6),
+        ("figure7.mean.byte_unsafe", "<", 3.5),
+        ("figure7.mean.word_unsafe", ">", 1.5),
+        ("figure7.mean.word_unsafe", "<", 3.0),
+        ("figure7.mean.word_unsafe", "<", "@byte_unsafe"),
+        ("figure8.rows.*.set_clear_no_worse", "==", True),
+        ("figure8.rows.*.both_no_worse", "==", True),
+        ("figure8.levels.*.both_reduction", ">", 8.0),
+        ("figure8.levels.*.mcf_both_points", "<", 10.0),
+        ("figure8.levels.*.top_moves_3x_mcf", "==", True),
+        ("figure9.compute_dominates", "==", True),
+        ("figure9.loads_dominate", "==", True),
+        ("baselines.mean.shift_word", "<", "@shift_byte"),
+        ("baselines.mean.shift_byte", "<", "@lift"),
+        ("baselines.mean.lift", "<", "@interpreter"),
+        ("baselines.mean.interpreter", ">", 5.0),
+        ("baselines.lift_clear_win", "==", True),
+        ("ablations.mean.natgen per use", ">", "@byte (baseline)"),
+        ("ablations.global_natgen_no_worse", "==", True),
+        ("ablations.mean.x86-style tag xlat", "<", "@byte (baseline)"),
+        ("ablations.mean.no relax (safe)", "<", "@byte (safe input)"),
+        ("ablation_width.narrow_costs_more", "==", True),
+        ("pruning.*.never_hurts", "==", True),
+    ), render=paper.render),
 )
 
 #: Every suite by name, in CI matrix order.
@@ -303,6 +374,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote {output}")
+    if suite.render is not None and not args.quick:
+        results = pathlib.Path(output).parent / "results"
+        results.mkdir(exist_ok=True)
+        for name, text in suite.render(report).items():
+            (results / f"{name}.txt").write_text(text + "\n")
+        print(f"rendered {results}/")
     if not args.gate:
         return 0
     failures = check(suite, report)

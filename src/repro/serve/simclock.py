@@ -652,6 +652,9 @@ class _Run:
         #: Wire-attempt offsets for re-delivered responses: a failed
         #: delivery must not replay the same doomed attempt sequence.
         self.wire_base: Dict[int, int] = {}
+        #: Migrated requests that landed while every routable worker was
+        #: down but not yet detected; the next worker to join takes them.
+        self.held: List[ServeRequest] = []
 
         for request in workload:
             self.clock.schedule(request.arrival, "arrival", (request,))
@@ -937,7 +940,10 @@ class _Run:
         Migrated requests are admitted work already: when routing
         refuses one (shedding or full queues) it goes to the
         least-loaded live survivor, past the admission check, and the
-        frontend counts no refusal.  A request with nowhere to go is
+        frontend counts no refusal.  With no live survivor it waits in
+        :attr:`held` while a crashed worker's detection is pending:
+        detection always spawns a replacement, and :meth:`spawn` takes
+        the held requests.  Any other request with nowhere to go is
         dropped.
         """
         frontend = self.frontend
@@ -955,6 +961,10 @@ class _Run:
                     target = min(
                         live, key=lambda wid: len(frontend.slots[wid].queue))
                     frontend.slots[target].queue.append(request)
+                elif any(self.workers[wid].crashed
+                         for wid in frontend.routable_ids):
+                    self.held.append(request)
+                    continue
                 else:
                     frontend.dropped += 1
             if target is None:
@@ -989,6 +999,9 @@ class _Run:
         self.workers[wid] = worker
         self.scale_event(action, wid)
         self.clock.schedule(worker.available_at, "ready", (wid,))
+        if self.held:
+            held, self.held = self.held, []
+            self.resubmit(held, migrated=True)
         return worker
 
     def replicate(self, wid: str) -> None:

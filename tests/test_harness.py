@@ -1,27 +1,25 @@
 """Experiment-harness tests on reduced workloads."""
 
+import dataclasses
+
 import pytest
 
-from repro.harness import (
-    PERF_OPTIONS,
-    format_baselines,
-    format_figure6,
-    format_figure7,
-    format_figure8,
-    format_figure9,
-    format_table1_output,
-    format_table3,
-    geomean,
-    run_baseline_comparison,
-    run_figure6,
-    run_figure7,
-    run_figure8,
-    run_figure9,
-    run_table1,
-    run_table3,
-    spec_slowdown,
-)
-from repro.harness.formatting import format_table
+from repro.harness.baselines_cmp import (format_baselines,
+                                         run_baseline_comparison)
+from repro.harness.figure6 import format_figure6, run_figure6
+from repro.harness.figure7 import format_figure7, run_figure7
+from repro.harness.figure8 import format_figure8, run_figure8
+from repro.harness.figure9 import format_figure9, run_figure9
+from repro.harness.formatting import format_table, geomean
+from repro.harness.runners import PERF_OPTIONS, SpecTable
+from repro.harness.table1 import format_table1_output, run_table1
+from repro.harness.table3 import format_table3, run_table3
+
+
+@pytest.fixture(scope="module")
+def table():
+    """One test-scale SPEC table shared by the figure checks."""
+    return SpecTable("test")
 
 
 class TestFormatting:
@@ -49,8 +47,8 @@ class TestFigure6:
 
 
 class TestFigure7:
-    def test_subset_run(self):
-        result = run_figure7(scale="test", benchmarks=["mcf", "crafty"])
+    def test_subset_run(self, table):
+        result = run_figure7(table, ["mcf", "crafty"])
         assert len(result.rows) == 2
         for row in result.rows:
             assert row.byte_unsafe >= row.word_unsafe * 0.95
@@ -59,8 +57,8 @@ class TestFigure7:
 
 
 class TestFigure8:
-    def test_enhancements_reduce_slowdown(self):
-        result = run_figure8(scale="test", benchmarks=["gzip"])
+    def test_enhancements_reduce_slowdown(self, table):
+        result = run_figure8(table, ["gzip"])
         for row in result.rows:
             assert row.both <= row.unsafe
             assert row.set_clear <= row.unsafe * 1.01
@@ -69,8 +67,8 @@ class TestFigure8:
 
 
 class TestFigure9:
-    def test_breakdown_structure(self):
-        result = run_figure9(scale="test", benchmarks=["gzip"], levels=("byte",))
+    def test_breakdown_structure(self, table):
+        result = run_figure9(table, ["gzip"], levels=("byte",))
         row = result.rows[0]
         assert row.load_compute > 0
         assert row.load_mem > 0
@@ -95,17 +93,23 @@ class TestTables:
 
 
 class TestBaselineComparison:
-    def test_ordering(self):
-        result = run_baseline_comparison(scale="test", benchmarks=["bzip2"])
+    def test_ordering(self, table):
+        result = run_baseline_comparison(table, ["bzip2"])
         row = result.rows[0]
         assert row.shift_word < row.shift_byte < row.lift < row.interpreter
         assert "LIFT-style" in format_baselines(result)
 
 
 class TestSpecSlowdownHelper:
-    def test_checksum_guard(self):
-        value = spec_slowdown.__wrapped__ if hasattr(spec_slowdown, "__wrapped__") else None
-        # plain functional check:
-        from repro.apps.spec import BENCHMARKS
-        slowdown = spec_slowdown(BENCHMARKS["crafty"], PERF_OPTIONS["word"], scale="test")
-        assert slowdown > 1.0
+    def test_checksum_guard(self, table, monkeypatch):
+        word = PERF_OPTIONS["word"]
+        assert table.slowdown("crafty", word) > 1.0
+        runs = len(table.runs)
+        table.slowdown("crafty", word)
+        assert len(table.runs) == runs  # each configuration runs once
+        # A diverging instrumented checksum raises.
+        key = ("crafty", word, False)
+        monkeypatch.setitem(table.runs, key, dataclasses.replace(
+            table.runs[key], checksum=table.runs[key].checksum + 1))
+        with pytest.raises(AssertionError, match="checksum diverged"):
+            table.slowdown("crafty", word)

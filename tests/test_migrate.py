@@ -2,6 +2,7 @@
 live taint and pending queues, and drain-via-migration in the serving
 simulator."""
 
+import dataclasses
 import pickle
 import struct
 import zlib
@@ -9,6 +10,7 @@ import zlib
 import pytest
 
 from repro.apps.webserver import make_request, overflow_request
+from repro.chaos import ChaosEvent, ChaosSchedule
 from repro.compiler.instrument import ShiftOptions
 from repro.fleet import FleetConfig, migrate_worker
 from repro.fleet.driver import build_worker
@@ -25,6 +27,7 @@ from repro.serve import (
     LoadConfig,
     LoadPhase,
     ServeSim,
+    ServiceCost,
     generate,
 )
 from tests.test_resil import _machine_state
@@ -225,3 +228,56 @@ class TestServeDrainMigration:
         second = self._run(migrate=True)
         assert first.digest() == second.digest()
         assert first.migrated == second.migrated > 0
+
+    def _lose_w0(self, chaos=None, overrides=None, workload=None):
+        # w1 drains at cycle 2,000 and ships a blob of 4 queued requests
+        # that lands at 25,286, after w0 has left the rotation.
+        return ServeSim(
+            workers=2, seed=3, queue_capacity=4,
+            service_model=StubModel(cycles=20_000.0,
+                                    migration_cycles=5_000.0,
+                                    overrides=overrides),
+            autoscaler=_always_drain(), migrate_on_drain=True, chaos=chaos,
+        ).run(workload or generate(_drain_heavy_load()))
+
+    def test_blob_waits_for_a_worker_when_every_survivor_is_down(self):
+        # w0 crashes at 2,500 and is still undetected when the blob
+        # lands; detection spawns the replacement w2 at 32,500.  The
+        # blob's requests wait for w2 rather than drop.
+        result = self._lose_w0(
+            chaos=ChaosSchedule([ChaosEvent(2_500.0, "crash", "w0")]))
+        moved = [r for r in result.records if r.migrated]
+        assert result.migrated == len(moved) == 4
+        assert all(r.outcome == "served" and r.worker == "w2"
+                   for r in moved)
+        assert result.journal.exactly_once
+
+    def test_blob_drops_when_no_worker_is_coming(self):
+        # A fatal request ejects w0 at 20,076 instead: no detection is
+        # pending, so no replacement will join, and the blob's requests
+        # drop on landing.  SIGALRM bounds the run: a blob held for a
+        # worker that never joins keeps the autoscaler ticking forever.
+        import signal
+
+        blob = {r.index for r in self._lose_w0(
+            chaos=ChaosSchedule([ChaosEvent(2_500.0, "crash", "w0")])
+        ).records if r.migrated}
+        workload = generate(_drain_heavy_load())
+        workload[0] = dataclasses.replace(workload[0], payload=b"FATAL")
+        fatal = {b"FATAL": ServiceCost(cycles=20_000.0, outcome="fatal")}
+
+        def hung(signum, frame):
+            raise TimeoutError("the serve loop never ran dry")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            result = self._lose_w0(overrides=fatal, workload=workload)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert [(e["action"], e["worker"]) for e in result.scale_events] \
+            == [("drain", "w1"), ("eject", "w0"), ("migrate", "w1")]
+        assert result.migrated == 0
+        assert all(result.records[i].outcome == "dropped" for i in blob)
+        assert result.journal.exactly_once

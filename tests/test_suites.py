@@ -1,8 +1,9 @@
 """The bench suite registry: committed reports, gate rows, CI matrices.
 
 JSON only: no suite runs here.  Each committed ``BENCH_<name>.json``
-must pass its suite's gate table, and each gate row must catch a
-report that violates it.
+must pass its suite's gate table, each gate row must catch a report
+that violates it, and the committed ``results/*.txt`` must be the
+rendering of the committed paper report.
 """
 
 import json
@@ -59,7 +60,7 @@ def _violation(op, want):
         if isinstance(want, list):
             return want + ["x"]
         return want + 1
-    if op == "<":
+    if op in ("<", ">"):
         return want
     return want - 1 if op == ">=" else want + 1
 
@@ -84,6 +85,15 @@ def test_each_gate_row_catches_its_violation(name, row):
     failures = check(SUITES[name], report)
     assert any(line.startswith(f"GATE FAIL {name}: {concrete} ")
                for line in failures), failures
+
+
+def test_committed_results_render_from_the_paper_report():
+    rendered = SUITES["paper"].render(_report("paper"))
+    results = ROOT / "results"
+    assert sorted(path.stem for path in results.glob("*.txt")) == \
+        sorted(rendered)
+    for name, text in rendered.items():
+        assert (results / f"{name}.txt").read_text() == text + "\n", name
 
 
 def test_unresolved_path_fails():
