@@ -16,21 +16,22 @@ Run:  python examples/adaptive_server.py
 
 from repro.apps.webserver import make_request, traversal_request
 from repro.compiler.instrument import ShiftOptions
-from repro.harness.runners import backend_policy, build_web_machine
+from repro.fleet.driver import FleetConfig, build_worker
+from repro.harness.runners import backend_policy
 from repro.taint.bitmap import pack_flags
 
 STRICT = ShiftOptions(granularity=1)
 
 
 def run_arm(adaptive, traffic):
-    machine = build_web_machine(
-        "backend",
-        STRICT if adaptive != "floor" else ShiftOptions(mode="none"),
+    machine = build_worker(FleetConfig(
+        variant="backend",
+        options=STRICT if adaptive != "floor" else ShiftOptions(mode="none"),
         policy_config=backend_policy(),
         sizes=(4, 8),
         engine_mode="alert",
         adaptive="none" if adaptive == "floor" else adaptive,
-    )
+    ))
     for payload, tainted in traffic:
         machine.net.add_request(
             payload, taint_mask=pack_flags([tainted] * len(payload)))

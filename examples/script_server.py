@@ -25,8 +25,9 @@ from repro.apps.guestvm import (
     sql_injection_request,
 )
 from repro.guestvm.asm import assemble, disassemble
+from repro.fleet.driver import FleetConfig, build_worker
 from repro.harness.guestbench import GUEST_OPTIONS, GUEST_WATCHDOG
-from repro.harness.runners import build_web_machine, guestvm_policy
+from repro.harness.runners import guestvm_policy
 
 
 def main():
@@ -38,13 +39,12 @@ def main():
         print(f"    {line}")
     print("    ...\n")
 
-    machine = build_web_machine(
-        "guest-kv", GUEST_OPTIONS,
+    machine = build_worker(FleetConfig(
+        variant="guest-kv", options=GUEST_OPTIONS,
         policy_config=guestvm_policy(),
-        engine_mode="recover",
         recover_watchdog=GUEST_WATCHDOG,
         tracing=True,
-    )
+    ))
     traffic = [
         ("store a value", kv_set_request("user1", "alice")),
         ("look it up (vulnerable GET)", kv_get_request("user1")),

@@ -71,8 +71,6 @@ class AdaptiveController:
 
     def __init__(self, machine) -> None:
         layout = machine.compiled.adaptive
-        if layout is None:
-            raise ValueError("adaptive controller needs a dual-version build")
         self.machine = machine
         program = machine.program
         #: code index -> code index translation maps.  ``to_fast`` maps

@@ -21,13 +21,10 @@ from typing import Dict, Iterable, List, Optional, Union
 from repro.compiler.instrument import ShiftOptions, UNINSTRUMENTED
 from repro.compiler.pipeline import CompiledProgram, compile_program
 from repro.cpu.faults import Fault
-from repro.cpu.perf import IssueConfig, PerfCounters
-from repro.mem.cache import HierarchyConfig
-from repro.runtime.devices import DeviceCosts
+from repro.cpu.perf import PerfCounters
 from repro.runtime.libc_src import LIBC_SOURCE
-from repro.runtime.machine import Machine
+from repro.runtime.machine import Machine, MachineSpec
 from repro.taint.engine import AlertRecord, SecurityAlert
-from repro.taint.policy import PolicyConfig
 
 
 def compile_protected(
@@ -51,62 +48,43 @@ def build_machine(
     sources: Union[str, Iterable[str], CompiledProgram],
     options: ShiftOptions = UNINSTRUMENTED,
     *,
-    policy_config: Optional[PolicyConfig] = None,
     include_libc: bool = True,
-    engine_mode: str = "raise",
+    adaptive: Optional[str] = None,
     files: Optional[Dict[str, bytes]] = None,
     stdin: bytes = b"",
-    costs: Optional[DeviceCosts] = None,
-    cache_config: Optional[HierarchyConfig] = None,
-    issue_config: Optional[IssueConfig] = None,
-    thread_quantum: int = 800,
-    serialize_bitmap: bool = False,
-    tracing: bool = False,
-    trace_path: Optional[str] = None,
-    trace_capacity: Optional[int] = None,
-    engine: str = "predecoded",
-    recover_watchdog: Optional[int] = None,
     machine_id: Optional[str] = None,
-    net_capacity: Optional[int] = None,
-    adaptive: bool = False,
     adaptive_switching: bool = True,
     speculative: bool = False,
+    **fields,
 ) -> Machine:
     """Compile (if needed) and load a guest into a ready Machine.
 
-    ``adaptive=True`` compiles a dual-version program; pre-compiled
-    programs carrying an adaptive layout get a controller regardless.
-    ``adaptive_switching=False`` loads a dual-version program but pins
-    it in track mode (the differential baseline for testing).
-    ``speculative=True`` adds the repro.spec controller on top of the
-    adaptive one (fast-path execution under taint-range guards).
+    ``fields`` are :class:`MachineSpec` fields.  ``adaptive`` is the
+    spec's tracking mode; compiling from source, every mode but
+    ``"none"`` builds the dual-version layout.  Left unset, the mode
+    follows the program's layout and two switches, the spelling
+    ``bench/workloads.py`` uses: a plain program runs ``"none"``, a
+    dual-version one ``"on"``, ``"track"`` with ``adaptive_switching``
+    off, or ``"speculate"`` with ``speculative`` on.  A combination
+    that cannot take effect raises ValueError.
     """
+    if adaptive is not None and (speculative or not adaptive_switching):
+        raise ValueError("pass adaptive= or the adaptive_switching= and "
+                         "speculative= switches, not both")
     if isinstance(sources, CompiledProgram):
         compiled = sources
     else:
         compiled = compile_protected(sources, options, include_libc=include_libc,
-                                     adaptive=adaptive)
-    return Machine(
-        compiled,
-        policy_config=policy_config,
-        engine_mode=engine_mode,
-        files=files,
-        stdin=stdin,
-        costs=costs,
-        cache_config=cache_config,
-        issue_config=issue_config,
-        thread_quantum=thread_quantum,
-        serialize_bitmap=serialize_bitmap,
-        tracing=tracing,
-        trace_path=trace_path,
-        trace_capacity=trace_capacity,
-        engine=engine,
-        recover_watchdog=recover_watchdog,
-        machine_id=machine_id,
-        net_capacity=net_capacity,
-        adaptive=adaptive_switching,
-        speculative=speculative,
-    )
+                                     adaptive=adaptive not in (None, "none"))
+    if adaptive is None:
+        dual = compiled.adaptive is not None
+        if speculative and not (dual and adaptive_switching):
+            raise ValueError("speculative=True needs a dual-version program "
+                             "and adaptive_switching=True")
+        adaptive = ("none" if not dual else "speculate" if speculative
+                    else "on" if adaptive_switching else "track")
+    return Machine(compiled, MachineSpec(adaptive=adaptive, **fields),
+                   files=files, stdin=stdin, machine_id=machine_id)
 
 
 @dataclass

@@ -24,7 +24,7 @@ from repro.isa.instruction import Instruction, OpKind
 from repro.isa.operands import RegClass
 
 
-@dataclass
+@dataclass(frozen=True)
 class IssueConfig:
     """Parameters of the EPIC-style issue-group timing model."""
     width: int = 6

@@ -26,42 +26,40 @@ not yet run.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.compiler.instrument import ShiftOptions
 from repro.fleet.frontend import FleetFrontend, Request
 from repro.fleet.wire import TaggedMessage
-from repro.taint.policy import PolicyConfig
+from repro.runtime.machine import Machine, MachineSpec
 
 #: Default per-worker instruction budget.
 MAX_INSTRUCTIONS = 1_000_000_000
 
 
-@dataclass
-class FleetConfig:
-    """Everything needed to build one worker Machine (picklable)."""
+@dataclass(frozen=True)
+class FleetConfig(MachineSpec):
+    """A worker's machine spec plus the web app and fleet fields.
 
-    variant: str = "standard"
-    options: Optional[ShiftOptions] = None
-    policy: Optional[PolicyConfig] = None
-    sizes: Tuple[int, ...] = (4,)
-    engine: str = "predecoded"
+    Picklable: process workers receive it whole.  Workers default to
+    recover mode with a 5M-instruction watchdog; ``policy_config``
+    defaults to the web server's policy.
+    """
+
     engine_mode: str = "recover"
     recover_watchdog: Optional[int] = 5_000_000
-    #: Bound on each worker Machine's own pending queue (the device
-    #: level bound; the frontend's queue_capacity bounds routing).
-    net_capacity: Optional[int] = None
+    #: A :data:`repro.harness.runners.WEB_VARIANTS` name.
+    variant: str = "standard"
+    #: Instrumentation; None is ``PERF_OPTIONS["byte"]``.
+    options: Optional[ShiftOptions] = None
+    #: File sizes of the default document root (``make_site``).
+    sizes: Tuple[int, ...] = (4,)
+    #: The document root, in place of the one built from ``sizes``.
+    files: Optional[Dict[str, bytes]] = None
     #: Record outbound taint flags on every connection (proxy tiers set
     #: this so responses can leave as TaggedMessages).
     capture_taint: bool = False
-    tracing: bool = False
-    #: Shared trace path; each worker's machine id derives its own file.
-    trace_path: Optional[str] = None
-    #: Per-worker on-demand tracking (repro.adaptive): "none", "on",
-    #: "track" or "speculate" (repro.spec fast-path execution) — see
-    #: :data:`repro.harness.runners.ADAPTIVE_MODES`.
-    adaptive: str = "none"
     max_instructions: int = MAX_INSTRUCTIONS
 
 
@@ -76,23 +74,24 @@ def encode_request(request: Request) -> EncodedRequest:
     return (bytes(request), None)
 
 
-def build_worker(config: FleetConfig, worker_id: str):
-    """Build one worker Machine from the shared fleet configuration."""
-    from repro.harness.runners import build_web_machine
+def build_worker(config: FleetConfig, worker_id: Optional[str] = None):
+    """Build one web-serving Machine from a fleet configuration.
 
-    return build_web_machine(
-        config.variant, config.options,
-        policy_config=config.policy,
-        sizes=config.sizes,
-        engine=config.engine,
-        engine_mode=config.engine_mode,
-        recover_watchdog=config.recover_watchdog,
-        machine_id=worker_id,
-        net_capacity=config.net_capacity,
-        tracing=config.tracing,
-        trace_path=config.trace_path,
-        adaptive=config.adaptive,
-    )
+    ``worker_id`` becomes the machine id; without one the machine gets
+    an automatic id.
+    """
+    from repro.apps.webserver import make_site
+    from repro.harness.runners import (PERF_OPTIONS, compiled_webserver,
+                                       webserver_policy)
+
+    compiled = compiled_webserver(
+        config.options if config.options is not None else PERF_OPTIONS["byte"],
+        config.variant, adaptive=config.adaptive != "none")
+    if config.policy_config is None:
+        config = replace(config, policy_config=webserver_policy())
+    files = config.files if config.files is not None \
+        else make_site(tuple(config.sizes))
+    return Machine(compiled, config, files=files, machine_id=worker_id)
 
 
 def run_worker(config: FleetConfig, worker_id: str,

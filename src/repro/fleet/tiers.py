@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, List, Optional
 
-from repro.fleet.driver import FleetConfig, FleetDriver
+from repro.fleet.driver import FleetConfig, FleetDriver, build_worker
 from repro.fleet.wire import TaggedMessage
 
 #: Planted outside the backend's document root; served only if the
@@ -74,22 +74,18 @@ def run_two_tier(*, clean: int = 4, attacks: int = 1,
     all-clear tag vector (the payload bytes are identical) — the
     control arm that shows what the backend misses without the wire
     taint.  ``adaptive`` selects the backend tier's execution mode
-    (one of :data:`repro.harness.runners.ADAPTIVE_MODES`); under
+    (one of :data:`repro.runtime.machine.ADAPTIVE_MODES`); under
     ``"speculate"`` the backend serves requests on the fast copy with
     sends deferred to epoch commit, so a rolled-back epoch must leave
     zero phantom bytes on the wire.
     """
-    from repro.harness.runners import (
-        PERF_OPTIONS, backend_policy, build_web_machine, webserver_policy)
-
-    opts = options if options is not None else PERF_OPTIONS["byte"]
+    from repro.harness.runners import backend_policy, webserver_policy
 
     # -- tier 1: the proxy fleet ----------------------------------------
     tier1 = FleetDriver(
-        FleetConfig(variant="proxy", options=opts,
-                    policy=webserver_policy(), engine=engine,
-                    engine_mode="raise", recover_watchdog=None,
-                    capture_taint=True),
+        FleetConfig(variant="proxy", options=options,
+                    policy_config=webserver_policy(), engine=engine,
+                    engine_mode="raise", capture_taint=True),
         workers=proxy_workers, routing=routing, seed=seed)
     requests = request_mix(clean, attacks)
     result1 = tier1.run(requests)
@@ -112,11 +108,10 @@ def run_two_tier(*, clean: int = 4, attacks: int = 1,
                                   origin=m.origin) for m in messages]
 
     # -- tier 2: the backend --------------------------------------------
-    backend = build_web_machine(
-        "standard", opts, policy_config=backend_policy(),
-        files=backend_site(), engine=engine, engine_mode="recover",
-        recover_watchdog=TIER_WATCHDOG, machine_id="backend",
-        adaptive=adaptive)
+    backend = build_worker(FleetConfig(
+        options=options, policy_config=backend_policy(), files=backend_site(),
+        engine=engine, recover_watchdog=TIER_WATCHDOG, adaptive=adaptive),
+        "backend")
     for msg in messages:
         msg.deliver(backend)
     served = backend.run(max_instructions=1_000_000_000)

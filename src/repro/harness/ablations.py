@@ -19,13 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from repro.apps.spec import BENCHMARKS
 from repro.compiler.instrument import ShiftOptions
-from repro.core.shift import build_machine
 from repro.cpu.perf import IssueConfig
 from repro.harness.formatting import format_table, geomean
-from repro.harness.runners import (PERF_OPTIONS, SpecTable, compiled_spec,
-                                   spec_policy)
+from repro.harness.runners import PERF_OPTIONS, SpecTable
+from repro.runtime.machine import MachineSpec
 
 #: Instrumentation variants measured with tainted (unsafe) input.
 #: "no compare relax" runs with *safe* input: without relaxation a NaT
@@ -103,29 +101,21 @@ class WidthRow:
         return self.shift_cycles / self.baseline_cycles
 
 
-def run_width_ablation(benchmark: str = "gzip", scale: str = "test",
+def run_width_ablation(table: SpecTable, benchmark: str = "gzip",
                        widths: Sequence[int] = (1, 2, 6)) -> List[WidthRow]:
     """Instrumentation overhead vs machine issue width.
 
     Narrow machines cannot hide instrumentation in empty slots, so the
-    relative slowdown grows as width shrinks.
+    relative slowdown grows as width shrinks.  Width 6 is the default
+    machine, so that row reuses the table's byte-level run.
     """
-    bench = BENCHMARKS[benchmark]
     rows: List[WidthRow] = []
     for width in widths:
-        config = IssueConfig(width=width, mem_ports=min(2, width))
-        cycles = {}
-        for label in ("none", "byte"):
-            machine = build_machine(
-                compiled_spec(bench, PERF_OPTIONS[label], scale),
-                policy_config=spec_policy(safe_input=False),
-                files={"/data": bench.make_input(scale)},
-                issue_config=config,
-            )
-            machine.run(max_instructions=100_000_000)
-            cycles[label] = machine.counters.cycles
-        rows.append(WidthRow(width=width, baseline_cycles=cycles["none"],
-                             shift_cycles=cycles["byte"]))
+        spec = MachineSpec(
+            issue_config=IssueConfig(width=width, mem_ports=min(2, width)))
+        base, run = table.measure(benchmark, PERF_OPTIONS["byte"], spec=spec)
+        rows.append(WidthRow(width=width, baseline_cycles=base.cycles,
+                             shift_cycles=run.cycles))
     return rows
 
 

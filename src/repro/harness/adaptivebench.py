@@ -38,11 +38,9 @@ from repro.apps.spec import BENCHMARKS
 from repro.apps.webserver import make_request, traversal_request
 from repro.compiler.instrument import ShiftOptions
 from repro.harness.resilbench import attack_mix
-from repro.harness.runners import (
-    backend_policy,
-    build_web_machine,
-    run_spec,
-)
+from repro.fleet.driver import FleetConfig, build_worker
+from repro.harness.runners import backend_policy, run_spec
+from repro.runtime.machine import MachineSpec
 from repro.obs.metrics import collect_machine
 from repro.taint.bitmap import pack_flags
 
@@ -72,16 +70,16 @@ def taint_heavy_mix(count: int, size_kb: int = 8) -> List[Request]:
 def _run_backend(adaptive: str, requests: Sequence[Request],
                  engine: str) -> Dict:
     """One backend arm over one request stream; returns raw observables."""
-    machine = build_web_machine(
-        "backend",
-        BACKEND_OPTIONS if adaptive != "uninstrumented"
-        else ShiftOptions(mode="none"),
+    machine = build_worker(FleetConfig(
+        variant="backend",
+        options=(BACKEND_OPTIONS if adaptive != "uninstrumented"
+                 else ShiftOptions(mode="none")),
         policy_config=backend_policy(),
         sizes=(4, 8),
         engine=engine,
         engine_mode="alert",
         adaptive=adaptive if adaptive != "uninstrumented" else "none",
-    )
+    ))
     for payload, is_tainted in requests:
         machine.net.add_request(
             payload, taint_mask=pack_flags([is_tainted] * len(payload)))
@@ -156,9 +154,10 @@ def spec_experiment(benchmarks: Sequence[str], scale: str,
         bench = BENCHMARKS[name]
         for safe in (True, False):
             on = run_spec(bench, BACKEND_OPTIONS, scale, safe_input=safe,
-                          engine=engine, adaptive="on")
+                          spec=MachineSpec(engine=engine, adaptive="on"))
             track = run_spec(bench, BACKEND_OPTIONS, scale, safe_input=safe,
-                             engine=engine, adaptive="track")
+                             spec=MachineSpec(engine=engine,
+                                              adaptive="track"))
             rows.append({
                 "benchmark": name,
                 "safe_input": safe,
@@ -178,11 +177,11 @@ def wire_taint_detection(engine: str) -> Dict:
     is carried by the transported tags, not by the byte pattern.
     """
     def probe(tainted: bool) -> List:
-        machine = build_web_machine(
-            "backend", BACKEND_OPTIONS,
+        machine = build_worker(FleetConfig(
+            variant="backend", options=BACKEND_OPTIONS,
             policy_config=backend_policy(),
             sizes=(4,), engine=engine, engine_mode="alert", adaptive="on",
-        )
+        ))
         payload = traversal_request("/../etc/secret")
         machine.net.add_request(
             payload, taint_mask=pack_flags([tainted] * len(payload)))

@@ -50,13 +50,9 @@ from repro.apps.guestvm import (
     template_request,
 )
 from repro.compiler.instrument import ShiftOptions
-from repro.fleet.driver import FleetConfig, FleetDriver
+from repro.fleet.driver import FleetConfig, FleetDriver, build_worker
 from repro.fleet.wire import TaggedMessage
-from repro.harness.runners import (
-    build_web_machine,
-    guest_backend_policy,
-    guestvm_policy,
-)
+from repro.harness.runners import guest_backend_policy, guestvm_policy
 
 #: The VM runs strict byte-granularity: its own address arithmetic is
 #: untainted by construction, so no pointer-policy relaxation is needed.
@@ -189,15 +185,15 @@ def _run_mix(variant: str, mix: Sequence[Tuple[bytes, Optional[str]]],
              engine: str, adaptive: str = "none",
              engine_mode: str = "recover") -> Dict:
     """Serve one request mix; return the canonical outcome dict."""
-    machine = build_web_machine(
-        variant, GUEST_OPTIONS,
+    machine = build_worker(FleetConfig(
+        variant=variant, options=GUEST_OPTIONS,
         policy_config=guestvm_policy(),
         engine_mode=engine_mode,
-        recover_watchdog=GUEST_WATCHDOG if engine_mode == "recover" else None,
+        recover_watchdog=GUEST_WATCHDOG,
         engine=engine,
         tracing=True,
         adaptive=adaptive,
-    )
+    ))
     for payload, _expected in mix:
         machine.net.add_request(payload)
     served = machine.run(max_instructions=MAX_INSTRUCTIONS)
@@ -338,7 +334,7 @@ def fleet_smoke(seed: int, engine: str) -> Dict:
     the untagged control (same bytes, zero tags) must be served.
     """
     config = FleetConfig(variant="guest-tmpl", options=GUEST_OPTIONS,
-                         policy=guest_backend_policy(), engine=engine,
+                         policy_config=guest_backend_policy(), engine=engine,
                          tracing=True)
     attack = template_request(XSS_PAYLOADS[0])
     clean = template_request("alice")

@@ -8,8 +8,10 @@ chart functions.  Every SPEC number comes from one
 configuration runs once and every slowdown passes the one checksum
 guard.  Quick mode runs the SPEC kernels and Table 3 at test scale,
 full mode at ref; Tables 1-2, Fig. 6 and the issue-width ablation are
-the same in both.  The report's boolean fields are the paper's shape
-claims, which the suite's gate rows check::
+the same in both (the ablation runs at test scale, in the suite's table
+in quick mode and in a table of its own, which ``spec_runs`` does not
+count, in full mode).  The report's boolean fields are the paper's
+shape claims, which the suite's gate rows check::
 
     PYTHONPATH=src python -m repro.harness.suites paper [--quick] [--gate]
 """
@@ -191,7 +193,8 @@ def run_suite(quick: bool) -> Dict:
         "figure9": _figure9(figure9.run_figure9(table)),
         "baselines": _baselines(baselines_cmp.run_baseline_comparison(table)),
         "ablations": _ablations(ablations.run_ablations(table)),
-        "ablation_width": _width(ablations.run_width_ablation()),
+        "ablation_width": _width(ablations.run_width_ablation(
+            table if quick else SpecTable("test"))),
         "pruning": _pruning(table),
         "spec_runs": len(table.runs),
     }

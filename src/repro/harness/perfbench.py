@@ -23,16 +23,11 @@ import time
 from typing import Callable, Dict, Tuple
 
 from repro.apps.spec import BENCHMARKS
-from repro.apps.webserver import make_request, make_site
-from repro.core.shift import build_machine
+from repro.apps.webserver import make_request
+from repro.fleet.driver import FleetConfig, build_worker
 from repro.harness.formatting import geomean
-from repro.harness.runners import (
-    PERF_OPTIONS,
-    compiled_spec,
-    compiled_webserver,
-    spec_policy,
-    webserver_policy,
-)
+from repro.harness.runners import PERF_OPTIONS, spec_machine
+from repro.runtime.machine import MachineSpec
 
 ENGINES = ("reference", "predecoded")
 
@@ -55,17 +50,9 @@ Runner = Callable[[object], int]
 
 def spec_workload(name: str, scale: str) -> Tuple[Builder, Runner]:
     """(build, run) pair for one SPEC kernel."""
-    bench = BENCHMARKS[name]
-    compiled = compiled_spec(bench, BENCH_OPTIONS, scale)
-    data = bench.make_input(scale)
-
     def build(engine: str):
-        return build_machine(
-            compiled,
-            policy_config=spec_policy(False),
-            files={"/data": data},
-            engine=engine,
-        )
+        return spec_machine(BENCHMARKS[name], BENCH_OPTIONS, scale,
+                            spec=MachineSpec(engine=engine))
 
     def run(machine) -> int:
         machine.run()
@@ -76,16 +63,10 @@ def spec_workload(name: str, scale: str) -> Tuple[Builder, Runner]:
 
 def web_workload(requests: int, file_kb: int = 4) -> Tuple[Builder, Runner]:
     """(build, run) pair for the webserver workload."""
-    compiled = compiled_webserver(BENCH_OPTIONS)
-    site = make_site((file_kb,))
-
     def build(engine: str):
-        machine = build_machine(
-            compiled,
-            policy_config=webserver_policy(),
-            files=dict(site),
-            engine=engine,
-        )
+        machine = build_worker(FleetConfig(
+            options=BENCH_OPTIONS, sizes=(file_kb,), engine=engine,
+            engine_mode="raise"))
         for _ in range(requests):
             machine.net.add_request(make_request(file_kb))
         return machine

@@ -32,7 +32,7 @@ from repro.apps.webserver import (
     traversal_request,
 )
 from repro.compiler.instrument import ShiftOptions
-from repro.harness.runners import build_web_machine
+from repro.fleet.driver import FleetConfig, build_worker
 from repro.resil.inject import run_campaign
 
 #: The vulnerable server must run strict (default pointer policy):
@@ -54,13 +54,12 @@ def attack_mix(engine: str = "predecoded", clean_requests: int = 6,
     :mod:`repro.adaptive`); adaptivebench uses it to prove on-demand
     tracking quarantines the identical attack set.
     """
-    machine = build_web_machine(
-        "resil", ATTACK_OPTIONS,
-        engine_mode="recover",
+    machine = build_worker(FleetConfig(
+        variant="resil", options=ATTACK_OPTIONS,
         recover_watchdog=ATTACK_WATCHDOG,
         engine=engine,
         adaptive=adaptive,
-    )
+    ))
     attacks = (overflow_request(), traversal_request(), runaway_request())
     expected_reasons = ("alert", "alert", "runaway")
     # Interleave: clean, attack, clean, attack, ... clean.

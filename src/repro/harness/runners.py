@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Tuple
 
 from repro.apps.guestvm import (GUESTVM_KV_SOURCE, GUESTVM_PING_SOURCE,
                                 GUESTVM_TMPL_SOURCE)
@@ -15,13 +15,13 @@ from repro.apps.webserver import (
     RESIL_WEBSERVER_SOURCE,
     WEBSERVER_SOURCE,
     make_request,
-    make_site,
 )
 from repro.compiler.instrument import ShiftOptions
 from repro.compiler.pipeline import CompiledProgram
-from repro.core.shift import build_machine, compile_protected
+from repro.core.shift import compile_protected
 from repro.cpu.perf import PerfCounters
-from repro.runtime.machine import Machine
+from repro.fleet.driver import FleetConfig, build_worker
+from repro.runtime.machine import Machine, MachineSpec
 from repro.taint.policy import PolicyConfig
 
 #: Instrumentation configurations used throughout the evaluation.
@@ -42,20 +42,24 @@ PERF_OPTIONS: Dict[str, ShiftOptions] = {
     "lift": ShiftOptions(mode="lift"),
 }
 
-_compile_cache: Dict[Tuple[str, str, ShiftOptions, bool], CompiledProgram] = {}
+_compile_cache: Dict[Tuple[str, ShiftOptions, bool], CompiledProgram] = {}
+
+
+def compiled(source: str, options: ShiftOptions,
+             adaptive: bool = False) -> CompiledProgram:
+    """Compile a guest (with libc) once per (source, options, layout)."""
+    key = (source, options, adaptive)
+    if key not in _compile_cache:
+        _compile_cache[key] = compile_protected(source, options,
+                                                adaptive=adaptive)
+    return _compile_cache[key]
 
 
 def compiled_spec(bench: SpecBenchmark, options: ShiftOptions,
                   scale: str = "ref",
                   adaptive: bool = False) -> CompiledProgram:
     """Compile a kernel once per (benchmark, options, scale)."""
-    key = (bench.name, scale, options, adaptive)
-    compiled = _compile_cache.get(key)
-    if compiled is None:
-        compiled = compile_protected(bench.source(scale), options,
-                                     adaptive=adaptive)
-        _compile_cache[key] = compiled
-    return compiled
+    return compiled(bench.source(scale), options, adaptive)
 
 
 def spec_policy(safe_input: bool) -> PolicyConfig:
@@ -79,32 +83,31 @@ class MeasuredRun:
     counters: PerfCounters
 
 
+def spec_machine(bench: SpecBenchmark, options: ShiftOptions,
+                 scale: str = "ref", safe_input: bool = False,
+                 spec: MachineSpec = MachineSpec()) -> Machine:
+    """One SPEC kernel's machine, with its input file at ``/data``.
+
+    The policy is :func:`spec_policy` of ``safe_input``, in place of the
+    spec's; an adaptive mode other than ``"none"`` loads the
+    dual-version build.
+    """
+    return Machine(
+        compiled_spec(bench, options, scale, adaptive=spec.adaptive != "none"),
+        replace(spec, policy_config=spec_policy(safe_input)),
+        files={"/data": bench.make_input(scale)})
+
+
 def run_spec(
     bench: SpecBenchmark,
     options: ShiftOptions,
     scale: str = "ref",
     safe_input: bool = False,
     label: str = "",
-    engine: str = "predecoded",
-    adaptive: str = "none",
+    spec: MachineSpec = MachineSpec(),
 ) -> MeasuredRun:
-    """Run one SPEC kernel under one configuration.
-
-    ``adaptive`` is one of :data:`ADAPTIVE_MODES` (dual-version builds
-    for the on-demand tracking experiments).
-    """
-    if adaptive not in ADAPTIVE_MODES:
-        raise ValueError(f"unknown adaptive mode {adaptive!r}")
-    compiled = compiled_spec(bench, options, scale,
-                             adaptive=adaptive != "none")
-    machine = build_machine(
-        compiled,
-        policy_config=spec_policy(safe_input),
-        files={"/data": bench.make_input(scale)},
-        engine=engine,
-        adaptive_switching=adaptive in ("on", "speculate"),
-        speculative=adaptive == "speculate",
-    )
+    """Run one SPEC kernel under one configuration (:func:`spec_machine`)."""
+    machine = spec_machine(bench, options, scale, safe_input, spec)
     exit_code = machine.run()
     counters = machine.counters
     return MeasuredRun(
@@ -122,31 +125,35 @@ def run_spec(
 class SpecTable:
     """The SPEC runs of one evaluation, each configuration run once.
 
-    A configuration is a kernel, a :class:`ShiftOptions` and tainted or
-    safe input, at the table's scale.  Every slowdown goes through
-    :meth:`measure`, which checks the instrumented checksum against
-    the uninstrumented twin's.  The table memoizes for as long as its
-    owner keeps it; :func:`run_spec` itself always runs.
+    A configuration is a kernel, a :class:`ShiftOptions`, tainted or
+    safe input and a :class:`MachineSpec`, at the table's scale.  Every
+    slowdown goes through :meth:`measure`, which checks the
+    instrumented checksum against the uninstrumented twin's on the
+    same spec.  The table memoizes for as long as its owner keeps it;
+    :func:`run_spec` itself always runs.
     """
 
     def __init__(self, scale: str) -> None:
         self.scale = scale
-        self.runs: Dict[Tuple[str, ShiftOptions, bool], MeasuredRun] = {}
+        self.runs: Dict[Tuple[str, ShiftOptions, bool, MachineSpec],
+                        MeasuredRun] = {}
 
     def run(self, name: str, options: ShiftOptions,
-            safe_input: bool = False) -> MeasuredRun:
+            safe_input: bool = False,
+            spec: MachineSpec = MachineSpec()) -> MeasuredRun:
         """One configuration's run, made on first request."""
-        key = (name, options, safe_input)
+        key = (name, options, safe_input, spec)
         if key not in self.runs:
             self.runs[key] = run_spec(BENCHMARKS[name], options, self.scale,
-                                      safe_input)
+                                      safe_input, spec=spec)
         return self.runs[key]
 
     def measure(self, name: str, options: ShiftOptions,
-                safe_input: bool = False) -> Tuple[MeasuredRun, MeasuredRun]:
+                safe_input: bool = False, spec: MachineSpec = MachineSpec(),
+                ) -> Tuple[MeasuredRun, MeasuredRun]:
         """(uninstrumented twin, run), after checking their checksums."""
-        base = self.run(name, PERF_OPTIONS["none"], safe_input)
-        run = self.run(name, options, safe_input)
+        base = self.run(name, PERF_OPTIONS["none"], safe_input, spec)
+        run = self.run(name, options, safe_input, spec)
         if run.checksum != base.checksum:
             raise AssertionError(
                 f"{name}: checksum diverged under {options.label} "
@@ -268,77 +275,13 @@ WEB_VARIANTS: Dict[str, str] = {
     "specstore": SPECSTORE_SOURCE,
 }
 
-#: ``adaptive=`` values accepted by the web build path: ``"none"`` is a
-#: plain single-version build, ``"on"`` a dual-version build with the
-#: mode controller switching, ``"track"`` a dual-version build pinned in
-#: track mode (the differential baseline — same code layout as "on"),
-#: ``"speculate"`` the controller plus the repro.spec speculation layer
-#: (fast-path execution under taint-range guards).
-ADAPTIVE_MODES = ("none", "on", "track", "speculate")
-
-_web_cache: Dict[Tuple[str, ShiftOptions, bool], CompiledProgram] = {}
-
-
 def compiled_webserver(options: ShiftOptions,
                        variant: str = "standard",
                        adaptive: bool = False) -> CompiledProgram:
     """Compile a web-app variant once per (variant, configuration)."""
     if variant not in WEB_VARIANTS:
         raise ValueError(f"unknown web variant {variant!r}")
-    key = (variant, options, adaptive)
-    compiled = _web_cache.get(key)
-    if compiled is None:
-        compiled = compile_protected(WEB_VARIANTS[variant], options,
-                                     adaptive=adaptive)
-        _web_cache[key] = compiled
-    return compiled
-
-
-def build_web_machine(
-    variant: str = "standard",
-    options: Optional[ShiftOptions] = None,
-    *,
-    policy_config: Optional[PolicyConfig] = None,
-    sizes: Sequence[int] = (4,),
-    files: Optional[Dict[str, bytes]] = None,
-    engine: str = "predecoded",
-    engine_mode: str = "raise",
-    recover_watchdog: Optional[int] = None,
-    machine_id: Optional[str] = None,
-    net_capacity: Optional[int] = None,
-    tracing: bool = False,
-    trace_path: Optional[str] = None,
-    adaptive: str = "none",
-) -> Machine:
-    """The single parameterized build path for every web-serving guest.
-
-    Used by the Figure-6 runner, resilbench's attack mix, the fleet
-    driver/fleetbench and adaptivebench alike, so machine setup lives in
-    exactly one place.  ``files`` overrides the default document root
-    built from ``sizes``; ``policy_config`` defaults to
-    :func:`webserver_policy`; ``adaptive`` is one of
-    :data:`ADAPTIVE_MODES`.
-    """
-    if adaptive not in ADAPTIVE_MODES:
-        raise ValueError(f"unknown adaptive mode {adaptive!r}")
-    compiled = compiled_webserver(
-        options if options is not None else PERF_OPTIONS["byte"], variant,
-        adaptive=adaptive != "none")
-    return build_machine(
-        compiled,
-        policy_config=(policy_config if policy_config is not None
-                       else webserver_policy()),
-        files=files if files is not None else make_site(tuple(sizes)),
-        engine=engine,
-        engine_mode=engine_mode,
-        recover_watchdog=recover_watchdog,
-        machine_id=machine_id,
-        net_capacity=net_capacity,
-        tracing=tracing,
-        trace_path=trace_path,
-        adaptive_switching=adaptive in ("on", "speculate"),
-        speculative=adaptive == "speculate",
-    )
+    return compiled(WEB_VARIANTS[variant], options, adaptive)
 
 
 @dataclass
@@ -366,8 +309,8 @@ class WebRun:
 def run_webserver(options: ShiftOptions, file_kb: int, requests: int = 50,
                   engine: str = "predecoded") -> WebRun:
     """Serve ``requests`` identical requests for one file size."""
-    machine = build_web_machine(
-        "standard", options, sizes=(file_kb,), engine=engine)
+    machine = build_worker(FleetConfig(options=options, sizes=(file_kb,),
+                                       engine=engine, engine_mode="raise"))
     for _ in range(requests):
         machine.net.add_request(make_request(file_kb))
     served = machine.run(max_instructions=1_000_000_000)

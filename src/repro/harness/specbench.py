@@ -33,7 +33,8 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from repro.compiler.instrument import ShiftOptions
-from repro.harness.runners import build_web_machine, specstore_policy
+from repro.fleet.driver import FleetConfig, build_worker
+from repro.harness.runners import specstore_policy
 from repro.apps.specstore import contained_mix, misspec_mix
 from repro.obs.metrics import collect_machine
 
@@ -54,16 +55,17 @@ EXPECTED_ROLLBACKS = 2
 def _run_arm(adaptive: str, requests: Sequence[bytes], engine: str,
              options: ShiftOptions) -> Dict:
     """One specstore arm over one request stream; raw observables."""
-    machine = build_web_machine(
-        "specstore",
-        options if adaptive != "uninstrumented" else ShiftOptions(mode="none"),
+    machine = build_worker(FleetConfig(
+        variant="specstore",
+        options=(options if adaptive != "uninstrumented"
+                 else ShiftOptions(mode="none")),
         policy_config=specstore_policy(),
         files={},
         engine=engine,
         engine_mode="record",
         adaptive=adaptive if adaptive != "uninstrumented" else "none",
         tracing=True,
-    )
+    ))
     for payload in requests:
         machine.net.add_request(payload)
     served = machine.run(max_instructions=2_000_000_000)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import operator
 import pathlib
 import sys
@@ -55,7 +56,7 @@ from repro.harness import (
     specbench,
 )
 
-__all__ = ["OPS", "SUITES", "Suite", "check", "main", "run"]
+__all__ = ["OPS", "SUITES", "Suite", "check", "main", "report_diff", "run"]
 
 #: Gate comparison operators; ``len>=`` compares a list's length.
 OPS: Dict[str, Callable[[Any, Any], bool]] = {
@@ -139,6 +140,7 @@ _SUITES = (
     ), seed=0),
     Suite("ckpt", ckptbench.run_suite, (
         ("throughput.delta_overhead", "<=", 0.10),
+        ("throughput.full_copies_more", "==", True),
         ("equivalence.identical", "==", True),
         ("migration.digest_identical", "==", True),
         ("capture_scaling.-1.delta_pages", "<", "@full_pages"),
@@ -333,6 +335,36 @@ def check(suite: Suite, report: Dict) -> List[str]:
                 failures.append(f"{fail} {concrete} = {_show(actual, op)}, "
                                 f"want {op} {shown}")
     return failures
+
+
+def report_diff(old: Any, new: Any, path: str = "") -> List[str]:
+    """One line per value where two reports differ, ``config`` aside.
+
+    Floats agree within 1e-9 relative, because another host's libm may
+    round the last bit differently; every other value must be equal
+    and of the same type.
+    """
+    if isinstance(old, dict) and isinstance(new, dict):
+        lines = []
+        for key in sorted(set(old) | set(new)):
+            where = f"{path}.{key}" if path else key
+            if where == "config":
+                continue
+            if key not in old or key not in new:
+                lines.append(f"{where}: only in the "
+                             f"{'new' if key in new else 'old'} report")
+            else:
+                lines += report_diff(old[key], new[key], where)
+        return lines
+    if isinstance(old, list) and isinstance(new, list) \
+            and len(old) == len(new):
+        return [line for i, pair in enumerate(zip(old, new))
+                for line in report_diff(*pair, f"{path}.{i}")]
+    if isinstance(old, float) and isinstance(new, float):
+        same = math.isclose(old, new, rel_tol=1e-9)
+    else:
+        same = type(old) is type(new) and old == new
+    return [] if same else [f"{path}: {old!r} != {new!r}"]
 
 
 def run(suite: Suite, quick: bool, seed: Optional[int] = None) -> Dict:

@@ -30,11 +30,12 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.compiler.instrument import ShiftOptions
-from repro.core.shift import build_machine, compile_protected
+from repro.core.shift import build_machine
 from repro.cpu.faults import Fault, NaTConsumptionFault
 from repro.isa.instruction import OpKind
 from repro.isa.operands import RegClass
 from repro.resil.transient import TransientErrorInjector
+from repro.runtime.machine import MachineSpec
 from repro.taint.engine import SecurityAlert
 from repro.taint.policy import PolicyConfig
 
@@ -99,7 +100,6 @@ int main() {
 """
 
 _STRICT_BYTE = ShiftOptions(granularity=1)
-_victim_compiled = None
 
 
 def _victim_policy() -> PolicyConfig:
@@ -109,27 +109,24 @@ def _victim_policy() -> PolicyConfig:
     return config
 
 
-def victim_machine(engine: str = "predecoded", **kwargs):
+def victim_machine(engine: str = "predecoded"):
     """A fresh strict-compiled victim machine with clean 64-byte input."""
-    global _victim_compiled
-    if _victim_compiled is None:
-        _victim_compiled = compile_protected(VICTIM_SOURCE, _STRICT_BYTE)
-    return build_machine(_victim_compiled, policy_config=_victim_policy(),
-                         stdin=bytes(range(VICTIM_BUF)), engine=engine,
-                         **kwargs)
+    from repro.harness import runners
+
+    return build_machine(runners.compiled(VICTIM_SOURCE, _STRICT_BYTE),
+                         policy_config=_victim_policy(),
+                         stdin=bytes(range(VICTIM_BUF)), engine=engine)
 
 
 def spec_machine(bench_name: str, scale: str = "test",
-                 engine: str = "predecoded", **kwargs):
+                 engine: str = "predecoded"):
     """A strict-compiled SPEC kernel with *trusted* file input."""
     from repro.apps.spec import BENCHMARKS
-    from repro.harness.runners import compiled_spec, spec_policy
+    from repro.harness import runners
 
-    bench = BENCHMARKS[bench_name]
-    compiled = compiled_spec(bench, _STRICT_BYTE, scale)
-    return build_machine(compiled, policy_config=spec_policy(True),
-                         files={"/data": bench.make_input(scale)},
-                         engine=engine, **kwargs)
+    return runners.spec_machine(BENCHMARKS[bench_name], _STRICT_BYTE, scale,
+                                safe_input=True,
+                                spec=MachineSpec(engine=engine))
 
 
 # -- injection primitives ------------------------------------------------
@@ -326,10 +323,10 @@ def transient_trial(seed: int, engine: str = "predecoded",
                     requests: int = 4) -> TrialResult:
     """Transient net/file errors under the webserver's retry path."""
     from repro.apps.webserver import make_request
-    from repro.harness.runners import PERF_OPTIONS, build_web_machine
+    from repro.fleet.driver import FleetConfig, build_worker
 
-    machine = build_web_machine(
-        "standard", PERF_OPTIONS["byte"], sizes=(2,), engine=engine)
+    machine = build_worker(FleetConfig(sizes=(2,), engine=engine,
+                                       engine_mode="raise"))
     machine.net.faults = TransientErrorInjector(seed, fail_rate=0.25)
     machine.fs.faults = TransientErrorInjector(seed ^ 0x9E3779B9,
                                                fail_rate=0.25)

@@ -5,7 +5,7 @@ engine, devices and CPU.  This is the main entry point for running
 SHIFT-protected (or baseline) guests::
 
     compiled = compile_program([LIBC_SOURCE, APP_SOURCE], BYTE_LEVEL)
-    machine = Machine(compiled, policy_config=config)
+    machine = Machine(compiled, MachineSpec(policy_config=config))
     machine.net.add_request(b"GET /index.html ...")
     exit_code = machine.run()
 """
@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import os as _os
 import weakref
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.compiler.instrument import GRANULARITY_BYTE
@@ -87,32 +88,67 @@ def resolve_trace_path(path: str, machine, *,
     return path
 
 
+#: On-demand tracking modes (repro.adaptive): "none" runs a plain
+#: single-version program; the other three need the dual-version
+#: layout.  "on" switches between the tracked and fast copies, "track"
+#: pins the tracked copy (the differential baseline, same layout as
+#: "on"), and "speculate" adds repro.spec fast-path execution under
+#: taint-range guards.
+ADAPTIVE_MODES = ("none", "on", "track", "speculate")
+
+
+@dataclass(frozen=True)
+class MachineSpec:
+    """How one guest runs: everything but the program and its inputs.
+
+    Frozen and picklable, so fleet workers receive it whole and a grid
+    of configurations is a set of :func:`dataclasses.replace` calls.
+    """
+
+    policy_config: Optional[PolicyConfig] = None
+    engine: str = "predecoded"
+    engine_mode: str = "raise"
+    #: One of :data:`ADAPTIVE_MODES`.
+    adaptive: str = "none"
+    #: The default model itself, not None, so that a spec spelling the
+    #: default issue width equals ``MachineSpec()``.
+    issue_config: IssueConfig = IssueConfig()
+    cache_config: Optional[HierarchyConfig] = None
+    costs: Optional[DeviceCosts] = None
+    #: Per-request instruction budget of the recover-mode supervisor.
+    recover_watchdog: Optional[int] = None
+    #: Bound on the machine's own pending-connection queue.
+    net_capacity: Optional[int] = None
+    thread_quantum: int = 800
+    serialize_bitmap: bool = False
+    tracing: bool = False
+    #: Trace export path (implies tracing); see :func:`resolve_trace_path`.
+    trace_path: Optional[str] = None
+    trace_capacity: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.adaptive not in ADAPTIVE_MODES:
+            raise ValueError(f"unknown adaptive mode {self.adaptive!r}; "
+                             f"expected one of {ADAPTIVE_MODES}")
+
+
 class Machine:
     """A loaded guest program ready to run."""
 
     def __init__(
         self,
         compiled: CompiledProgram,
+        spec: MachineSpec = MachineSpec(),
         *,
-        policy_config: Optional[PolicyConfig] = None,
-        engine_mode: str = "raise",
-        costs: Optional[DeviceCosts] = None,
-        cache_config: Optional[HierarchyConfig] = None,
-        issue_config: Optional[IssueConfig] = None,
         files: Optional[Dict[str, bytes]] = None,
         stdin: bytes = b"",
-        thread_quantum: int = 800,
-        serialize_bitmap: bool = False,
-        tracing: bool = False,
-        trace_path: Optional[str] = None,
-        trace_capacity: Optional[int] = None,
-        engine: str = "predecoded",
-        recover_watchdog: Optional[int] = None,
         machine_id: Optional[str] = None,
-        net_capacity: Optional[int] = None,
-        adaptive: bool = True,
-        speculative: bool = False,
     ) -> None:
+        if (compiled.adaptive is None) != (spec.adaptive == "none"):
+            raise ValueError(
+                f"adaptive mode {spec.adaptive!r} needs a "
+                f"{'plain' if spec.adaptive == 'none' else 'dual-version'}"
+                " program")
         #: Stable identity used for per-machine trace filenames and
         #: fleet incident attribution ("worker w3 quarantined request 5").
         self.machine_id = machine_id if machine_id is not None \
@@ -137,28 +173,29 @@ class Machine:
         #: Effective trace-export path (per-machine unique; see
         #: :func:`resolve_trace_path`), or None when not exporting.
         self.trace_path: Optional[str] = None
-        if tracing or trace_path is not None:
+        if spec.tracing or spec.trace_path is not None:
             from repro.obs import DEFAULT_CAPACITY, Observability
 
-            if trace_path is not None:
+            if spec.trace_path is not None:
                 self.trace_path = resolve_trace_path(
-                    trace_path, self, explicit_id=machine_id is not None)
+                    spec.trace_path, self, explicit_id=machine_id is not None)
             self.obs = Observability(
                 granularity=granularity,
-                capacity=(DEFAULT_CAPACITY if trace_capacity is None
-                          else trace_capacity),
+                capacity=(DEFAULT_CAPACITY if spec.trace_capacity is None
+                          else spec.trace_capacity),
                 trace_path=self.trace_path,
             )
             self.taint_map.provenance = self.obs.provenance
             self.taint_map.tracer = self.obs.tracer
-        self.policy_config = policy_config or PolicyConfig()
-        self.engine = PolicyEngine(self.policy_config, self.taint_map, mode=engine_mode)
+        self.policy_config = spec.policy_config or PolicyConfig()
+        self.engine = PolicyEngine(self.policy_config, self.taint_map,
+                                   mode=spec.engine_mode)
         if self.obs is not None:
             self.engine.tracer = self.obs.tracer
 
-        self.costs = costs or DeviceCosts()
+        self.costs = spec.costs or DeviceCosts()
         self.fs = SimFileSystem(files)
-        self.net = SimNetwork(capacity=net_capacity)
+        self.net = SimNetwork(capacity=spec.net_capacity)
         self.console = Console()
         self.executed_commands: List[str] = []
         self.executed_queries: List[str] = []
@@ -167,18 +204,15 @@ class Machine:
         if stdin:
             self.os.stdin = stdin
 
-        #: Interpreter engine choice ("predecoded" or "reference") —
-        #: named cpu_engine because ``self.engine`` is the PolicyEngine.
-        self.cpu_engine = engine
         self.cpu = CPU(
             self.program,
             self.memory,
-            caches=CacheHierarchy(cache_config),
-            issue_config=issue_config,
+            caches=CacheHierarchy(spec.cache_config),
+            issue_config=spec.issue_config,
             syscall_handler=self.os.syscall,
             native_handler=self.os.native,
             fault_hook=self.engine.on_fault,
-            engine=engine,
+            engine=spec.engine,
         )
         #: The engine locates alerts (pc / instruction count) via the CPU.
         self.engine.cpu = self.cpu
@@ -196,35 +230,34 @@ class Machine:
         #: malloc'd block sizes by address, so free() can drop the
         #: block's taint (heap taint drains when the guest releases it).
         self._heap_sizes: Dict[int, int] = {}
-        #: Adaptive mode controller (repro.adaptive), present only for
-        #: dual-version builds with switching enabled.  ``adaptive=False``
-        #: on a dual build forces always-track: execution never leaves
+        #: Adaptive mode controller (repro.adaptive), present in the
+        #: "on" and "speculate" modes.  A "track" machine never leaves
         #: the instrumented copies (the differential baseline).
         self.adaptive = None
-        if adaptive and compiled.adaptive is not None:
+        if spec.adaptive in ("on", "speculate"):
             from repro.adaptive import AdaptiveController
 
             self.adaptive = AdaptiveController(self)
         from repro.runtime.threads import ThreadManager
 
-        self.threads = ThreadManager(self, quantum=thread_quantum,
-                                     serialize_bitmap=serialize_bitmap)
+        self.threads = ThreadManager(self, quantum=spec.thread_quantum,
+                                     serialize_bitmap=spec.serialize_bitmap)
 
         #: Recovery supervisor (repro.resil), built for 'recover' mode.
         self.resil = None
-        if engine_mode == "recover":
+        if spec.engine_mode == "recover":
             from repro.resil.recovery import ResilienceSupervisor
 
             self.resil = ResilienceSupervisor(
-                self, watchdog=recover_watchdog, label=self.machine_id)
+                self, watchdog=spec.recover_watchdog, label=self.machine_id)
 
-        #: Speculation controller (repro.spec): runs the fast copy
-        #: under taint-range guards while taint is live but contained,
-        #: with checkpoint rollback + replay-in-track on guard trips.
-        #: Requires the adaptive controller (it switches between the
-        #: same two program copies).
+        #: Speculation controller (repro.spec), in the "speculate" mode:
+        #: runs the fast copy under taint-range guards while taint is
+        #: live but contained, with checkpoint rollback + replay-in-track
+        #: on guard trips.  It switches between the same two program
+        #: copies as the adaptive controller.
         self.spec = None
-        if speculative and self.adaptive is not None:
+        if spec.adaptive == "speculate":
             from repro.spec import SpeculationController
 
             self.spec = SpeculationController(self)

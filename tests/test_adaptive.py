@@ -22,11 +22,8 @@ from repro.compiler.instrument import ShiftOptions
 from repro.compiler.pipeline import AdaptiveLayout, compile_program
 from repro.core.shift import build_machine, compile_protected
 from repro.cpu.faults import NaTConsumptionFault
-from repro.harness.runners import (
-    PERF_OPTIONS,
-    backend_policy,
-    build_web_machine,
-)
+from repro.fleet.driver import FleetConfig, build_worker
+from repro.harness.runners import PERF_OPTIONS, backend_policy
 from repro.mem.address import REGION_DATA, REGION_TAG, make_address, region_of
 from repro.mem.memory import PAGE_SIZE, SparseMemory
 from repro.taint.bitmap import (
@@ -91,7 +88,7 @@ class TestControllerMaps:
     def machine(self):
         return build_machine(
             compile_protected(SMALL, BYTE_STRICT, adaptive=True),
-            policy_config=PolicyConfig())
+            policy_config=PolicyConfig(), adaptive="on")
 
     def test_translation_roundtrip(self, machine):
         ctrl = machine.adaptive
@@ -243,15 +240,15 @@ class TestLiveCounter:
 
 
 def _backend_machine(adaptive="on", engine="predecoded", tracing=False):
-    return build_web_machine(
-        "backend", BYTE_STRICT,
+    return build_worker(FleetConfig(
+        variant="backend", options=BYTE_STRICT,
         policy_config=backend_policy(),
         sizes=(4, 8),
         engine=engine,
         engine_mode="alert",
         tracing=tracing,
         adaptive=adaptive,
-    )
+    ))
 
 
 def _tagged(machine, payload, tainted):
@@ -411,10 +408,10 @@ class TestDifferential:
 
 class TestFleetAdaptive:
     def test_workers_run_adaptive(self):
-        from repro.fleet.driver import FleetConfig, FleetDriver
+        from repro.fleet.driver import FleetDriver
 
         config = FleetConfig(variant="backend", options=BYTE_STRICT,
-                             policy=backend_policy(), sizes=(4, 8),
+                             policy_config=backend_policy(), sizes=(4, 8),
                              engine_mode="raise", adaptive="on")
         driver = FleetDriver(config, workers=2)
         result = driver.run([make_request(4)] * 6)

@@ -15,7 +15,7 @@ from repro.apps.webserver import (
     traversal_request,
 )
 from repro.compiler.instrument import ShiftOptions
-from repro.harness.runners import build_web_machine
+from repro.fleet.driver import FleetConfig, build_worker
 from repro.isa.operands import GR_FIRST_ARG, GR_RET
 from repro.mem import PAGE_SIZE, REGION_DATA, SparseMemory, make_address
 from repro.resil import DeltaCheckpoint, MachineCheckpoint
@@ -127,12 +127,9 @@ class TestDirtyTracking:
 
 
 def _recover_machine(engine, *, clean=4, attacks=(), mode="recover"):
-    machine = build_web_machine(
-        "resil", ATTACK_OPTIONS,
-        engine_mode=mode,
-        recover_watchdog=WATCHDOG if mode == "recover" else None,
-        engine=engine,
-    )
+    machine = build_worker(FleetConfig(
+        variant="resil", options=ATTACK_OPTIONS, engine_mode=mode,
+        recover_watchdog=WATCHDOG, engine=engine))
     attacks = list(attacks)
     for i in range(clean):
         machine.net.add_request(make_request(4))

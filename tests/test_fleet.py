@@ -15,8 +15,8 @@ from repro.fleet import (
     render_incidents,
     two_tier_experiment,
 )
+from repro.fleet.driver import build_worker
 from repro.fleet.frontend import HASH_REPLICAS
-from repro.harness.runners import build_web_machine
 from repro.runtime.devices import SimNetwork
 
 
@@ -400,7 +400,8 @@ class TestBoundedSimNetwork:
             SimNetwork(capacity=0)
 
     def test_drops_surface_in_machine_metrics(self):
-        machine = build_web_machine(net_capacity=1)
+        machine = build_worker(FleetConfig(net_capacity=1,
+                                           engine_mode="raise"))
         machine.net.add_request(make_request(4))
         assert machine.net.add_request(make_request(4)) is None
         flat = machine.metrics().to_dict()
@@ -409,29 +410,30 @@ class TestBoundedSimNetwork:
         assert flat["net.pending"] == 1
 
 
+def _traced(path):
+    return FleetConfig(engine_mode="raise", tracing=True, trace_path=path)
+
+
 class TestTracePathUniquing:
     def test_explicit_ids_get_distinct_files(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
-        a = build_web_machine(machine_id="w0", tracing=True, trace_path=path)
-        b = build_web_machine(machine_id="w1", tracing=True, trace_path=path)
+        config = _traced(path)
+        a = build_worker(config, "w0")
+        b = build_worker(config, "w1")
         assert a.trace_path == str(tmp_path / "trace.w0.jsonl")
         assert b.trace_path == str(tmp_path / "trace.w1.jsonl")
 
     def test_second_live_machine_cannot_clobber(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
-        a = build_web_machine(tracing=True, trace_path=path)
-        b = build_web_machine(tracing=True, trace_path=path)
+        a = build_worker(_traced(path))
+        b = build_worker(_traced(path))
         assert a.trace_path == path
         assert b.trace_path != path
         assert b.trace_path.endswith(".jsonl")
 
     def test_traces_actually_land_in_their_own_files(self, tmp_path):
         path = str(tmp_path / "trace.jsonl")
-        machines = [
-            build_web_machine(machine_id=f"w{i}", tracing=True,
-                              trace_path=path)
-            for i in range(2)
-        ]
+        machines = [build_worker(_traced(path), f"w{i}") for i in range(2)]
         for m in machines:
             m.net.add_request(make_request(4))
             m.run(max_instructions=100_000_000)

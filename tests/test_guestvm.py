@@ -36,11 +36,8 @@ from repro.harness.guestbench import (
     detection_campaign,
     fleet_smoke,
 )
-from repro.harness.runners import (
-    build_web_machine,
-    guest_backend_policy,
-    guestvm_policy,
-)
+from repro.fleet.driver import FleetConfig, build_worker
+from repro.harness.runners import guest_backend_policy, guestvm_policy
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +181,8 @@ def run_guest(variant, requests, **kwargs):
     kwargs.setdefault("policy_config", guestvm_policy())
     kwargs.setdefault("engine_mode", "log")
     kwargs.setdefault("tracing", True)
-    machine = build_web_machine(variant, GUEST_OPTIONS, **kwargs)
+    machine = build_worker(FleetConfig(variant=variant, options=GUEST_OPTIONS,
+                                       **kwargs))
     for request in requests:
         machine.net.add_request(request)
     machine.run(max_instructions=500_000_000)

@@ -14,6 +14,7 @@ from repro.harness.formatting import format_table, geomean
 from repro.harness.runners import PERF_OPTIONS, SpecTable
 from repro.harness.table1 import format_table1_output, run_table1
 from repro.harness.table3 import format_table3, run_table3
+from repro.runtime.machine import MachineSpec
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +109,7 @@ class TestSpecSlowdownHelper:
         table.slowdown("crafty", word)
         assert len(table.runs) == runs  # each configuration runs once
         # A diverging instrumented checksum raises.
-        key = ("crafty", word, False)
+        key = ("crafty", word, False, MachineSpec())
         monkeypatch.setitem(table.runs, key, dataclasses.replace(
             table.runs[key], checksum=table.runs[key].checksum + 1))
         with pytest.raises(AssertionError, match="checksum diverged"):

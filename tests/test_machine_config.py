@@ -1,9 +1,18 @@
-"""Machine configuration knobs: device costs, cache and issue configs."""
+"""Machine configuration: device costs, cache and issue configs and the
+tracking mode."""
 
-from repro.core.shift import build_machine
+import pytest
+
+from repro.apps.specstore import SPECSTORE_SOURCE
+from repro.compiler.instrument import ShiftOptions
+from repro.core.shift import build_machine, compile_protected
 from repro.cpu.perf import IssueConfig
+from repro.fleet.driver import FleetConfig
+from repro.harness.runners import specstore_policy
+from repro.harness.specbench import SPECSTORE_OPTIONS
 from repro.mem.cache import CacheConfig, HierarchyConfig
 from repro.runtime.devices import DeviceCosts
+from repro.runtime.machine import Machine, MachineSpec
 
 SOURCE = """
 native int read(int fd, char *buf, int n);
@@ -65,3 +74,74 @@ class TestDeterminism:
         second = run()
         assert first.counters.cycles == second.counters.cycles
         assert first.counters.instructions == second.counters.instructions
+
+
+class TestAdaptiveMode:
+    """The tracking mode is one MachineSpec field; a mode that cannot
+    take effect raises instead of building a machine without it."""
+
+    BYTE = ShiftOptions(granularity=1)
+
+    def test_speculation_on_a_plain_build_raises(self):
+        with pytest.raises(ValueError, match="dual-version"):
+            build_machine(SOURCE, self.BYTE, speculative=True)
+
+    def test_speculation_without_switching_raises(self):
+        with pytest.raises(ValueError):
+            build_machine(SOURCE, self.BYTE, adaptive=True,
+                          adaptive_switching=False, speculative=True)
+        dual = compile_protected(SOURCE, self.BYTE, adaptive=True)
+        with pytest.raises(ValueError, match="adaptive_switching"):
+            build_machine(dual, adaptive_switching=False, speculative=True)
+
+    def test_unknown_mode_raises_when_the_config_is_built(self):
+        with pytest.raises(ValueError, match="unknown adaptive mode"):
+            FleetConfig(adaptive="bogus")
+
+    @pytest.mark.parametrize("mode", ["on", "track", "speculate"])
+    def test_dual_modes_need_the_dual_layout(self, mode):
+        plain = compile_protected(SOURCE, self.BYTE)
+        with pytest.raises(ValueError, match="dual-version"):
+            Machine(plain, MachineSpec(adaptive=mode))
+        with pytest.raises(ValueError, match="dual-version"):
+            build_machine(plain, adaptive=mode)
+
+    def test_a_dual_program_needs_a_dual_mode(self):
+        dual = compile_protected(SOURCE, self.BYTE, adaptive=True)
+        with pytest.raises(ValueError, match="plain"):
+            build_machine(dual, adaptive="none")
+
+    def test_defaults_map_to_the_program_layout(self):
+        plain = build_machine(SOURCE, self.BYTE)
+        assert plain.adaptive is None and plain.spec is None
+        dual = build_machine(compile_protected(SOURCE, self.BYTE,
+                                               adaptive=True))
+        assert dual.adaptive is not None and dual.spec is None
+
+
+class TestStoreSpeculateArms:
+    """The benchmark's store-speculate arms, built with exactly the
+    keywords ``bench/workloads.py``'s ``StoreSpeculate.serve`` passes."""
+
+    @pytest.fixture(scope="class")
+    def programs(self):
+        return {"dual": compile_protected(SPECSTORE_SOURCE, SPECSTORE_OPTIONS,
+                                          adaptive=True),
+                "plain": compile_protected(SPECSTORE_SOURCE,
+                                           ShiftOptions(mode="none"))}
+
+    @pytest.mark.parametrize("mode, dual, controller, speculation", [
+        ("none", False, False, False),
+        ("track", True, False, False),
+        ("speculate", True, True, True),
+    ])
+    def test_arm(self, programs, mode, dual, controller, speculation):
+        machine = build_machine(
+            programs["plain"] if mode == "none" else programs["dual"],
+            policy_config=specstore_policy(), files={},
+            engine_mode="record", tracing=mode != "none",
+            adaptive_switching=mode == "speculate",
+            speculative=mode == "speculate")
+        assert (machine.compiled.adaptive is not None) == dual
+        assert (machine.adaptive is not None) == controller
+        assert (machine.spec is not None) == speculation

@@ -29,7 +29,8 @@ from repro.apps.specstore import (
 )
 from repro.compiler.instrument import ShiftOptions
 from repro.core.shift import build_machine
-from repro.harness.runners import build_web_machine, specstore_policy
+from repro.fleet.driver import FleetConfig, build_worker
+from repro.harness.runners import specstore_policy
 from repro.spec import SPEC_MAX_RANGES, TaintWatch
 from repro.taint.policy import PolicyConfig
 
@@ -131,11 +132,11 @@ def _spec_events(machine, action=None):
 
 def _run_specstore(adaptive, requests, *, options=BYTE_STRICT,
                    policy=None, engine="predecoded"):
-    machine = build_web_machine(
-        "specstore", options,
+    machine = build_worker(FleetConfig(
+        variant="specstore", options=options,
         policy_config=policy if policy is not None else specstore_policy(),
         files={}, engine=engine, engine_mode="record",
-        adaptive=adaptive, tracing=True)
+        adaptive=adaptive, tracing=True))
     for payload in requests:
         machine.net.add_request(payload)
     served = machine.run(max_instructions=2_000_000_000)
@@ -197,8 +198,7 @@ class TestEpochLifecycle:
     def test_taint_freed_mid_speculation_commits_drained(self):
         machine = build_machine(
             DRAIN_SOURCE, BYTE_STRICT, policy_config=_quiet_policy(),
-            adaptive=True, adaptive_switching=True, speculative=True,
-            tracing=True)
+            adaptive="speculate", tracing=True)
         for payload in (b"T", b"F", b"X"):
             machine.net.add_request(payload)
         machine.run(max_instructions=500_000_000)
@@ -219,12 +219,11 @@ class TestEpochLifecycle:
         # bytes past the watch: taint motion, rollback, replay.
         requests = [b"A" * 8, b"B" * 30, b"C" * 4]
 
-        def run(adaptive):
+        def run(speculate):
             machine = build_machine(
                 ECHO_SOURCE, BYTE_STRICT,
                 policy_config=_tainted_net_policy(),
-                adaptive=adaptive, adaptive_switching=adaptive,
-                speculative=adaptive, tracing=True)
+                adaptive="speculate" if speculate else "none", tracing=True)
             for payload in requests:
                 machine.net.add_request(payload)
             machine.run(max_instructions=500_000_000)
@@ -277,10 +276,10 @@ class TestEpochLifecycle:
 
 class TestFleetSpeculation:
     def test_worker_summary_carries_spec_stats(self):
-        from repro.fleet.driver import FleetConfig, run_worker
+        from repro.fleet.driver import run_worker
 
         config = FleetConfig(variant="specstore", options=BYTE_STRICT,
-                             policy=specstore_policy(),
+                             policy_config=specstore_policy(),
                              engine_mode="record", recover_watchdog=None,
                              adaptive="speculate")
         summary, machine = run_worker(

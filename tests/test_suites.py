@@ -12,7 +12,7 @@ import re
 
 import pytest
 
-from repro.harness.suites import SUITES, check
+from repro.harness.suites import SUITES, check, report_diff
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -94,6 +94,28 @@ def test_committed_results_render_from_the_paper_report():
         sorted(rendered)
     for name, text in rendered.items():
         assert (results / f"{name}.txt").read_text() == text + "\n", name
+
+
+def test_report_diff_ignores_config_and_last_bit_float_noise():
+    old = _report("paper")
+    new = json.loads(json.dumps(old))
+    new["config"]["python"] = "0.0"
+    new["figure7"]["mean"]["byte_unsafe"] *= 1 + 1e-12
+    assert report_diff(old, new) == []
+
+
+@pytest.mark.parametrize("path, value", [
+    ("figure7.mean.byte_unsafe", 2.0),
+    ("spec_runs", 1),
+    ("figure7.gcc_worst", False),
+    ("scale", "other"),
+])
+def test_report_diff_names_each_moved_value(path, value):
+    old = _report("paper")
+    new = json.loads(json.dumps(old))
+    container, key = _walk(new, path)
+    container[key] = value
+    assert [line.split(":")[0] for line in report_diff(old, new)] == [path]
 
 
 def test_unresolved_path_fails():
