@@ -29,7 +29,7 @@ def run_arm(adaptive, traffic):
         options=STRICT if adaptive != "floor" else ShiftOptions(mode="none"),
         policy_config=backend_policy(),
         sizes=(4, 8),
-        engine_mode="alert",
+        engine_mode="record",
         adaptive="none" if adaptive == "floor" else adaptive,
     ))
     for payload, tainted in traffic:

@@ -12,6 +12,7 @@ turns those faults into security alerts.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass as _dataclass
 from typing import Callable, List, Optional
 
@@ -43,6 +44,9 @@ class CpuContext:
     br: list
     unat: int
     pc: int
+
+#: Execution engines (see ``CPU.engine``).
+ENGINES = ("predecoded", "reference")
 
 #: ``break`` immediates understood by the executor.
 BREAK_SYSCALL = 0x100000
@@ -152,8 +156,9 @@ class CPU:
         fault_hook: Optional[Callable[["CPU", Fault], None]] = None,
         engine: str = "predecoded",
     ) -> None:
-        if engine not in ("predecoded", "reference"):
-            raise ValueError(f"unknown engine {engine!r}")
+        if engine not in ENGINES:
+            raise ValueError(f"unknown engine {engine!r}; "
+                             f"expected one of {ENGINES}")
         self.program = program
         self.memory = memory
         self.caches = caches or CacheHierarchy()
@@ -213,9 +218,10 @@ class CPU:
         #: Faulting pc reported by fused blocks (which cover several
         #: instructions, so the block entry pc is not precise enough).
         self._fault_pc = 0
-        #: Recent stores (addr, size, seq) for the store-to-load
+        #: The last four stores (addr, size, seq), for the store-to-load
         #: forwarding penalty (see IssueConfig.store_forward_penalty).
-        self._recent_stores = []
+        #: Generated blocks bind it, so it is only ever mutated in place.
+        self._recent_stores: deque = deque(maxlen=4)
 
     def _build_dispatch(self):
         from repro.isa.instruction import OPCODES as _OPS
@@ -632,10 +638,7 @@ class CPU:
             self.memory.store(addr, size, self.read_gr(value_reg))
         except MemoryError_ as exc:
             raise Fault(f"store fault: {exc}") from exc
-        recent = self._recent_stores
-        recent.append((addr, size, self.counters.instructions))
-        if len(recent) > 4:
-            recent.pop(0)
+        self._recent_stores.append((addr, size, self.counters.instructions))
         stall = self.caches.access(addr, size)
         self.issue.issue(instr, mem_stall=stall)
         self.pc += 1

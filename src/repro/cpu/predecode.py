@@ -8,12 +8,12 @@ config limits are re-fetched every instruction.  This module removes all
 of it by *predecoding*.  One generator, :func:`_block`, turns a
 straight-line run of instructions into the *source code* of one
 function: operand indices, immediates, dependency bitmasks, branch-target
-pcs and the issue-model limits are embedded as literals, so the hot path
-makes no calls besides memory/cache accesses.  ``counters.instructions``
-is batched into one store at block exit (members that need the live
-value — store-buffer sequence numbers — use ``ci + j`` with the member's
-static offset).  Compiled code objects are shared process-wide by source
-text.
+pcs, the issue-model limits and the memory geometry are embedded as
+literals, so the common case calls no Python function, only builtins
+(the page dict's ``get``, ``struct`` codecs, set and deque appends).
+``counters.instructions`` is batched into one store at block exit
+(members that need the live value — store-buffer sequence numbers — use
+``ci + j`` with the member's static offset).
 
 Issue groups are compiled in, the way an IA-64 compiler writes stop bits
 (``;;``) into the binary.  While generating a block, :class:`_Schedule`
@@ -35,6 +35,32 @@ the schedule closes a group whatever that entry group held:
   offset ``ipc - pc``), writes back the group ``IssueModel`` would hold
   there: the locals in the prefix, else ``group.extend`` of the open
   group's cells plus literal masks, memory count and slots.
+
+Guest loads and stores are compiled in too, as the common case of each
+layer they pass through, with one call out when it does not hold:
+
+* *Memory*: the page comes from the bound ``SparseMemory._pages.get``;
+  one mask tests that the access stays inside its page and sets no
+  unimplemented address bit, and a size-specific ``struct`` codec reads
+  or writes it in place.  A store adds its page number to the bound
+  dirty set that delta checkpoints read.  An unallocated page, a
+  page-crossing access or an unimplemented address calls
+  ``SparseMemory.load``/``store`` (through :func:`_faulting`, which
+  turns ``MemoryError_`` into the guest ``Fault``; ``ld8.s`` calls
+  ``SparseMemory.load`` directly, as the reference executor does).
+* *L1*: an access to the most recently used line of its set is a hit
+  that true LRU leaves in place, so ``ways and ways[-1] == line`` on the
+  bound set list, ``stats.accesses += 1`` and the literal hit cost are
+  the whole access.  Anything else calls ``CacheHierarchy.access``.
+* *Forwarding*: a load scans the store window (``CPU._recent_stores``,
+  at most four stores) with the forwarding penalty and window as
+  literals, the inline twin of ``CPU._forwarding_stall``.
+
+The blocks bind the page dict, the dirty set, the L1 set lists, the L1
+stats object and the store window by identity, so nothing may rebind
+them: checkpoint restore rewrites their contents in place
+(``repro.resil.checkpoint``), and ``CacheHierarchy`` never replaces a
+level's stats.
 
 Two tables index the generated functions.  Both are built lazily: every
 entry starts as a trampoline that generates, installs and runs its
@@ -58,13 +84,14 @@ micro-op belongs to the instruction at ``pc``; a fused block stores its
 faulting member's pc in ``cpu._fault_pc`` before re-raising.  Indirect
 branches and breaks only ever form one-instruction blocks.
 
-Cache key: generated sources are cached on the program, keyed by
-``(start, limit)`` and grouped by :class:`_Shape` — everything besides
-the program's code that a source embeds: the ``IssueConfig`` fields
-``width``, ``mem_ports``, ``branch_penalty`` and
-``cmp_branch_same_group``, the tag-store watch bound (or its absence),
-and which break handlers are installed.  Machines that share a program
-and a shape reuse the sources and only instantiate fresh closures.
+Code cache: each block is compiled once and its code object kept on the
+program, keyed by ``(start, limit)`` and grouped by :class:`_Shape` —
+everything besides the program's code that a block embeds: the
+``IssueConfig``, the L1 line shift, set mask and hit cost, the tag-store
+watch bound (or its absence), and which break handlers are installed.
+Machines that share a program and a shape reuse the code objects and
+only instantiate fresh closures; the source text is dropped once
+compiled.
 
 Equivalence rules (enforced by tests/test_engine_differential.py):
 
@@ -115,24 +142,38 @@ from repro.cpu.perf import (
 from repro.isa.instruction import Instruction, LOAD_SIZES, OP_KIND, OpKind, STORE_SIZES
 from repro.isa.program import Program
 from repro.mem.address import IMPL_MASK, is_implemented
-from repro.mem.memory import MemoryError_
+from repro.mem.memory import (
+    _SCALAR,
+    _UNIMPL_MASK,
+    PAGE_BITS,
+    PAGE_MASK,
+    PAGE_SIZE,
+    MemoryError_,
+)
 
 Uop = Callable[[int], int]
 
 _M = hex(MASK64)
 
-#: Generated-source -> compiled code object.  Process-wide: identical
-#: blocks across machines share one compilation.
-_FACTORY_CACHE: dict = {}
+#: ``addr & _OFFSET`` is the in-page offset when no unimplemented bit is
+#: set, and larger than any offset otherwise: one compare against
+#: ``PAGE_SIZE - size`` tests both that the access stays inside its page
+#: and that its address is implemented.
+_OFFSET = hex(_UNIMPL_MASK | PAGE_MASK)
 
 #: Shared objects every generated factory receives (becoming closure
 #: variables of the block).  ``fns`` is per block: the reference ALU
 #: function of each member, called by div/mod.
 _PARAMS = ("gr, nats, pr, br, im, counters, pair_costs, RoleCost, "
-           "mem_load, mem_store, cache_access, fwd, recent, cpu, to_signed, "
-           "is_implemented, NaTConsumptionFault, Fault, "
-           "IllegalInstructionFault, MemoryError_, tag_watch, "
-           "spec_ranges, spec_check, group, syscall, native, fns")
+           "pages_get, dirty_add, unpack2, unpack4, unpack8, pack2, pack4, "
+           "pack8, mem_load, load, store, cache_access, l1_sets, l1_stats, "
+           "recent, cpu, to_signed, is_implemented, NaTConsumptionFault, "
+           "Fault, IllegalInstructionFault, tag_watch, spec_ranges, "
+           "spec_check, group, syscall, native, fns")
+
+#: The ``struct`` codecs bound as ``unpack2`` ... ``pack8``.
+_CODECS = (tuple(_SCALAR[n].unpack_from for n in (2, 4, 8))
+           + tuple(_SCALAR[n].pack_into for n in (2, 4, 8)))
 
 _PLAIN_KINDS = frozenset((OpKind.ALU, OpKind.CMP, OpKind.LOAD, OpKind.STORE,
                           OpKind.MOVBR, OpKind.MOVAR, OpKind.NOP))
@@ -144,10 +185,12 @@ MAX_BLOCK = 24
 class _Shape(NamedTuple):
     """Everything besides the program's code that block source embeds."""
 
-    width: int
-    mem_ports: int
-    branch_penalty: int
-    cmp_branch_same_group: bool
+    #: Issue limits, branch penalty, forwarding penalty and window.
+    issue: IssueConfig
+    #: L1 geometry and hit cost (``HierarchyConfig.l1``).
+    l1_shift: int
+    l1_mask: int
+    l1_hit: int
     #: Bound of the tag-store watch, or None when no watch is set.
     tag_limit: Optional[int]
     syscall: bool
@@ -410,6 +453,72 @@ def _fixed_state(cells: List[str], state) -> List[str]:
     ]
 
 
+# -- guest memory accesses -------------------------------------------------
+# Each returns the lines of one layer of a load or store at ``addr``:
+# the common case inline, everything else one call to the layer itself.
+
+def _page_load(size: int, slow: str) -> List[str]:
+    """``value`` = the ``size``-byte load at ``addr``.
+
+    The in-page path of ``SparseMemory.load`` on the bound page dict;
+    ``slow(addr, size)`` allocates the page, crosses pages or raises.
+    """
+    read = "page[off]" if size == 1 else f"unpack{size}(page, off)[0]"
+    return [f"page = pages_get(addr >> {PAGE_BITS})",
+            f"off = addr & {_OFFSET}",
+            f"if page is not None and off <= {PAGE_SIZE - size}:",
+            f"    value = {read}",
+            "else:",
+            f"    value = {slow}(addr, {size})"]
+
+
+def _page_store(size: int, value) -> List[str]:
+    """Store operand ``value`` at ``addr``: the in-page path of
+    ``SparseMemory.store``, dirty-page record included."""
+    mask = (1 << (8 * size)) - 1
+    low = (hex(value & mask) if isinstance(value, int)
+           else f"{value} & {hex(mask)}")
+    write = (f"page[off] = {low}" if size == 1
+             else f"pack{size}(page, off, {low})")
+    return [f"pno = addr >> {PAGE_BITS}",
+            "page = pages_get(pno)",
+            f"off = addr & {_OFFSET}",
+            f"if page is not None and off <= {PAGE_SIZE - size}:",
+            "    dirty_add(pno)",
+            f"    {write}",
+            "else:",
+            f"    store(addr, {size}, {_s(value)})"]
+
+
+def _l1_access(shape: _Shape, size: int) -> List[str]:
+    """``stall`` = the hierarchy's stall cycles for an access at ``addr``.
+
+    A hit on the most recently used line of its L1 set leaves true LRU
+    unchanged, so it only counts the access and charges the hit cost.
+    """
+    return [f"line = addr >> {shape.l1_shift}",
+            f"ways = l1_sets[line & {hex(shape.l1_mask)}]",
+            "if ways and ways[-1] == line:",
+            "    l1_stats.accesses += 1",
+            f"    stall = {shape.l1_hit!r}",
+            "else:",
+            f"    stall = cache_access(addr, {size})"]
+
+
+def _forwarding(shape: _Shape, j: int, size: int) -> List[str]:
+    """``CPU._forwarding_stall`` added to ``stall``, for member ``j``."""
+    config = shape.issue
+    if not config.store_forward_penalty:
+        return []
+    # now - seq <= window, where now is ci + j.
+    low = j - config.store_forward_window
+    since = f"ci + {low}" if low >= 0 else f"ci - {-low}"
+    return ["for sa, ss, sq in recent:",
+            f"    if sq >= {since} and addr < sa + ss and sa < addr + {size}:",
+            f"        stall += {float(config.store_forward_penalty)!r}",
+            "        break"]
+
+
 class _Schedule:
     """A block's issue groups, found by running the reference model.
 
@@ -424,10 +533,7 @@ class _Schedule:
     """
 
     def __init__(self, shape: _Shape) -> None:
-        self.config = IssueConfig(
-            width=shape.width, mem_ports=shape.mem_ports,
-            branch_penalty=shape.branch_penalty,
-            cmp_branch_same_group=shape.cmp_branch_same_group)
+        self.config = shape.issue
         self.runs: List[IssueModel] = []
         self.entry_open = True
         #: Members added so far.
@@ -544,16 +650,16 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
             conds = []
             if rw:
                 if (taken is not None and is_branch
-                        and shape.cmp_branch_same_group):
+                        and shape.issue.cmp_branch_same_group):
                     # A branch conflicting only on predicate writes may
                     # issue in the same group as the compare that made
                     # them.
                     conds.append(f"gw & {hex(rw)} & ~pw")
                 else:
                     conds.append(f"gw & {hex(rw)}")
-            conds.append(f"sl + {slots} > {shape.width}")
+            conds.append(f"sl + {slots} > {shape.issue.width}")
             if is_mem:
-                conds.append(f"mm >= {shape.mem_ports}")
+                conds.append(f"mm >= {shape.issue.mem_ports}")
             out = ["if " + " or ".join(conds) + ":"] + _indent(_close_local())
             out += res
             out += [f"group.append({cname})", f"sl += {slots}"]
@@ -575,7 +681,7 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
         if taken:
             out += ["counters.branches_taken += 1",
                     f"counters.branch_penalty_cycles += "
-                    f"{shape.branch_penalty!r}"]
+                    f"{shape.issue.branch_penalty!r}"]
             out += (_fixed_close(cells_of(sched.after[j][0])) if fixed
                     else _close_local())
         return out
@@ -651,13 +757,13 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
                        f"    gr[{dest}] = 0",
                        f"    nats[{dest}] = True",
                        "    stall = 0.0",
-                       "else:",
-                       "    if spec_ranges:",
-                       f"        spec_check(addr, {size})",
-                       f"    value = mem_load(addr, {size})",
-                       f"    stall = cache_access(addr, {size})",
-                       f"    gr[{dest}] = value",
-                       f"    nats[{dest}] = False"]
+                       "else:"]
+                sem += _indent(["if spec_ranges:",
+                                f"    spec_check(addr, {size})"]
+                               + _page_load(size, "mem_load")
+                               + _l1_access(shape, size)
+                               + [f"gr[{dest}] = value",
+                                  f"nats[{dest}] = False"])
             else:
                 nat_dest = (
                     f"nats[{dest}] = bool((cpu.unat >> ((addr >> 3)"
@@ -668,17 +774,12 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
                     sem += [f"if nats[{ia}]:",
                             "    raise NaTConsumptionFault"
                             "(\"load_addr\")"]
-                sem += ["if spec_ranges:",
-                        f"    spec_check(addr, {size})",
-                        "try:",
-                        f"    value = mem_load(addr, {size})",
-                        "except MemoryError_ as exc:",
-                        "    raise Fault(f\"load fault: {exc}\")"
-                        " from exc",
-                        f"stall = cache_access(addr, {size})"
-                        f" + fwd(addr, {size}, ci + {j})",
-                        f"gr[{dest}] = value",
-                        nat_dest]
+                sem += (["if spec_ranges:",
+                         f"    spec_check(addr, {size})"]
+                        + _page_load(size, "load")
+                        + _l1_access(shape, size)
+                        + _forwarding(shape, j, size)
+                        + [f"gr[{dest}] = value", nat_dest])
             faults.append(j)
             stall = True
         elif kind is OpKind.STORE:
@@ -711,14 +812,9 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
                 sem += [f"if addr < {shape.tag_limit}:",
                         f"    tag_watch(addr, {size}, "
                         f"{_s(_gr_src(iv))})"]
-            sem += ["try:",
-                    f"    mem_store(addr, {size}, {_s(_gr_src(iv))})",
-                    "except MemoryError_ as exc:",
-                    "    raise Fault(f\"store fault: {exc}\") from exc",
-                    f"recent.append((addr, {size}, ci + {j}))",
-                    "if len(recent) > 4:",
-                    "    recent.pop(0)",
-                    f"stall = cache_access(addr, {size})"]
+            sem += (_page_store(size, _gr_src(iv))
+                    + [f"recent.append((addr, {size}, ci + {j}))"]
+                    + _l1_access(shape, size))
             faults.append(j)
             stall = True
         elif kind is OpKind.MOVBR:
@@ -910,68 +1006,68 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
     return _render(body, tuple(cells)), tuple(fns), conts
 
 
-def _make_forwarding(cpu: CPU):
-    """Replica of ``CPU._forwarding_stall`` with config bound as locals."""
-    config = cpu.issue.config
-    penalty = config.store_forward_penalty
-    fpenalty = float(penalty)
-    window = config.store_forward_window
-    recent = cpu._recent_stores
+def _faulting(memory):
+    """``(load, store)``: ``SparseMemory.load``/``store`` raising the
+    guest ``Fault`` the reference executor raises for a bad address."""
+    mem_load, mem_store = memory.load, memory.store
 
-    def fwd(addr, size, now):
-        if not recent or not penalty:
-            return 0.0
-        for st_addr, st_size, seq in recent:
-            if (now - seq <= window and addr < st_addr + st_size
-                    and st_addr < addr + size):
-                return fpenalty
-        return 0.0
+    def load(addr, size):
+        try:
+            return mem_load(addr, size)
+        except MemoryError_ as exc:
+            raise Fault(f"load fault: {exc}") from exc
 
-    return fwd
+    def store(addr, size, value):
+        try:
+            mem_store(addr, size, value)
+        except MemoryError_ as exc:
+            raise Fault(f"store fault: {exc}") from exc
+
+    return load, store
 
 
 def _blocks(cpu: CPU):
     """``make(start, limit) -> (block or None, conts)`` for one CPU.
 
-    Sources come from the program's cache group for this CPU's
-    :class:`_Shape` and are generated on a miss; each call instantiates
-    a fresh closure bound to this CPU's state.
+    Code objects come from the program's cache group for this CPU's
+    :class:`_Shape` and are generated and compiled on a miss; each call
+    instantiates a fresh closure bound to this CPU's state.
     """
-    cfg = cpu.issue.config
-    shape = _Shape(cfg.width, cfg.mem_ports, cfg.branch_penalty,
-                   cfg.cmp_branch_same_group,
+    l1 = cpu.caches.l1
+    shape = _Shape(cpu.issue.config, l1._line_shift, l1._set_mask,
+                   l1.config.hit_extra_cycles,
                    cpu.tag_limit if cpu.tag_watch is not None else None,
                    cpu.syscall_handler is not None,
                    cpu.native_handler is not None)
     program = cpu.program
-    groups = getattr(program, "_block_sources", None)
+    groups = getattr(program, "_block_code", None)
     if groups is None:
-        groups = program._block_sources = {}
-    sources = groups.get(shape)
-    if sources is None:
-        sources = groups[shape] = {}
+        groups = program._block_code = {}
+    blocks = groups.get(shape)
+    if blocks is None:
+        blocks = groups[shape] = {}
     im = cpu.issue
     counters = cpu.counters
+    memory = cpu.memory
     shared = (cpu.gr, cpu.nat, cpu.pr, cpu.br, im, counters,
-              counters.pair_costs, RoleCost, cpu.memory.load,
-              cpu.memory.store, cpu.caches.access, _make_forwarding(cpu),
-              cpu._recent_stores, cpu, to_signed, is_implemented,
-              NaTConsumptionFault, Fault, IllegalInstructionFault,
-              MemoryError_, cpu.tag_watch, cpu.spec_ranges, cpu.spec_check,
-              im._group, cpu.syscall_handler, cpu.native_handler)
+              counters.pair_costs, RoleCost, memory._pages.get,
+              memory._dirty.add, *_CODECS, memory.load, *_faulting(memory),
+              cpu.caches.access, l1._sets, l1.stats, cpu._recent_stores,
+              cpu, to_signed, is_implemented, NaTConsumptionFault, Fault,
+              IllegalInstructionFault, cpu.tag_watch, cpu.spec_ranges,
+              cpu.spec_check, im._group, cpu.syscall_handler,
+              cpu.native_handler)
 
     def make(start: int, limit: int):
-        entry = sources.get((start, limit))
+        entry = blocks.get((start, limit))
         if entry is None:
-            entry = sources[start, limit] = _block(program, shape, start,
-                                                   limit)
-        src, fns, conts = entry
-        if src is None:
-            return None, conts
-        code_obj = _FACTORY_CACHE.get(src)
+            src, fns, conts = _block(program, shape, start, limit)
+            code_obj = (None if src is None
+                        else compile(src, "<predecode>", "exec"))
+            entry = blocks[start, limit] = (code_obj, fns, conts)
+        code_obj, fns, conts = entry
         if code_obj is None:
-            code_obj = _FACTORY_CACHE[src] = compile(
-                src, "<predecode>", "exec")
+            return None, conts
         ns: dict = {}
         exec(code_obj, ns)
         return ns["_f"](*shared, fns), conts

@@ -62,6 +62,16 @@ class FleetConfig(MachineSpec):
     capture_taint: bool = False
     max_instructions: int = MAX_INSTRUCTIONS
 
+    def __post_init__(self) -> None:
+        # Checked here, in the process that builds the config, rather
+        # than in build_worker inside each spawned worker.
+        from repro.harness.runners import WEB_VARIANTS
+
+        super().__post_init__()
+        if self.variant not in WEB_VARIANTS:
+            raise ValueError(f"unknown web variant {self.variant!r}; "
+                             f"expected one of {tuple(WEB_VARIANTS)}")
+
 
 #: A request as shipped to a worker: (payload, packed tags or None).
 EncodedRequest = Tuple[bytes, Optional[bytes]]

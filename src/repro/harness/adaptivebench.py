@@ -77,7 +77,7 @@ def _run_backend(adaptive: str, requests: Sequence[Request],
         policy_config=backend_policy(),
         sizes=(4, 8),
         engine=engine,
-        engine_mode="alert",
+        engine_mode="record",
         adaptive=adaptive if adaptive != "uninstrumented" else "none",
     ))
     for payload, is_tainted in requests:
@@ -180,7 +180,7 @@ def wire_taint_detection(engine: str) -> Dict:
         machine = build_worker(FleetConfig(
             variant="backend", options=BACKEND_OPTIONS,
             policy_config=backend_policy(),
-            sizes=(4,), engine=engine, engine_mode="alert", adaptive="on",
+            sizes=(4,), engine=engine, engine_mode="record", adaptive="on",
         ))
         payload = traversal_request("/../etc/secret")
         machine.net.add_request(

@@ -298,7 +298,7 @@ def adaptive_arm(seed: int, clean: int, attacks: int, engine: str) -> Dict:
 
     arms = {
         mode: _run_mix("guest-tmpl", attack_mix, engine, adaptive=mode,
-                       engine_mode="log")
+                       engine_mode="record")
         for mode in ("none", "on", "track")
     }
     signatures = {mode: alert_sig(outcome) for mode, outcome in arms.items()}
@@ -309,7 +309,7 @@ def adaptive_arm(seed: int, clean: int, attacks: int, engine: str) -> Dict:
     # must re-quiesce the machine so the controller drops to fast mode.
     clean_mix = _tmpl_mix(random.Random(seed + 1), clean, attacks, False)
     switching = _run_mix("guest-tmpl", clean_mix, engine, adaptive="on",
-                         engine_mode="log")
+                         engine_mode="record")
     stats = switching["adaptive_stats"]
     return {
         "seed": seed,

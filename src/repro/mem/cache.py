@@ -52,6 +52,9 @@ class Cache:
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
+        #: The predecoded engine's blocks bind ``stats`` and ``_sets``
+        #: (they count L1 hits on a set's most recent line inline), so
+        #: both are only ever mutated in place.
         self.stats = CacheStats()
         self._sets: List[List[int]] = [[] for _ in range(config.num_sets)]
         self._set_mask = config.num_sets - 1
@@ -80,10 +83,6 @@ class Cache:
             return False
         ways.append(line)
         return True
-
-    def reset_stats(self) -> None:
-        """Zero the counters (keep contents)."""
-        self.stats = CacheStats()
 
 
 @dataclass
@@ -117,9 +116,3 @@ class CacheHierarchy:
         if self.l3.access(addr):
             return self.config.l3_latency
         return self.config.memory_latency
-
-    def reset_stats(self) -> None:
-        """Zero every level's counters."""
-        self.l1.reset_stats()
-        self.l2.reset_stats()
-        self.l3.reset_stats()

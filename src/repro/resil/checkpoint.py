@@ -33,10 +33,11 @@ checkpoint.
 
 Restore is strictly **in place**: the predecoded engine's generated
 closures capture the identity of the register lists, the counters, the
-``pair_costs`` dict, the issue-model group list and the store-forward
-window, so the checkpoint must never rebind those objects — it mutates
-their contents (``gr[:] = saved``, ``page[:] = saved``, bucket fields
-assigned) instead.
+``pair_costs`` dict, the issue-model group list, the store-forward
+window, the memory's page dict and dirty set, and the L1 set lists and
+stats, so the checkpoint must never rebind those objects — it mutates
+their contents (``gr[:] = saved``, ``page[:] = saved``, bucket and stats
+fields assigned) instead.
 
 What is deliberately **not** rolled back (external world / evidence):
 
@@ -355,7 +356,8 @@ class _SnapshotBase:
         cpu.exit_code = self._exit_code
         cpu.yield_requested = self._yield_requested
         cpu._fault_pc = self._fault_pc
-        cpu._recent_stores[:] = self._recent_stores
+        cpu._recent_stores.clear()
+        cpu._recent_stores.extend(self._recent_stores)
 
         # Issue model: the capture point was group-flushed, so the
         # restored group is empty; clear the live one without closing it

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 
 from repro.compiler.instrument import GRANULARITY_BYTE
 from repro.compiler.pipeline import CompiledProgram
-from repro.cpu.core import CPU, code_address
+from repro.cpu.core import CPU, ENGINES, code_address
 from repro.cpu.faults import Fault, RunawayError
 from repro.cpu.perf import IssueConfig, PerfCounters
 from repro.isa.program import Program
@@ -30,7 +30,7 @@ from repro.mem.memory import SparseMemory
 from repro.runtime.devices import Console, DeviceCosts, SimFileSystem, SimNetwork
 from repro.runtime.guest_os import GuestOS
 from repro.taint.bitmap import TaintMap
-from repro.taint.engine import PolicyEngine, SecurityAlert
+from repro.taint.engine import ENGINE_MODES, PolicyEngine, SecurityAlert
 from repro.taint.policy import PolicyConfig
 
 #: Aborts that a live speculation epoch absorbs into rollback + replay:
@@ -106,7 +106,9 @@ class MachineSpec:
     """
 
     policy_config: Optional[PolicyConfig] = None
+    #: One of :data:`repro.cpu.core.ENGINES`.
     engine: str = "predecoded"
+    #: One of :data:`repro.taint.engine.ENGINE_MODES`.
     engine_mode: str = "raise"
     #: One of :data:`ADAPTIVE_MODES`.
     adaptive: str = "none"
@@ -127,9 +129,13 @@ class MachineSpec:
     trace_capacity: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.adaptive not in ADAPTIVE_MODES:
-            raise ValueError(f"unknown adaptive mode {self.adaptive!r}; "
-                             f"expected one of {ADAPTIVE_MODES}")
+        for name, value, allowed in (
+                ("adaptive mode", self.adaptive, ADAPTIVE_MODES),
+                ("engine mode", self.engine_mode, ENGINE_MODES),
+                ("engine", self.engine, ENGINES)):
+            if value not in allowed:
+                raise ValueError(f"unknown {name} {value!r}; "
+                                 f"expected one of {allowed}")
 
 
 class Machine:

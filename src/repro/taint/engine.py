@@ -64,6 +64,10 @@ class AlertRecord:
     origins: List["TaintOrigin"] = field(default_factory=list)
 
 
+#: How :class:`PolicyEngine` handles an alert (see its ``mode``).
+ENGINE_MODES = ("raise", "recover", "record")
+
+
 @dataclass
 class PolicyEngine:
     """Checks taint uses against the configured policies."""
@@ -82,6 +86,11 @@ class PolicyEngine:
     #: is enabled; both stay None on the zero-overhead default path.
     tracer: Optional["Tracer"] = None
     cpu: Optional[object] = None
+
+    def __post_init__(self) -> None:
+        if self.mode not in ENGINE_MODES:
+            raise ValueError(f"unknown engine mode {self.mode!r}; "
+                             f"expected one of {ENGINE_MODES}")
 
     def _instruction_count(self) -> int:
         if self.cpu is None:

@@ -245,7 +245,7 @@ def _backend_machine(adaptive="on", engine="predecoded", tracing=False):
         policy_config=backend_policy(),
         sizes=(4, 8),
         engine=engine,
-        engine_mode="alert",
+        engine_mode="record",
         tracing=tracing,
         adaptive=adaptive,
     ))

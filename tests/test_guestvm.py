@@ -179,7 +179,7 @@ class TestDecoderErrors:
 
 def run_guest(variant, requests, **kwargs):
     kwargs.setdefault("policy_config", guestvm_policy())
-    kwargs.setdefault("engine_mode", "log")
+    kwargs.setdefault("engine_mode", "record")
     kwargs.setdefault("tracing", True)
     machine = build_worker(FleetConfig(variant=variant, options=GUEST_OPTIONS,
                                        **kwargs))

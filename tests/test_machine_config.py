@@ -119,6 +119,34 @@ class TestAdaptiveMode:
         assert dual.adaptive is not None and dual.spec is None
 
 
+class TestSpecValues:
+    """A misspelled engine, engine mode or web variant raises when the
+    spec is built, in the process that builds it."""
+
+    def test_unknown_engine_mode_raises_when_the_config_is_built(self):
+        with pytest.raises(ValueError, match="unknown engine mode"):
+            FleetConfig(engine_mode="bogus")
+        with pytest.raises(ValueError, match="unknown engine mode"):
+            MachineSpec(engine_mode="alert")
+
+    def test_unknown_engine_raises_when_the_config_is_built(self):
+        with pytest.raises(ValueError, match="unknown engine 'bogus'"):
+            FleetConfig(engine="bogus")
+
+    def test_unknown_variant_raises_when_the_config_is_built(self):
+        with pytest.raises(ValueError, match="unknown web variant"):
+            FleetConfig(variant="bogus")
+
+    def test_policy_engine_rejects_an_unknown_mode(self):
+        from repro.taint.bitmap import TaintMap
+        from repro.mem.memory import SparseMemory
+        from repro.taint.engine import PolicyEngine
+        from repro.taint.policy import PolicyConfig
+
+        with pytest.raises(ValueError, match="unknown engine mode 'log'"):
+            PolicyEngine(PolicyConfig(), TaintMap(SparseMemory()), mode="log")
+
+
 class TestStoreSpeculateArms:
     """The benchmark's store-speculate arms, built with exactly the
     keywords ``bench/workloads.py``'s ``StoreSpeculate.serve`` passes."""
