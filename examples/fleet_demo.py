@@ -37,7 +37,7 @@ def main():
     print(f"routed {result.routed} | served {result.served}, "
           f"quarantined {result.quarantined}, ejected {result.ejected}")
     print(render_incidents(result))
-    flat = result.metrics().to_dict()
+    flat = result.metrics()
     print(f"fleet sim cycles (slowest worker): "
           f"{flat['fleet.sim_cycles']:.0f}; "
           f"throughput {flat['fleet.sim_throughput']:.0f} req/Gcycle")

@@ -54,8 +54,8 @@ def demonstrate_protection():
     print("\nIncident report (tracing was on):")
     for report in machine.incident_reports():
         print(report.render())
-    metrics = machine.metrics().to_dict()
-    print(f"\nMetrics registry: {metrics['alerts.total']} alert(s), "
+    metrics = machine.metrics()
+    print(f"\nMetrics: {metrics['alerts.total']} alert(s), "
           f"{metrics['taint.bitmap_population']:,} tainted granules, "
           f"{metrics['cpu.instructions']:,} instructions, "
           f"{metrics['trace.events.total']} trace events")

@@ -586,8 +586,10 @@ class CPU:
         addr = self.read_gr(addr_reg)
         size = instr.access_size
         if instr.op == "ld8.s":
-            # Control-speculative load: defer any exception into NaT.
-            if self.read_nat(addr_reg) or not is_implemented(addr):
+            # Control-speculative load: defer any exception into NaT,
+            # whichever byte of the access is unimplemented.
+            if (self.read_nat(addr_reg) or not is_implemented(addr)
+                    or not is_implemented(addr + size - 1)):
                 self.write_gr(dest, 0, nat=True)
                 self.issue.issue(instr)
                 self.pc += 1

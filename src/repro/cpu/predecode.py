@@ -46,8 +46,10 @@ layer they pass through, with one call out when it does not hold:
   dirty set that delta checkpoints read.  An unallocated page, a
   page-crossing access or an unimplemented address calls
   ``SparseMemory.load``/``store`` (through :func:`_faulting`, which
-  turns ``MemoryError_`` into the guest ``Fault``; ``ld8.s`` calls
-  ``SparseMemory.load`` directly, as the reference executor does).
+  turns ``MemoryError_`` into the guest ``Fault``).  ``ld8.s`` defers
+  into NaT, as the reference executor does, when its first or last
+  byte is unimplemented; it tests them only when the offset is not
+  in-page, and its ``SparseMemory.load`` call never raises.
 * *L1*: an access to the most recently used line of its set is a hit
   that true LRU leaves in place, so ``ways and ways[-1] == line`` on the
   bound set list, ``stats.accesses += 1`` and the literal hit cost are
@@ -141,7 +143,7 @@ from repro.cpu.perf import (
 )
 from repro.isa.instruction import Instruction, LOAD_SIZES, OP_KIND, OpKind, STORE_SIZES
 from repro.isa.program import Program
-from repro.mem.address import IMPL_MASK, is_implemented
+from repro.mem.address import IMPL_MASK
 from repro.mem.memory import (
     _SCALAR,
     _UNIMPL_MASK,
@@ -167,7 +169,7 @@ _OFFSET = hex(_UNIMPL_MASK | PAGE_MASK)
 _PARAMS = ("gr, nats, pr, br, im, counters, pair_costs, RoleCost, "
            "pages_get, dirty_add, unpack2, unpack4, unpack8, pack2, pack4, "
            "pack8, mem_load, load, store, cache_access, l1_sets, l1_stats, "
-           "recent, cpu, to_signed, is_implemented, NaTConsumptionFault, "
+           "recent, cpu, to_signed, NaTConsumptionFault, "
            "Fault, IllegalInstructionFault, tag_watch, spec_ranges, "
            "spec_check, group, syscall, native, fns")
 
@@ -458,14 +460,13 @@ def _fixed_state(cells: List[str], state) -> List[str]:
 # the common case inline, everything else one call to the layer itself.
 
 def _page_load(size: int, slow: str) -> List[str]:
-    """``value`` = the ``size``-byte load at ``addr``.
+    """``value`` = the ``size``-byte load at ``addr``, given ``off``.
 
     The in-page path of ``SparseMemory.load`` on the bound page dict;
     ``slow(addr, size)`` allocates the page, crosses pages or raises.
     """
     read = "page[off]" if size == 1 else f"unpack{size}(page, off)[0]"
     return [f"page = pages_get(addr >> {PAGE_BITS})",
-            f"off = addr & {_OFFSET}",
             f"if page is not None and off <= {PAGE_SIZE - size}:",
             f"    value = {read}",
             "else:",
@@ -749,10 +750,16 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
                 return None  # reference faults in write_gr
             addr = _s(_gr_src(ia))
             if op == "ld8.s":
-                defer = (f"nats[{ia}] or not is_implemented(addr)"
-                         if ia else "not is_implemented(addr)")
+                # Deferred into NaT when any byte is unimplemented.  An
+                # in-page offset implies every byte is implemented, so
+                # only the other offsets test the first and last bytes.
+                defer = (f"off > {PAGE_SIZE - size} and (addr | addr + "
+                         f"{size - 1}) & {hex(_UNIMPL_MASK)}")
+                if ia:
+                    defer = f"nats[{ia}] or {defer}"
                 sem = [f"ipc = pc + {j}",
                        f"addr = {addr}",
+                       f"off = addr & {_OFFSET}",
                        f"if {defer}:",
                        f"    gr[{dest}] = 0",
                        f"    nats[{dest}] = True",
@@ -775,7 +782,8 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
                             "    raise NaTConsumptionFault"
                             "(\"load_addr\")"]
                 sem += (["if spec_ranges:",
-                         f"    spec_check(addr, {size})"]
+                         f"    spec_check(addr, {size})",
+                         f"off = addr & {_OFFSET}"]
                         + _page_load(size, "load")
                         + _l1_access(shape, size)
                         + _forwarding(shape, j, size)
@@ -1053,7 +1061,7 @@ def _blocks(cpu: CPU):
               counters.pair_costs, RoleCost, memory._pages.get,
               memory._dirty.add, *_CODECS, memory.load, *_faulting(memory),
               cpu.caches.access, l1._sets, l1.stats, cpu._recent_stores,
-              cpu, to_signed, is_implemented, NaTConsumptionFault, Fault,
+              cpu, to_signed, NaTConsumptionFault, Fault,
               IllegalInstructionFault, cpu.tag_watch, cpu.spec_ranges,
               cpu.spec_check, im._group, cpu.syscall_handler,
               cpu.native_handler)

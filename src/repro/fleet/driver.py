@@ -151,7 +151,7 @@ def run_worker(config: FleetConfig, worker_id: str,
             (bytes(c.inbound), c.taint_mask) for c in machine.net.pending
         ],
         "responses": [bytes(c.outbound) for c in machine.net.completed],
-        "metrics": machine.metrics().to_dict(),
+        "metrics": machine.metrics(),
         "spec": (None if machine.spec is None else {
             "epochs": machine.spec.epochs,
             "commits": machine.spec.commits,
@@ -288,7 +288,7 @@ class FleetResult:
         return {w["worker_id"]: w["cycles"] / sim for w in self.workers}
 
     def metrics(self):
-        """Merged fleet-level metrics registry (see repro.fleet.observe)."""
+        """Merged fleet-level metrics (see repro.fleet.observe)."""
         from repro.fleet.observe import merge_worker_metrics
 
         return merge_worker_metrics(self)

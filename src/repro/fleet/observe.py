@@ -1,160 +1,103 @@
 """Fleet-level observability: merged metrics and incident reports.
 
-Each worker Machine already produces a full metrics registry
+Each worker Machine already produces a full metrics snapshot
 (:func:`repro.obs.metrics.collect_machine`) and, in ``recover`` mode, a
 list of quarantine incidents.  This module folds those per-worker views
 into one fleet view:
 
-* :func:`merge_metric_dicts` — sum worker metric snapshots, with the
-  non-additive keys handled honestly (cache miss rates are recomputed
-  from the summed accesses/misses, granularity and capacity are
-  configuration, min/max histogram bounds take min/max).
+* :func:`merge_metric_dicts` — fold worker metric snapshots as each
+  name's :data:`~repro.obs.metrics.CATALOGUE` row says: counts sum,
+  flags and configuration take the max, ratios such as cache miss
+  rates are recomputed from their summed inputs.
 * :func:`merge_worker_metrics` — the merged snapshot plus ``fleet.*``
-  instruments (worker counts, routing spill/drop, simulated cycles,
-  per-worker utilization) in a renderable
-  :class:`~repro.obs.metrics.MetricsRegistry`.
+  (worker counts, routing spill/drop, simulated cycles, per-worker
+  utilization).
 * :func:`frontend_metrics` — a live :class:`FleetFrontend`'s routing
   counters (``frontend.dropped`` spill-then-drop rejections,
-  ``frontend.spilled``) and per-worker queue depths as instruments.
+  ``frontend.spilled``) and per-worker queue depths.
 * :func:`incident_report` / :func:`render_incidents` — every quarantine
   and ejection across the fleet, each naming the worker, the request
   index, the tripped policy and the taint-origin chain that fed it.
+
+The metric collectors return plain ``{name: value}`` dicts;
+:func:`repro.obs.metrics.render` prints them with units.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Union
+from typing import Dict, List
 
-Number = Union[int, float]
-
-#: Metric keys that are fleet-wide configuration, not per-worker load:
-#: merging takes the max instead of summing.
-CONFIG_KEYS = frozenset({"taint.granularity", "net.capacity"})
+from repro.obs.metrics import MAX, SUM, Number, row
 
 
 def merge_metric_dicts(snapshots: List[Dict[str, Number]]) -> Dict[str, Number]:
-    """Fold per-worker ``metrics().to_dict()`` snapshots into one.
-
-    Counters and load gauges sum across workers; derived and
-    configuration values are recomputed or carried instead of summed.
-    """
+    """Fold per-worker ``machine.metrics()`` snapshots into one, each
+    name as its catalogue row says."""
     merged: Dict[str, Number] = {}
+    ratios = []
     for snap in snapshots:
-        for key, value in snap.items():
-            if key.endswith(".min"):
-                merged[key] = min(merged.get(key, value), value)
-            elif key in CONFIG_KEYS or key.endswith(".max"):
-                merged[key] = max(merged.get(key, value), value)
-            elif key.endswith(".miss_rate") or key.endswith(".mean"):
-                # Recomputed below from their summed inputs.
-                merged.setdefault(key, 0.0)
-            else:
-                merged[key] = merged.get(key, 0) + value
-    # Recompute ratios from the summed raw counts.
-    for key in [k for k in merged if k.endswith(".miss_rate")]:
-        prefix = key[:-len(".miss_rate")]
-        accesses = merged.get(f"{prefix}.accesses", 0)
-        misses = merged.get(f"{prefix}.misses", 0)
-        merged[key] = round(misses / accesses, 6) if accesses else 0.0
-    for key in [k for k in merged if k.endswith(".mean")]:
-        prefix = key[:-len(".mean")]
-        count = merged.get(f"{prefix}.count", 0)
-        total = merged.get(f"{prefix}.sum", 0.0)
-        merged[key] = total / count if count else 0.0
+        for name, value in snap.items():
+            how = row(name)[1]
+            if how == SUM:
+                merged[name] = merged.get(name, 0) + value
+            elif how == MAX:
+                merged[name] = max(merged.get(name, value), value)
+            elif how is None:
+                raise ValueError(f"{name!r} is not a worker metric")
+            elif name not in merged:
+                merged[name] = 0.0
+                ratios.append((name, how))
+    for name, (num, den) in ratios:
+        merged[name] = (round(merged[num] / merged[den], 6)
+                        if merged[den] else 0.0)
     return merged
 
 
-#: Merged keys that stay gauges in the fleet registry (point-in-time or
-#: configuration); everything else is a counter.
-_GAUGE_KEYS = ("net.pending", "net.capacity", "mem.pages_touched",
-               "taint.bitmap_population", "taint.granularity",
-               "threads.count", "trace.origins", "adaptive.mode",
-               "adaptive.spec.active", "adaptive.spec.watch_ranges")
-
-
-def merge_worker_metrics(result):
-    """Build the fleet :class:`MetricsRegistry` for one FleetResult."""
-    from repro.obs.metrics import MetricsRegistry
-
-    reg = MetricsRegistry()
-    merged = merge_metric_dicts([w["metrics"] for w in result.workers])
-    for key in sorted(merged):
-        if key in _GAUGE_KEYS or key.endswith(".miss_rate"):
-            reg.gauge(key).set(merged[key])
-        else:
-            reg.counter(key).value = merged[key]
-    reg.gauge("fleet.workers", "workers started").set(len(result.workers))
-    reg.gauge("fleet.workers_ejected", "workers removed from rotation").set(
-        len(result.ejected))
-    reg.counter("fleet.requests", "requests submitted").value = result.requests
-    reg.counter("fleet.served", "clean requests answered").value = result.served
-    reg.counter("fleet.quarantined",
-                "requests quarantined by rollback").value = result.quarantined
-    reg.counter("fleet.spilled",
-                "requests past their first-choice worker").value = result.spilled
-    reg.counter("fleet.dropped_frontend",
-                "requests refused by the frontend").value = result.dropped
-    reg.counter("fleet.rerouted",
-                "requests re-routed after ejection").value = result.rerouted
-    reg.counter("fleet.unserved",
-                "requests orphaned with no survivor").value = result.unserved
-    reg.gauge("fleet.sim_cycles",
-              "slowest worker's simulated cycles").set(result.sim_cycles)
-    reg.gauge("fleet.sim_throughput",
-              "served requests per 1e9 simulated cycles").set(
-        round(result.sim_throughput, 6))
+def merge_worker_metrics(result) -> Dict[str, Number]:
+    """The fleet metrics of one FleetResult: merged workers plus ``fleet.*``."""
+    flat = merge_metric_dicts([w["metrics"] for w in result.workers])
+    flat.update({
+        "fleet.workers": len(result.workers),
+        "fleet.workers_ejected": len(result.ejected),
+        "fleet.requests": result.requests,
+        "fleet.served": result.served,
+        "fleet.quarantined": result.quarantined,
+        "fleet.spilled": result.spilled,
+        "fleet.dropped_frontend": result.dropped,
+        "fleet.rerouted": result.rerouted,
+        "fleet.unserved": result.unserved,
+        "fleet.sim_cycles": result.sim_cycles,
+        "fleet.sim_throughput": round(result.sim_throughput, 6),
+    })
     if result.wall_seconds:
-        reg.gauge("fleet.wall_seconds",
-                  "host wall-clock seconds for the run").set(
-            round(result.wall_seconds, 6))
+        flat["fleet.wall_seconds"] = round(result.wall_seconds, 6)
     for wid, busy in sorted(result.utilization.items()):
-        reg.gauge(f"fleet.utilization.{wid}",
-                  "worker busy cycles / slowest worker's cycles").set(
-            round(busy, 6))
-    return reg
+        flat[f"fleet.utilization.{wid}"] = round(busy, 6)
+    return flat
 
 
-def frontend_metrics(frontend, registry=None):
-    """Routing-layer instruments for one live :class:`FleetFrontend`.
+def frontend_metrics(frontend) -> Dict[str, Number]:
+    """Routing-layer metrics of one live :class:`FleetFrontend`.
 
     ``frontend.dropped`` counts spill-then-drop rejections (every
     routable queue full), ``frontend.spilled`` requests pushed past
-    their first-choice worker; per-worker ``frontend.depth.*`` gauges
-    come from the public :meth:`FleetFrontend.depths` snapshot.
+    their first-choice worker; per-worker ``frontend.depth.*`` come
+    from the public :meth:`FleetFrontend.depths` snapshot.
     """
-    from repro.obs.metrics import MetricsRegistry
-
-    reg = registry or MetricsRegistry()
-    reg.counter("frontend.dropped",
-                "requests refused with every routable queue full").value = \
-        frontend.dropped
-    reg.counter("frontend.spilled",
-                "requests past their first-choice worker").value = \
-        frontend.spilled
-    reg.counter("frontend.rejected",
-                "requests shed by admission control (503)").value = \
-        frontend.rejected
-    reg.counter("fleet.retransmits",
-                "frame retransmissions after loss/corruption").value = \
-        frontend.retransmits
-    reg.counter("fleet.frame_rejects",
-                "wire frames refused (bad magic/CRC)").value = \
-        frontend.frame_rejects
-    reg.counter("fleet.frames_lost",
-                "wire frames dropped in flight").value = \
-        frontend.frames_lost
-    reg.gauge("frontend.queued",
-              "requests waiting across healthy workers").set(
-        frontend.total_queued)
-    reg.gauge("frontend.workers_routable",
-              "workers accepting new requests").set(frontend.routable_count)
-    reg.gauge("frontend.workers_healthy",
-              "workers in rotation (draining included)").set(
-        frontend.healthy_count)
+    flat: Dict[str, Number] = {
+        "frontend.dropped": frontend.dropped,
+        "frontend.spilled": frontend.spilled,
+        "frontend.rejected": frontend.rejected,
+        "fleet.retransmits": frontend.retransmits,
+        "fleet.frame_rejects": frontend.frame_rejects,
+        "fleet.frames_lost": frontend.frames_lost,
+        "frontend.queued": frontend.total_queued,
+        "frontend.workers_routable": frontend.routable_count,
+        "frontend.workers_healthy": frontend.healthy_count,
+    }
     for wid, depth in sorted(frontend.depths().items()):
-        reg.gauge(f"frontend.depth.{wid}",
-                  "requests queued at one worker").set(depth["queued"])
-    return reg
+        flat[f"frontend.depth.{wid}"] = depth["queued"]
+    return flat
 
 
 def incident_report(result) -> Dict:

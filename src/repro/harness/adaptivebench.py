@@ -22,8 +22,8 @@ Four experiments, one report (``BENCH_adaptive.json``):
    quarantined with the same reasons as the always-on run, plus a
    wire-taint traversal against the adaptive backend must raise H2.
 
-The report's ``metrics`` holds the clean-heavy adaptive arm's metrics
-registry, switch counts included.  Run and gated as the ``adaptive``
+The report's ``metrics`` holds the clean-heavy adaptive arm's machine
+metrics, switch counts included.  Run and gated as the ``adaptive``
 suite of :mod:`repro.harness.suites`, whose gate table holds the
 conditions::
 
@@ -238,5 +238,5 @@ def run_suite(quick: bool) -> Dict:
         "taint_heavy": heavy_entry,
         "spec": spec_rows,
         "detection": {"attack_mix": mix, "wire_taint": wire},
-        "metrics": collect_machine(machine).to_dict(),
+        "metrics": collect_machine(machine),
     }

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import statistics
 import time
 from typing import Dict, List, Sequence, Tuple
 
@@ -125,14 +126,6 @@ def _serve_once(engine: str, mode: str, requests: int,
     return time.perf_counter() - t0, machine
 
 
-def _median(values) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
 def throughput(engine: str, requests: int, repeats: int) -> Dict:
     """standard vs recover(delta) vs recover(full) on clean traffic.
 
@@ -185,7 +178,7 @@ def throughput(engine: str, requests: int, repeats: int) -> Dict:
 
     results = {}
     for name in arms:
-        marginal = _median(samples[name])
+        marginal = statistics.median(samples[name])
         results[name] = dict(
             {"ms_per_request": round(marginal * 1e3, 4),
              "rps": round(1.0 / marginal, 2)}, **stats[name])

@@ -21,7 +21,7 @@ Three experiments over the contained-taint store
    granules), showing the watch construction is granularity-blind.
 
 The report's ``metrics`` holds the contained mix's speculate-arm
-metrics registry (``spec.*`` counters included).  Run and gated as the
+machine metrics (``adaptive.spec.*`` included).  Run and gated as the
 ``spec`` suite of :mod:`repro.harness.suites`, whose gate table holds
 the conditions::
 
@@ -174,7 +174,7 @@ def run_suite(quick: bool) -> Dict:
               f"rollbacks={entry['rollbacks']}", flush=True)
         contained.append(entry)
         if not metrics:
-            metrics = collect_machine(speculate["machine"]).to_dict()
+            metrics = collect_machine(speculate["machine"])
 
         print(f"specbench: misspeculation mix ({engine})", flush=True)
         mis = misspec_experiment(misspec_mix(mis_sums), engine)

@@ -12,7 +12,7 @@ Components
 * :mod:`repro.obs.events` — dataclass trace-event schema
 * :mod:`repro.obs.tracer` — bounded ring-buffer tracer + JSONL export
 * :mod:`repro.obs.provenance` — numbered taint origins + side table
-* :mod:`repro.obs.metrics` — counter/gauge/histogram registry
+* :mod:`repro.obs.metrics` — the metric catalogue, collectors and ``render``
 * :mod:`repro.obs.report` — per-alert forensic incident reports
 """
 
@@ -35,13 +35,7 @@ from repro.obs.events import (
     TaintStoreEvent,
     ThreadSwitchEvent,
 )
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    collect_machine,
-)
+from repro.obs.metrics import collect_machine
 from repro.obs.provenance import ProvenanceTracker, TaintOrigin
 from repro.obs.report import (
     IncidentReport,
@@ -56,9 +50,8 @@ class Observability:
     """The per-machine bundle: one tracer plus one provenance tracker."""
 
     def __init__(self, granularity: int = 1,
-                 capacity: int = DEFAULT_CAPACITY,
                  trace_path: Optional[str] = None) -> None:
-        self.tracer = Tracer(capacity=capacity)
+        self.tracer = Tracer()
         self.provenance = ProvenanceTracker(granularity=granularity)
         self.trace_path = trace_path
 
@@ -73,16 +66,12 @@ __all__ = [
     "AdaptiveSwitchEvent",
     "AlertEvent",
     "CheckpointEvent",
-    "Counter",
     "DEFAULT_CAPACITY",
     "EVENT_TYPES",
     "Event",
     "FaultEvent",
-    "Gauge",
-    "Histogram",
     "IncidentReport",
     "InjectionEvent",
-    "MetricsRegistry",
     "Observability",
     "ProvenanceTracker",
     "QuarantineEvent",

@@ -108,8 +108,8 @@ class SimNetwork:
 
     ``capacity`` bounds the pending-request queue (None = unbounded,
     the historical behaviour): once full, further ``add_request`` calls
-    are *dropped* — counted in ``dropped`` and surfaced through
-    ``machine.metrics()`` — instead of growing an unbounded backlog.
+    are *dropped* — counted in ``dropped``, which ``machine.metrics()``
+    reports as ``net.dropped`` — instead of growing an unbounded backlog.
     The fleet frontend uses this as its per-worker backpressure signal.
     """
 

@@ -126,7 +126,6 @@ class MachineSpec:
     tracing: bool = False
     #: Trace export path (implies tracing); see :func:`resolve_trace_path`.
     trace_path: Optional[str] = None
-    trace_capacity: Optional[int] = None
 
     def __post_init__(self) -> None:
         for name, value, allowed in (
@@ -180,17 +179,13 @@ class Machine:
         #: :func:`resolve_trace_path`), or None when not exporting.
         self.trace_path: Optional[str] = None
         if spec.tracing or spec.trace_path is not None:
-            from repro.obs import DEFAULT_CAPACITY, Observability
+            from repro.obs import Observability
 
             if spec.trace_path is not None:
                 self.trace_path = resolve_trace_path(
                     spec.trace_path, self, explicit_id=machine_id is not None)
-            self.obs = Observability(
-                granularity=granularity,
-                capacity=(DEFAULT_CAPACITY if spec.trace_capacity is None
-                          else spec.trace_capacity),
-                trace_path=self.trace_path,
-            )
+            self.obs = Observability(granularity=granularity,
+                                     trace_path=self.trace_path)
             self.taint_map.provenance = self.obs.provenance
             self.taint_map.tracer = self.obs.tracer
         self.policy_config = spec.policy_config or PolicyConfig()
@@ -413,7 +408,7 @@ class Machine:
         return self.engine.alerts
 
     def metrics(self):
-        """Aggregate this machine's state into a fresh MetricsRegistry."""
+        """This machine's state as ``{name: value}`` (see repro.obs.metrics)."""
         from repro.obs.metrics import collect_machine
 
         return collect_machine(self)

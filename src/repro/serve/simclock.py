@@ -28,6 +28,7 @@ import hashlib
 import heapq
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -36,6 +37,7 @@ from repro.chaos.replica import RecoveryPolicy, Replica, ReplicaStore
 from repro.chaos.schedule import ChaosSchedule
 from repro.fleet.driver import FleetConfig, run_worker
 from repro.fleet.frontend import FleetFrontend
+from repro.fleet.observe import frontend_metrics
 from repro.fleet.wire import TaggedMessage, WireFormatError
 from repro.resil.transient import RetryPolicy
 from repro.serve.autoscaler import Autoscaler, AutoscalerConfig
@@ -477,125 +479,55 @@ class ServeResult:
         return max((rec["recovery_latency"] for rec in self.recoveries),
                    default=0.0)
 
-    def metrics(self):
-        """``serve.*`` instruments plus the frontend's routing counters."""
-        from repro.fleet.observe import frontend_metrics
-        from repro.obs.metrics import MetricsRegistry
-
-        reg = MetricsRegistry()
-        pcts = self.latency_percentiles()
-        reg.counter("serve.requests", "open-loop arrivals").value = \
-            len(self.records)
-        reg.counter("serve.served", "requests answered").value = self.served
-        reg.counter("serve.quarantined",
-                    "attacks absorbed by rollback").value = self.quarantined
-        reg.counter("serve.dropped",
-                    "arrivals refused by backpressure").value = self.dropped
-        reg.counter("serve.rerouted",
-                    "requests re-routed after ejection").value = self.rerouted
-        reg.counter("serve.migrated",
-                    "requests moved by drain-via-migration").value = \
-            self.migrated
-        reg.counter("serve.migrations", "worker live migrations").value = sum(
-            1 for e in self.scale_events if e["action"] == "migrate")
-        reg.counter("serve.false_alerts",
-                    "alerts on clean traffic").value = self.false_alerts
+    def metrics(self) -> Dict[str, float]:
+        """``serve.*`` plus the frontend's routing metrics, by name."""
+        actions = Counter(e["action"] for e in self.scale_events)
+        lat = self.latencies()
+        total = sum(lat, 0.0)
+        flat = {
+            "serve.requests": len(self.records),
+            "serve.served": self.served,
+            "serve.quarantined": self.quarantined,
+            "serve.dropped": self.dropped,
+            "serve.rerouted": self.rerouted,
+            "serve.migrated": self.migrated,
+            "serve.migrations": actions["migrate"],
+            "serve.false_alerts": self.false_alerts,
+            "serve.shed": self.shed,
+            "serve.replayed": self.replayed,
+            "serve.crashes": sum(1 for e in self.chaos_events
+                                 if e.get("applied")),
+            "serve.recoveries": len(self.recoveries),
+            "serve.acks_lost": self.acks_lost,
+            **{f"serve.latency.p{pct}": round(percentile(lat, pct), 3)
+               for pct in (50, 95, 99)},
+            "serve.latency.count": len(lat),
+            "serve.latency.sum": total,
+            "serve.latency.mean": total / len(lat) if lat else 0.0,
+            "serve.latency.max": float(max(lat, default=0.0)),
+            "serve.throughput": round(self.throughput, 6),
+            "serve.queue_depth.max": self.max_queue_depth,
+            "serve.workers.peak": self.peak_workers,
+            "serve.scale_ups": actions["scale_up"],
+            "serve.drains": actions["drain"],
+            "serve.retires": actions["retire"],
+        }
+        if lat:
+            flat["serve.latency.min"] = float(min(lat))
         spec_commits = sum(r.spec_commits for r in self.records)
         spec_rollbacks = sum(r.spec_rollbacks for r in self.records)
         if spec_commits or spec_rollbacks:
-            reg.counter("serve.spec.commits",
-                        "speculation epochs committed across the "
-                        "fleet").value = spec_commits
-            reg.counter("serve.spec.rollbacks",
-                        "speculation epochs rolled back and "
-                        "replayed").value = spec_rollbacks
-        reg.counter("serve.shed",
-                    "arrivals refused by admission control").value = self.shed
-        reg.counter("serve.replayed",
-                    "requests replayed after worker failure").value = \
-            self.replayed
-        reg.counter("serve.crashes", "chaos faults applied").value = sum(
-            1 for e in self.chaos_events if e.get("applied"))
-        reg.counter("serve.recoveries",
-                    "dead workers detected and replaced").value = \
-            len(self.recoveries)
-        reg.counter("serve.acks_lost",
-                    "response frames undeliverable in one budget").value = \
-            self.acks_lost
+            flat["serve.spec.commits"] = spec_commits
+            flat["serve.spec.rollbacks"] = spec_rollbacks
         if self.journal is not None:
-            reg.counter("serve.duplicates_suppressed",
-                        "late completions deduped by the journal").value = \
-                self.journal.duplicates
-            reg.gauge("serve.journal_open",
-                      "admitted requests never completed").set(
-                self.journal.open_count)
+            flat["serve.duplicates_suppressed"] = self.journal.duplicates
+            flat["serve.journal_open"] = self.journal.open_count
         if self.recoveries:
-            reg.gauge("serve.recovery_latency.max",
-                      "slowest failure-to-ready interval (cycles)").set(
-                round(self.recovery_latency_max(), 1))
-        for name, value in pcts.items():
-            reg.gauge(f"serve.latency.{name}",
-                      "arrival-to-completion latency (cycles)").set(
-                round(value, 3))
-        hist = reg.histogram("serve.latency", "per-request latency")
-        for lat in self.latencies():
-            hist.observe(lat)
-        reg.gauge("serve.throughput",
-                  "served requests per 1e6 cycles").set(
-            round(self.throughput, 6))
-        reg.gauge("serve.queue_depth.max",
-                  "deepest sampled frontend queue").set(self.max_queue_depth)
-        reg.gauge("serve.workers.peak",
-                  "most routable workers at once").set(self.peak_workers)
-        reg.counter("serve.scale_ups", "autoscaler spawns").value = sum(
-            1 for e in self.scale_events if e["action"] == "scale_up")
-        reg.counter("serve.drains", "autoscaler drains").value = sum(
-            1 for e in self.scale_events if e["action"] == "drain")
-        reg.counter("serve.retires", "drained workers removed").value = sum(
-            1 for e in self.scale_events if e["action"] == "retire")
+            flat["serve.recovery_latency.max"] = round(
+                self.recovery_latency_max(), 1)
         if self.frontend is not None:
-            frontend_metrics(self.frontend, reg)
-        return reg
-
-    def to_report(self) -> Dict:
-        """JSON-ready summary (records elided to tallies)."""
-        detection = self.attack_detection()
-        report = {
-            "requests": len(self.records),
-            "served": self.served,
-            "quarantined": self.quarantined,
-            "dropped": self.dropped,
-            "rerouted": self.rerouted,
-            "migrated": self.migrated,
-            "shed": self.shed,
-            "replayed": self.replayed,
-            "false_alerts": self.false_alerts,
-            "detection": detection,
-            "latency": {k: round(v, 1)
-                        for k, v in self.latency_percentiles().items()},
-            "throughput": round(self.throughput, 3),
-            "makespan": round(self.makespan, 1),
-            "max_queue_depth": self.max_queue_depth,
-            "peak_workers": self.peak_workers,
-            "scale_events": self.scale_events,
-            "digest": self.digest(),
-            "outcome_digest": self.outcome_digest(),
-        }
-        if self.journal is not None:
-            report["journal"] = self.journal.to_dict()
-        if self.chaos_events or self.recoveries:
-            report["chaos"] = {
-                "events": self.chaos_events,
-                "recoveries": self.recoveries,
-                "stale_completions": self.stale_completions,
-                "acks_lost": self.acks_lost,
-                "retransmit_cycles": round(self.retransmit_cycles, 1),
-                "recovery_latency_max": round(
-                    self.recovery_latency_max(), 1),
-            }
-        if self.replica_store is not None:
-            report["replication"] = self.replica_store.to_dict()
-        return report
+            flat.update(frontend_metrics(self.frontend))
+        return flat
 
 
 # -- the serving loop ----------------------------------------------------

@@ -296,13 +296,12 @@ class TestSwitching:
                 assert event.live_bytes == 0
 
     def test_switch_counts_surface_in_metrics(self):
-        from repro.obs.metrics import collect_machine
+        from repro.obs.metrics import collect_machine, render
 
         machine = _backend_machine()
         _tagged(machine, make_request(4), False)
         machine.run(max_instructions=500_000_000)
-        registry = collect_machine(machine)
-        rendered = registry.render()
+        rendered = render(collect_machine(machine))
         assert "adaptive.switches_to_fast" in rendered
         assert "taint.live_bytes" in rendered
 

@@ -15,6 +15,7 @@ from repro.chaos import (
 from repro.fleet.driver import FleetConfig, build_worker
 from repro.fleet.frontend import FleetFrontend
 from repro.fleet.wire import TaggedMessage, WireFormatError
+from repro.obs.metrics import render
 from repro.resil.migrate import blob_watermark, pack_worker
 from repro.resil.transient import RetryPolicy
 from repro.serve import ServeRequest, ServeSim, ServiceCost
@@ -399,7 +400,7 @@ class TestChaosSim:
             ChaosEvent(time=120.0, kind="crash", worker="w0"),
         ], seed=1, corrupt_rate=0.2)
         result = chaos_sim(chaos).run(steady_requests(10))
-        rendered = result.metrics().render()
+        rendered = render(result.metrics())
         for name in ("serve.crashes", "serve.recoveries", "serve.replayed",
                      "serve.duplicates_suppressed", "serve.journal_open",
                      "fleet.retransmits", "fleet.frame_rejects"):
@@ -408,10 +409,9 @@ class TestChaosSim:
     def test_chaos_free_run_reports_no_chaos_blocks(self):
         result = ServeSim(workers=2, seed=3, routing="round_robin",
                           service_model=StubModel()).run(steady_requests(5))
-        report = result.to_report()
-        assert "chaos" not in report
-        assert "replication" not in report
-        assert report["journal"]["exactly_once"]
+        assert not result.chaos_events and not result.recoveries
+        assert result.replica_store is None
+        assert result.journal.exactly_once
 
 
 class TestMigrateWatermark:

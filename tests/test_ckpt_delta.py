@@ -255,7 +255,7 @@ class TestCheckpointObservability:
         assert sup.pages_captured > 0
         assert sup.bytes_captured == sup.pages_captured * PAGE_SIZE
 
-        flat = machine.metrics().to_dict()
+        flat = machine.metrics()
         assert flat["resil.capture_count"] == sup.checkpoints_taken
         assert flat["resil.full_captures"] == sup.full_captures
         assert flat["resil.delta_captures"] == sup.delta_captures

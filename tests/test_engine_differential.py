@@ -22,6 +22,7 @@ from repro.cpu.faults import Fault, NaTConsumptionFault, RunawayError
 from repro.cpu.predecode import MAX_BLOCK
 from repro.isa import assemble
 from repro.mem import (
+    IMPL_MASK,
     PAGE_SIZE,
     REGION_DATA,
     CacheConfig,
@@ -392,6 +393,30 @@ TERMINATOR_PROGRAMS = {
 }
 
 
+#: An address whose first four bytes are implemented and whose last four
+#: (of an 8-byte access) are not.
+_EDGE_ADDRESS = make_address(REGION_DATA, IMPL_MASK - 3)
+
+
+class TestSpeculativeLoadEdge:
+    def test_ld8s_reaching_past_implemented_space_defers(self):
+        """An ``ld8.s`` whose last bytes are unimplemented defers into
+        NaT (value 0, no cache access) under both engines, as one whose
+        first byte is unimplemented does."""
+        cpus = []
+        for engine in ENGINES:
+            cpu = _asm_cpu(f"func main:\nld8.s r15 = [r14]\n{EXIT}\n"
+                           "endfunc", engine)
+            cpu.write_gr(14, _EDGE_ADDRESS)
+            cpu.write_gr(15, 7)
+            cpu.run(max_instructions=10)
+            assert cpu.halted
+            assert (cpu.read_gr(15), cpu.read_nat(15)) == (0, True)
+            assert cpu.caches.l1.stats.accesses == 0
+            cpus.append(cpu)
+        assert _cpu_state(cpus[0]) == _cpu_state(cpus[1])
+
+
 class TestTerminatorsDifferential:
     @pytest.mark.parametrize("name", sorted(TERMINATOR_PROGRAMS))
     def test_terminator_identical(self, name):
@@ -521,8 +546,9 @@ class TestSlicedExecution:
 
 
 #: ALU-chain registers; r20 alone may carry a NaT (for ``chk.s``), r28
-#: and r29 hold data addresses, r30 the data base, r31 the trip count and
-#: r27 an address with unimplemented bits set.
+#: and r29 hold data addresses, r30 the data base, r31 the trip count,
+#: r27 an address with unimplemented bits set and r26 the edge address,
+#: whose 8-byte access ends in unimplemented space.
 _POOL = tuple(range(2, 10))
 _DATA_BASE = make_address(REGION_DATA, 0x1000)
 _BAD_ADDRESS = _DATA_BASE | 1 << 55
@@ -575,12 +601,14 @@ def _grid_member(draw):
 def _grid_segment(draw, k, bad):
     """Straight-line members ending in ``chk.s``, ``br.cond`` or ``br``
     to ``L{k}`` (or, for a taken ``chk.s``, its recovery code).  With
-    ``bad`` one member loads or stores through the unimplemented r27."""
+    ``bad`` one member loads or stores through the unimplemented r27 or
+    the edge address r26 (an ``ld8.s`` there defers instead)."""
     lines = draw(st.lists(_grid_member(), max_size=30))
     if bad:
         a = draw(st.sampled_from(_POOL))
         lines.insert(draw(st.integers(0, len(lines))), (draw(st.sampled_from(
-            (f"ld8 r{a} = [r27]", f"st4 [r27] = r{a}"))), (None, None)))
+            (f"ld8 r{a} = [r27]", f"st4 [r27] = r{a}", f"ld8 r{a} = [r26]",
+             f"st8 [r26] = r{a}", f"ld8.s r{a} = [r26]"))), (None, None)))
     term = draw(st.sampled_from(("chk", "chk", "cmp_br", "br_cond", "br")))
     if term == "chk":
         reg = draw(st.sampled_from((20, 2)))
@@ -603,6 +631,7 @@ def _grid_program(draw):
     """A loop over generated segments, with each member's role."""
     prologue = [f"movl r30 = {_DATA_BASE}", "adds r29 = 0, r30",
                 "adds r28 = 0, r30", f"movl r27 = {_BAD_ADDRESS}",
+                f"movl r26 = {_EDGE_ADDRESS}",
                 f"movl r31 = {draw(st.integers(2, 6))}"]
     prologue += [f"movl r{r} = {r * 3}" for r in _POOL]
     lines = [(ln, (None, None)) for ln in prologue] + [("top:", None)]

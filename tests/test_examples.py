@@ -69,6 +69,12 @@ class TestExamples:
         assert "bit-identical!" in out
         assert "the wire transport is load-bearing" in out
 
+    def test_resilient_server(self, capsys):
+        out = run_example("resilient_server", capsys)
+        assert "Server exited normally after serving 4 requests" in out
+        assert "policy alert [L1]" in out and "policy alert [H2]" in out
+        assert "watchdog (instruction budget)" in out
+
     def test_script_server(self, capsys):
         out = run_example("script_server", capsys)
         assert "stack bytecode" in out

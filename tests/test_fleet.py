@@ -154,7 +154,7 @@ class TestFrontendLifecycle:
         fe.submit(b"r1")
         fe.submit(b"r2")
         fe.submit(b"r3")  # both full -> dropped
-        flat = frontend_metrics(fe).to_dict()
+        flat = frontend_metrics(fe)
         assert flat["frontend.dropped"] == 1
         assert flat["frontend.queued"] == 2
         assert flat["frontend.depth.a"] == 1
@@ -404,7 +404,7 @@ class TestBoundedSimNetwork:
                                            engine_mode="raise"))
         machine.net.add_request(make_request(4))
         assert machine.net.add_request(make_request(4)) is None
-        flat = machine.metrics().to_dict()
+        flat = machine.metrics()
         assert flat["net.dropped"] == 1
         assert flat["net.capacity"] == 1
         assert flat["net.pending"] == 1
@@ -488,7 +488,7 @@ class TestFleetDriver:
         batch = [make_request(4) for _ in range(4)]
         batch.insert(2, traversal_request())
         result = driver.run(batch)
-        flat = result.metrics().to_dict()
+        flat = result.metrics()
         assert flat["fleet.workers"] == 2
         assert flat["fleet.served"] == 4
         assert flat["fleet.quarantined"] == 1
@@ -500,6 +500,23 @@ class TestFleetDriver:
         assert report["incidents"][0]["policy_id"] == "H2"
         text = render_incidents(result)
         assert "quarantined request" in text and "H2" in text
+
+    def test_merged_delta_ratio_is_recomputed(self):
+        result = FleetDriver(FleetConfig(), workers=2, seed=0).run(
+            [make_request(4) for _ in range(6)])
+        snaps = [w["metrics"] for w in result.workers]
+        assert all(s["resil.delta_ratio"] == 0.75 for s in snaps)
+        deltas = sum(s["resil.delta_captures"] for s in snaps)
+        captures = sum(s["resil.capture_count"] for s in snaps)
+        assert result.metrics()["resil.delta_ratio"] == round(
+            deltas / captures, 6)
+
+    def test_merged_mode_flags_stay_flags(self):
+        result = FleetDriver(FleetConfig(adaptive="on"), workers=2,
+                             seed=0).run([make_request(4) for _ in range(4)])
+        assert [w["metrics"]["adaptive.mode"] for w in result.workers] \
+            == [1, 1]
+        assert result.metrics()["adaptive.mode"] == 1
 
     def test_incident_names_worker_request_and_origin(self):
         driver = FleetDriver(FleetConfig(tracing=True), workers=2, seed=0)

@@ -25,7 +25,7 @@ from repro.obs.events import (
     TaintSourceEvent,
     TaintStoreEvent,
 )
-from repro.obs.metrics import MetricsRegistry, collect_machine
+from repro.obs.metrics import collect_machine, render
 from repro.obs.provenance import ProvenanceTracker
 from repro.obs.report import disassemble_window, render_incidents
 from repro.obs.tracer import Tracer
@@ -183,38 +183,21 @@ class TestProvenance:
 
 
 class TestMetricsRegistry:
-    def test_counter_gauge_histogram(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc(3)
-        reg.counter("c").inc()  # get-or-create returns the same instrument
-        reg.gauge("g").set(7.5)
-        hist = reg.histogram("h")
-        for v in (1, 2, 9):
-            hist.observe(v)
-        flat = reg.to_dict()
-        assert flat["c"] == 4
-        assert flat["g"] == 7.5
-        assert (flat["h.count"], flat["h.sum"]) == (3, 12.0)
-        assert flat["h.min"] == 1.0 and flat["h.max"] == 9.0
-        assert flat["h.mean"] == 4.0
-
-    def test_counters_only_go_up(self):
-        reg = MetricsRegistry()
-        with pytest.raises(ValueError):
-            reg.counter("c").inc(-1)
-
     def test_render_lists_every_instrument(self):
-        reg = MetricsRegistry()
-        reg.counter("alpha").inc(1000)
-        reg.gauge("beta").set(2)
-        text = reg.render("title")
-        assert text.startswith("title\n")
-        assert "alpha" in text and "1,000" in text and "beta" in text
+        text = render({"cpu.instructions": 1000, "cache.l1.miss_rate": 0.25,
+                       "alerts.by_policy.H2": 2}, "title")
+        lines = text.splitlines()
+        assert lines[0] == "title"
+        assert "cpu.instructions" in text and "1,000 instr" in text
+        assert "0.25 frac" in text and "alerts.by_policy.H2" in text
+        assert len(lines) == 2 + 3
+        with pytest.raises(KeyError):
+            render({"cpu.instruction": 1})
 
     def test_collect_machine_aggregates(self):
         machine = build_machine(SOURCE, stdin=bytes(range(32)), tracing=True)
         machine.run()
-        flat = collect_machine(machine).to_dict()
+        flat = collect_machine(machine)
         assert flat["cpu.instructions"] == machine.counters.instructions
         assert flat["cpu.cycles"] == machine.counters.cycles
         assert flat["alerts.total"] == 0
@@ -270,17 +253,6 @@ class TestMachineIntegration:
         assert records, "run() must export the trace on exit"
         assert all("kind" in r for r in records)
         assert any(r["kind"] == "taint_source" for r in records)
-
-    def test_trace_capacity_is_honoured(self):
-        machine = build_machine(SOURCE, stdin=b"x" * 32, tracing=True,
-                                trace_capacity=2)
-        machine.run()
-        assert machine.obs.tracer.capacity == 2
-        assert len(machine.obs.tracer) <= 2
-
-    def test_invalid_trace_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            build_machine(SOURCE, stdin=b"", tracing=True, trace_capacity=0)
 
 
 def run_attack(app):

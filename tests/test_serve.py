@@ -406,7 +406,7 @@ class TestServeSim:
         workload = generate(steady())
         result = ServeSim(workers=2, seed=0,
                           service_model=StubModel()).run(workload)
-        flat = result.metrics().to_dict()
+        flat = result.metrics()
         assert flat["serve.requests"] == len(workload)
         assert flat["serve.served"] == result.served
         assert flat["serve.latency.p99"] > 0
@@ -469,10 +469,13 @@ class TestServeSim:
         result = ServeSim(workers=2, seed=0,
                           service_model=StubModel(overrides=overrides)
                           ).run(workload)
-        report = json.loads(json.dumps(result.to_report()))
-        assert report["detection"]["detection_rate"] == 1.0
-        assert report["false_alerts"] == 0
-        assert report["quarantined"] == result.quarantined
+        flat = result.metrics()
+        assert json.loads(json.dumps(flat)) == flat
+        detection = result.attack_detection()
+        assert detection["attacks"] > 0
+        assert detection["detection_rate"] == 1.0
+        assert result.false_alerts == 0
+        assert flat["serve.quarantined"] == detection["detected"]
 
 
 class TestServiceModelReal:

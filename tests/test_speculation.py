@@ -265,7 +265,7 @@ class TestEpochLifecycle:
 
     def test_spec_metrics_exported(self):
         spec_m, _ = _run_specstore("speculate", contained_mix(2))
-        snapshot = spec_m.metrics().to_dict()
+        snapshot = spec_m.metrics()
         assert snapshot["adaptive.spec.epochs"] == spec_m.spec.epochs
         assert snapshot["adaptive.spec.commits"] == spec_m.spec.commits
         assert snapshot["adaptive.spec.rollbacks"] == 0
