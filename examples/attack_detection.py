@@ -9,11 +9,10 @@ Run:  python examples/attack_detection.py
 """
 
 from repro.apps.vulnerable import BFTPD, FIGURE1_APP, QWIKIWIKI, TABLE2_APPS
-from repro.compiler.instrument import UNINSTRUMENTED
+from repro.compiler.instrument import BYTE_LEVEL, UNINSTRUMENTED
 from repro.core.shift import build_machine, compile_protected
 from repro.cpu.faults import Fault
 from repro.harness.table2 import (
-    BYTE_STRICT,
     _run_scenario,
     evaluate_app,
     unprotected_config,
@@ -39,14 +38,14 @@ argument overflows clientHELO[32] straight into localip[64].
     print(f"    mail relayed: {bool(machine.read_global('relayed'))}  <- exploit works\n")
 
     print("[2] Same attack against the SHIFT-protected server (byte level):")
-    machine = _run_scenario(app, BYTE_STRICT, app.policy_config(), app.attack)
+    machine = _run_scenario(app, BYTE_LEVEL, app.policy_config(), app.attack)
     localip = machine.address_of("localip")
     print(f"    taint bitmap at localip: tainted={machine.taint_map.is_tainted(localip)}")
     print(f"    guest console: {machine.console.text.strip()!r}")
     print(f"    mail relayed: {bool(machine.read_global('relayed'))}  <- attack defeated\n")
 
     print("[3] Benign session against the SHIFT-protected server:")
-    machine = _run_scenario(app, BYTE_STRICT, app.policy_config(), app.benign)
+    machine = _run_scenario(app, BYTE_LEVEL, app.policy_config(), app.benign)
     print(f"    alerts: {machine.alerts or 'none'} (no false positive)\n")
 
 
@@ -77,7 +76,7 @@ the policy, the faulting pc with disassembly, and the taint origin
 chain — which bytes of which input stream caused the alert.
 """)
     for app in (BFTPD, QWIKIWIKI):
-        compiled = compile_protected(app.source, BYTE_STRICT)
+        compiled = compile_protected(app.source, BYTE_LEVEL)
         machine = build_machine(compiled, policy_config=app.policy_config(),
                                 engine_mode="record", tracing=True)
         scenario = app.attack(machine) if callable(app.attack) else app.attack

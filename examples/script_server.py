@@ -26,7 +26,8 @@ from repro.apps.guestvm import (
 )
 from repro.guestvm.asm import assemble, disassemble
 from repro.fleet.driver import FleetConfig, build_worker
-from repro.harness.guestbench import GUEST_OPTIONS, GUEST_WATCHDOG
+from repro.compiler.instrument import BYTE_LEVEL
+from repro.harness.guestbench import GUEST_WATCHDOG
 from repro.harness.runners import guestvm_policy
 
 
@@ -40,7 +41,7 @@ def main():
     print("    ...\n")
 
     machine = build_worker(FleetConfig(
-        variant="guest-kv", options=GUEST_OPTIONS,
+        variant="guest-kv", options=BYTE_LEVEL,
         policy_config=guestvm_policy(),
         recover_watchdog=GUEST_WATCHDOG,
         tracing=True,

@@ -94,7 +94,6 @@ class AdaptiveController:
         #: the machine is born tracking; the first quiescent boundary
         #: (typically the first ``accept``) drops it to fast mode.
         self.mode = MODE_TRACK
-        self.enabled = True
         self.switches_to_fast = 0
         self.switches_to_track = 0
         #: Instruction counts at which switches happened (bounded; for
@@ -105,7 +104,7 @@ class AdaptiveController:
 
     def on_boundary(self, cpu) -> None:
         """Called by GuestOS after every native/syscall handler."""
-        if not self.enabled or cpu.halted:
+        if cpu.halted:
             return
         live = self.machine.taint_map.live_granules
         if self.mode == MODE_FAST:

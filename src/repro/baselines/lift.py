@@ -28,7 +28,6 @@ from repro.mem.address import IMPL_MASK
 
 # Shadow scratch (the instrumentation-reserved registers).
 S_A = GR(2)
-S_B = GR(3)
 S_T = GR(9)
 S_U = GR(10)
 

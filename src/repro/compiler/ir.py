@@ -25,9 +25,6 @@ class VReg:
 #: IR operands are virtual registers or immediate integers.
 Operand = Union[VReg, int]
 
-BIN_OPS = ("add", "sub", "mul", "div", "mod", "and", "or", "xor", "shl", "shr", "shru")
-REL_OPS = ("eq", "ne", "lt", "le", "gt", "ge", "ltu", "geu")
-
 
 @dataclass
 class IRInstr:

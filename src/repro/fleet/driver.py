@@ -104,18 +104,25 @@ def build_worker(config: FleetConfig, worker_id: Optional[str] = None):
     return Machine(compiled, config, files=files, machine_id=worker_id)
 
 
-def run_worker(config: FleetConfig, worker_id: str,
-               requests: Sequence[EncodedRequest]) -> Tuple[Dict, object]:
-    """Run one worker over its routed requests; (summary, machine).
+def run_worker(config: FleetConfig, worker_id: Optional[str],
+               requests: Sequence[EncodedRequest]) -> Tuple[Dict, Machine]:
+    """Serve routed requests on one fresh worker; (summary, machine).
 
-    The summary is a plain picklable dict — the multiprocessing driver
-    returns only the summary, the in-process driver keeps the machine
-    too (for tests and forensics).
+    The only code that queues a request list on a worker and runs it.
+    The summary is the one record of the run, a plain picklable dict
+    (the process runtime ships only the summary): ``served`` (None when
+    the worker died), ``error`` (None, or the alert or fault that
+    killed it), ``alerts``, ``incidents``, ``unserved`` (requests still
+    queued), ``responses`` and the machine's ``metrics``, which hold
+    every counter under its catalogue name (``cpu.cycles``,
+    ``net.quarantined``, ``adaptive.spec.commits``, ...).  Without a
+    ``worker_id`` the machine gets an automatic id.
     """
     from repro.cpu.faults import Fault
     from repro.taint.engine import SecurityAlert
 
     machine = build_worker(config, worker_id)
+    worker_id = machine.machine_id
     for payload, tags in requests:
         machine.net.add_request(payload, taint_mask=tags,
                                 capture_taint=config.capture_taint)
@@ -128,42 +135,33 @@ def run_worker(config: FleetConfig, worker_id: str,
                  "policy_id": exc.policy_id}
     except Fault as exc:
         error = {"type": "fault", "message": str(exc), "policy_id": ""}
-    counters = machine.counters
     summary = {
         "worker_id": worker_id,
-        "requests": len(requests),
         "served": served,
-        "completed": error is None,
         "error": error,
-        "cycles": counters.cycles,
-        "io_cycles": counters.io_cycles,
-        "instructions": counters.instructions,
         "alerts": [
-            {"worker": worker_id, "policy_id": a.policy_id,
+            {"worker": worker_id, "policy_id": a.policy_id, "pc": a.pc,
              "message": a.message, "context": a.context,
              "origins": [o.describe() for o in a.origins]}
             for a in machine.alerts
         ],
         "incidents": _incident_dicts(machine, worker_id),
-        "quarantined": len(machine.net.quarantined),
-        "net_dropped": machine.net.dropped,
         "unserved": [
             (bytes(c.inbound), c.taint_mask) for c in machine.net.pending
         ],
         "responses": [bytes(c.outbound) for c in machine.net.completed],
         "metrics": machine.metrics(),
-        "spec": (None if machine.spec is None else {
-            "epochs": machine.spec.epochs,
-            "commits": machine.spec.commits,
-            "rollbacks": machine.spec.rollbacks,
-            "committed_instructions": machine.spec.committed_instructions,
-            "wasted_instructions": machine.spec.wasted_instructions,
-            "deferred_sends": machine.spec.deferred_sends,
-            "deferred_bytes": machine.spec.deferred_bytes,
-        }),
-        "trace_path": machine.trace_path,
     }
     return summary, machine
+
+
+def request_outcome(summary: Dict) -> str:
+    """A one-request summary's verdict: fatal, quarantined, served or noop."""
+    if summary["error"] is not None:
+        return "fatal"
+    if summary["metrics"]["net.quarantined"]:
+        return "quarantined"
+    return "served" if summary["served"] else "noop"
 
 
 def migrate_worker(config: FleetConfig, source_machine, new_worker_id: str,
@@ -250,7 +248,7 @@ class FleetResult:
     @property
     def quarantined(self) -> int:
         """Requests quarantined by worker-level rollback recovery."""
-        return sum(w["quarantined"] for w in self.workers)
+        return sum(w["metrics"]["net.quarantined"] for w in self.workers)
 
     @property
     def sim_cycles(self) -> float:
@@ -260,7 +258,8 @@ class FleetResult:
         wall-time-in-simulation is a max, not a sum — this is the number
         the 1->N throughput-scaling claim is measured against.
         """
-        return max((w["cycles"] for w in self.workers), default=0.0)
+        return max((w["metrics"]["cpu.cycles"] for w in self.workers),
+                   default=0.0)
 
     @property
     def sim_throughput(self) -> float:
@@ -271,7 +270,8 @@ class FleetResult:
     @property
     def ejected(self) -> List[str]:
         """Ids of workers removed from rotation."""
-        return [w["worker_id"] for w in self.workers if not w["completed"]]
+        return [w["worker_id"] for w in self.workers
+                if w["error"] is not None]
 
     @property
     def utilization(self) -> Dict[str, float]:
@@ -285,7 +285,8 @@ class FleetResult:
         sim = self.sim_cycles
         if not sim:
             return {w["worker_id"]: 0.0 for w in self.workers}
-        return {w["worker_id"]: w["cycles"] / sim for w in self.workers}
+        return {w["worker_id"]: w["metrics"]["cpu.cycles"] / sim
+                for w in self.workers}
 
     def metrics(self):
         """Merged fleet-level metrics (see repro.fleet.observe)."""
@@ -313,9 +314,9 @@ class FleetResult:
             {
                 "worker": w["worker_id"],
                 "served": w["served"],
-                "cycles": w["cycles"],
-                "instructions": w["instructions"],
-                "quarantined": w["quarantined"],
+                "cycles": w["metrics"]["cpu.cycles"],
+                "instructions": w["metrics"]["cpu.instructions"],
+                "quarantined": w["metrics"]["net.quarantined"],
                 "responses": [hashlib.sha256(r).hexdigest()
                               for r in w["responses"]],
             }
@@ -366,7 +367,7 @@ class FleetDriver:
                 requests=0, dropped=frontend.dropped,
                 spilled=frontend.spilled,
                 unserved=sum(len(s["unserved"]) for s in summaries
-                             if not s["completed"]))
+                             if s["error"] is not None))
         else:
             result = self._run_inline(frontend)
         result.requests = len(requests)
@@ -388,7 +389,7 @@ class FleetDriver:
             summary, machine = run_worker(self.config, wid, batch)
             summaries.append(summary)
             machines[wid] = machine
-            if summary["completed"]:
+            if summary["error"] is None:
                 continue
             # Health ejection: hand the dead worker's unserved requests
             # to workers that have not run yet (the survivors).

@@ -12,9 +12,6 @@ Routing policies
 ----------------
 ``round_robin``
     Requests take workers in arrival order modulo fleet size.
-``least_loaded``
-    Each request goes to the worker with the shortest queue (ties break
-    by fewest queued bytes, then worker order).
 ``hash``
     Consistent hashing: workers are placed on a ring at positions
     derived from ``sha256(seed, worker, replica)``; a request maps to
@@ -61,7 +58,7 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
 from repro.fleet.wire import TaggedMessage, WireFormatError
 from repro.resil.transient import RetryPolicy
 
-ROUTING_POLICIES = ("round_robin", "least_loaded", "hash")
+ROUTING_POLICIES = ("round_robin", "hash")
 
 #: Ring positions per worker for the consistent-hash policy.
 HASH_REPLICAS = 64
@@ -199,12 +196,6 @@ class FleetFrontend:
             start = self._rr_next % len(routable)
             self._rr_next += 1
             return routable[start:] + routable[:start]
-        if self.policy == "least_loaded":
-            # sorted() is stable: ties keep join order.
-            return sorted(
-                routable,
-                key=lambda wid: (len(self.slots[wid].queue),
-                                 self.slots[wid].queued_bytes))
         return self._ring_walk(_hash64(
             self._seed_key, key if key is not None else _payload_of(request)))
 

@@ -114,7 +114,7 @@ def incident_report(result) -> Dict:
             {"worker": w["worker_id"],
              "error": w["error"],
              "unserved_requests": len(w["unserved"])}
-            for w in result.workers if not w["completed"]
+            for w in result.workers if w["error"] is not None
         ],
         "alerts": [a for w in result.workers for a in w["alerts"]],
         "summary": {

@@ -51,7 +51,8 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 from repro.chaos.journal import RequestJournal
 from repro.chaos.replica import Replica, ReplicaStore, recover_from_replica
 from repro.chaos.schedule import ChaosSchedule
-from repro.fleet.driver import EncodedRequest, FleetConfig, run_worker
+from repro.fleet.driver import (EncodedRequest, FleetConfig, request_outcome,
+                                run_worker)
 from repro.fleet.frontend import FleetFrontend
 
 if TYPE_CHECKING:
@@ -141,15 +142,6 @@ def _worker_main(config: FleetConfig, worker_id: str, inbox, channel,
                                         reason="replicate")})
 
 
-def _outcome(summary: Dict) -> str:
-    """A one-request summary's outcome, in ServeSim's vocabulary."""
-    if summary["error"] is not None:
-        return "fatal"
-    if summary["quarantined"]:
-        return "quarantined"
-    return "served" if summary["served"] else "noop"
-
-
 class _Run:
     """One supervised run: the worker processes and the recovery books."""
 
@@ -211,7 +203,7 @@ class _Run:
         elif msg["type"] == "replica" and not state["dead"]:
             self.store.store(Replica(
                 worker=wid, watermark=msg["watermark"],
-                evidence=sum(done["summary"]["quarantined"]
+                evidence=sum(done["summary"]["metrics"]["net.quarantined"]
                              for done in self.completions.values()
                              if done["worker"] == wid),
                 time=state["last_seen"] - self.epoch, blob=msg["blob"]))
@@ -219,7 +211,7 @@ class _Run:
               and self.journal.complete(msg["index"], "done")):
             self.completions[msg["index"]] = msg
             # One answer frees one queued entry at the request's owner
-            # (admission control and least-loaded routing read depths).
+            # (admission control reads the depths).
             queue = self.frontend.slots[
                 self.journal.owner(msg["index"])].queue
             if queue:
@@ -422,12 +414,12 @@ class SupervisedFleet:
             if done is None:
                 continue
             summary = done["summary"]
-            spec = summary["spec"] or {}
+            metrics = summary["metrics"]
             record.worker = done["worker"]
             record.dispatch = done["started"] - run.epoch
             record.complete = done["finished"] - run.epoch
             record.service = record.complete - record.dispatch
-            record.outcome = _outcome(summary)
+            record.outcome = request_outcome(summary)
             record.policy_ids = tuple(a["policy_id"]
                                       for a in summary["alerts"])
             record.alerts = len(summary["alerts"])
@@ -435,8 +427,8 @@ class SupervisedFleet:
                 record.response_sha = hashlib.sha256(
                     summary["responses"][0]).hexdigest()
             record.rerouted = record.index in run.replayed
-            record.spec_commits = spec.get("commits", 0)
-            record.spec_rollbacks = spec.get("rollbacks", 0)
+            record.spec_commits = metrics.get("adaptive.spec.commits", 0)
+            record.spec_rollbacks = metrics.get("adaptive.spec.rollbacks", 0)
 
         completed = [r for r in records if r.complete >= 0]
         attacks = [r for r in completed if r.kind != "clean"]
@@ -450,7 +442,8 @@ class SupervisedFleet:
             "dropped": run.frontend.dropped,
             "completed": len(completed),
             "served": sum(s["served"] or 0 for s in summaries),
-            "quarantined": sum(s["quarantined"] for s in summaries),
+            "quarantined": sum(s["metrics"]["net.quarantined"]
+                               for s in summaries),
             "attacks": len(attacks),
             "detected": sum(1 for r in attacks
                             if r.outcome in ("quarantined", "fatal")),

@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, List, Optional
 
-from repro.fleet.driver import FleetConfig, FleetDriver, build_worker
+from repro.fleet.driver import FleetConfig, FleetDriver, encode_request
 from repro.fleet.wire import TaggedMessage
 
 #: Planted outside the backend's document root; served only if the
@@ -79,7 +79,8 @@ def run_two_tier(*, clean: int = 4, attacks: int = 1,
     sends deferred to epoch commit, so a rolled-back epoch must leave
     zero phantom bytes on the wire.
     """
-    from repro.harness.runners import backend_policy, webserver_policy
+    from repro.harness.runners import (backend_policy, serve_requests,
+                                       webserver_policy)
 
     # -- tier 1: the proxy fleet ----------------------------------------
     tier1 = FleetDriver(
@@ -108,32 +109,30 @@ def run_two_tier(*, clean: int = 4, attacks: int = 1,
                                   origin=m.origin) for m in messages]
 
     # -- tier 2: the backend --------------------------------------------
-    backend = build_worker(FleetConfig(
+    summary, _backend = serve_requests(FleetConfig(
         options=options, policy_config=backend_policy(), files=backend_site(),
         engine=engine, recover_watchdog=TIER_WATCHDOG, adaptive=adaptive),
-        "backend")
-    for msg in messages:
-        msg.deliver(backend)
-    served = backend.run(max_instructions=1_000_000_000)
-
+        [encode_request(msg) for msg in messages], "backend")
+    metrics = summary["metrics"]
+    served = summary["served"]
+    responses = summary["responses"]
     incidents = [
-        {"worker": inc.worker, "request_index": inc.request_index,
-         "reason": inc.reason, "policy_id": inc.policy_id,
-         "message": inc.message}
-        for inc in backend.resil.incidents
+        {key: inc[key] for key in
+         ("worker", "request_index", "reason", "policy_id", "message")}
+        for inc in summary["incidents"]
     ]
+    alerts = [a["policy_id"] for a in summary["alerts"]]
     detected = sum(1 for inc in incidents if inc["policy_id"] == "H2")
-    leaked = any(SECRET in bytes(c.outbound)
-                 for c in backend.net.completed)
+    leaked = any(SECRET in r for r in responses)
     if transport_tags:
         ok = (detected == attacks
               and len(incidents) == attacks
-              and len(backend.net.quarantined) == attacks
+              and metrics["net.quarantined"] == attacks
               and served == clean
               and not leaked)
     else:
         ok = (not incidents
-              and not backend.alerts
+              and not alerts
               and served == clean + attacks
               and leaked)
     return {
@@ -154,24 +153,19 @@ def run_two_tier(*, clean: int = 4, attacks: int = 1,
         },
         "tier2": {
             "served": served,
-            "quarantined": len(backend.net.quarantined),
+            "quarantined": metrics["net.quarantined"],
             "detected_h2": detected,
             "incidents": incidents,
-            "alerts": [a.policy_id for a in backend.alerts],
+            "alerts": alerts,
             "secret_leaked": leaked,
-            "sim_cycles": backend.counters.cycles,
-            "response_digests": [
-                hashlib.sha256(bytes(c.outbound)).hexdigest()
-                for c in backend.net.completed],
-            "response_bytes": sum(len(c.outbound)
-                                  for c in backend.net.completed),
-            "spec": (None if backend.spec is None else {
-                "epochs": backend.spec.epochs,
-                "commits": backend.spec.commits,
-                "rollbacks": backend.spec.rollbacks,
-                "deferred_sends": backend.spec.deferred_sends,
-                "deferred_bytes": backend.spec.deferred_bytes,
-            }),
+            "sim_cycles": metrics["cpu.cycles"],
+            "response_digests": [hashlib.sha256(r).hexdigest()
+                                 for r in responses],
+            "response_bytes": sum(len(r) for r in responses),
+            "spec": (None if "adaptive.spec.epochs" not in metrics else {
+                name: metrics[f"adaptive.spec.{name}"] for name in (
+                    "epochs", "commits", "rollbacks", "deferred_sends",
+                    "deferred_bytes")}),
         },
         "ok": ok,
     }

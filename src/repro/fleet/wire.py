@@ -9,10 +9,11 @@ binary frame carrying the payload, a packed per-byte tag vector (1/8th
 of the payload, the same density as the in-memory bitmap), the
 producer's tracking granularity, and a CRC.
 
-Ingress is symmetric: :meth:`TaggedMessage.deliver` queues the payload
-on a machine's :class:`~repro.runtime.devices.SimNetwork` with the tag
-vector attached, and the guest-side ``recv`` native re-applies exactly
-those bits to the destination buffer (see ``GuestOS._apply_wire_tags``).
+Ingress is symmetric: :func:`repro.fleet.driver.run_worker` queues the
+payload on a worker's :class:`~repro.runtime.devices.SimNetwork` with
+the tag vector attached, and the guest-side ``recv`` native re-applies
+exactly those bits to the destination buffer (see
+``GuestOS._apply_wire_tags``).
 
 Frame layout (little-endian)::
 
@@ -165,17 +166,6 @@ class TaggedMessage:
         tags = data[pos:pos + tags_len]
         return cls(payload=payload, tags=tags, granularity=granularity,
                    request_id=request_id, origin=origin)
-
-    # -- ingress ---------------------------------------------------------
-
-    def deliver(self, machine, *, capture_taint: bool = False):
-        """Queue this message on a machine's network with tags attached.
-
-        Returns the created connection, or None when the machine's
-        bounded pending queue refused it (backpressure).
-        """
-        return machine.net.add_request(
-            self.payload, taint_mask=self.tags, capture_taint=capture_taint)
 
     def describe(self) -> str:
         """One-line summary for logs and incident reports."""

@@ -36,18 +36,13 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.apps.spec import BENCHMARKS
 from repro.apps.webserver import make_request, traversal_request
-from repro.compiler.instrument import ShiftOptions
+from repro.compiler.instrument import BYTE_LEVEL, UNINSTRUMENTED
 from repro.harness.resilbench import attack_mix
-from repro.fleet.driver import FleetConfig, build_worker
-from repro.harness.runners import backend_policy, run_spec
+from repro.fleet.driver import FleetConfig
+from repro.harness.runners import (arm_record, backend_policy, run_spec,
+                                   serve_requests, switch_stats)
 from repro.runtime.machine import MachineSpec
-from repro.obs.metrics import collect_machine
 from repro.taint.bitmap import pack_flags
-
-#: The backend runs strict byte-granularity — the adaptive claim is
-#: "full-strength tracking when it matters, zero cost when quiescent",
-#: so the track half carries the strongest configuration.
-BACKEND_OPTIONS = ShiftOptions(granularity=1)
 
 #: Request stream: (payload, per-byte tainted?) pairs.
 Request = Tuple[bytes, bool]
@@ -69,44 +64,32 @@ def taint_heavy_mix(count: int, size_kb: int = 8) -> List[Request]:
 
 def _run_backend(adaptive: str, requests: Sequence[Request],
                  engine: str) -> Dict:
-    """One backend arm over one request stream; returns raw observables."""
-    machine = build_worker(FleetConfig(
+    """One backend arm over one request stream; returns raw observables.
+
+    The track half runs strict byte granularity (``BYTE_LEVEL``): the
+    claim is full-strength tracking when it matters and zero cost when
+    quiescent, so it carries the strongest configuration.
+    """
+    summary, _machine = serve_requests(FleetConfig(
         variant="backend",
-        options=(BACKEND_OPTIONS if adaptive != "uninstrumented"
-                 else ShiftOptions(mode="none")),
+        options=(BYTE_LEVEL if adaptive != "uninstrumented"
+                 else UNINSTRUMENTED),
         policy_config=backend_policy(),
         sizes=(4, 8),
         engine=engine,
         engine_mode="record",
         adaptive=adaptive if adaptive != "uninstrumented" else "none",
-    ))
-    for payload, is_tainted in requests:
-        machine.net.add_request(
-            payload, taint_mask=pack_flags([is_tainted] * len(payload)))
-    served = machine.run(max_instructions=2_000_000_000)
-    responses = [bytes(c.outbound) for c in machine.net.completed]
-    arm = {
-        "served": served,
-        "cycles": machine.counters.cycles,
-        "io_cycles": machine.counters.io_cycles,
-        "instructions": machine.counters.instructions,
-        "alerts": [(a.policy_id, a.pc, a.message) for a in machine.alerts],
-        "responses": responses,
-        "live_bytes_final": machine.taint_map.live_bytes,
-        "machine": machine,
-    }
-    if machine.adaptive is not None:
-        arm["switches_to_fast"] = machine.adaptive.switches_to_fast
-        arm["switches_to_track"] = machine.adaptive.switches_to_track
-        arm["final_mode"] = machine.adaptive.mode
+        max_instructions=2_000_000_000,
+    ), [(payload, pack_flags([is_tainted] * len(payload)))
+        for payload, is_tainted in requests])
+    arm = arm_record(summary)
+    arm.update(switch_stats(arm["metrics"]) or {})
     return arm
 
 
 def _public(arm: Dict) -> Dict:
-    """Strip non-serialisable internals from an arm record."""
-    out = {k: v for k, v in arm.items() if k not in ("machine", "responses")}
-    out["alerts"] = [list(a) for a in arm["alerts"]]
-    return out
+    """An arm record without its responses and metrics snapshot."""
+    return {k: v for k, v in arm.items() if k not in ("metrics", "responses")}
 
 
 def server_experiment(name: str, requests: Sequence[Request],
@@ -142,7 +125,7 @@ def server_experiment(name: str, requests: Sequence[Request],
         "attacks_detected": len(adaptive["alerts"]),
         "attacks_expected": expected_alerts,
     }
-    entry["_machine"] = adaptive["machine"]
+    entry["_metrics"] = adaptive["metrics"]
     return entry
 
 
@@ -153,9 +136,9 @@ def spec_experiment(benchmarks: Sequence[str], scale: str,
     for name in benchmarks:
         bench = BENCHMARKS[name]
         for safe in (True, False):
-            on = run_spec(bench, BACKEND_OPTIONS, scale, safe_input=safe,
+            on = run_spec(bench, BYTE_LEVEL, scale, safe_input=safe,
                           spec=MachineSpec(engine=engine, adaptive="on"))
-            track = run_spec(bench, BACKEND_OPTIONS, scale, safe_input=safe,
+            track = run_spec(bench, BYTE_LEVEL, scale, safe_input=safe,
                              spec=MachineSpec(engine=engine,
                                               adaptive="track"))
             rows.append({
@@ -177,16 +160,14 @@ def wire_taint_detection(engine: str) -> Dict:
     is carried by the transported tags, not by the byte pattern.
     """
     def probe(tainted: bool) -> List:
-        machine = build_worker(FleetConfig(
-            variant="backend", options=BACKEND_OPTIONS,
+        payload = traversal_request("/../etc/secret")
+        summary, _machine = serve_requests(FleetConfig(
+            variant="backend", options=BYTE_LEVEL,
             policy_config=backend_policy(),
             sizes=(4,), engine=engine, engine_mode="record", adaptive="on",
-        ))
-        payload = traversal_request("/../etc/secret")
-        machine.net.add_request(
-            payload, taint_mask=pack_flags([tainted] * len(payload)))
-        machine.run(max_instructions=100_000_000)
-        return [a.policy_id for a in machine.alerts]
+            max_instructions=100_000_000,
+        ), [(payload, pack_flags([tainted] * len(payload)))])
+        return [a["policy_id"] for a in summary["alerts"]]
 
     armed, control = probe(True), probe(False)
     return {
@@ -204,7 +185,7 @@ def run_suite(quick: bool) -> Dict:
     print("adaptivebench: clean-heavy server mix", flush=True)
     clean_entry = server_experiment(
         "clean_heavy", clean_heavy_mix(clean, tainted), engine)
-    machine = clean_entry.pop("_machine")
+    metrics = clean_entry.pop("_metrics")
     print(f"  speedup {clean_entry['speedup']:.2f}x over always-on, "
           f"identical={clean_entry['identical_to_always_on']}, "
           f"alerts {clean_entry['attacks_detected']}"
@@ -214,7 +195,7 @@ def run_suite(quick: bool) -> Dict:
     heavy_entry = server_experiment(
         "taint_heavy", taint_heavy_mix(6 if quick else 20), engine,
         expected_alerts=0)
-    heavy_entry.pop("_machine")
+    heavy_entry.pop("_metrics")
     print(f"  overhead vs floor {heavy_entry['overhead_vs_floor']:.2f}x "
           f"(always-on {heavy_entry['always_on']['cycles'] / heavy_entry['uninstrumented']['cycles']:.2f}x)",
           flush=True)
@@ -238,5 +219,5 @@ def run_suite(quick: bool) -> Dict:
         "taint_heavy": heavy_entry,
         "spec": spec_rows,
         "detection": {"attack_mix": mix, "wire_taint": wire},
-        "metrics": collect_machine(machine),
+        "metrics": metrics,
     }

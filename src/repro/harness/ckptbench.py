@@ -26,7 +26,6 @@ whose gate table holds the conditions::
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import statistics
 import time
@@ -38,13 +37,14 @@ from repro.apps.webserver import (
     runaway_request,
     traversal_request,
 )
-from repro.compiler.instrument import ShiftOptions
+from repro.compiler.instrument import BYTE_LEVEL
 from repro.fleet.driver import FleetConfig, build_worker, migrate_worker
+from repro.harness.formatting import ratio_quartiles
+from repro.harness.runners import paired_times
 from repro.mem import PAGE_SIZE, REGION_DATA, make_address
 from repro.resil import DeltaCheckpoint, MachineCheckpoint
 from repro.resil.migrate import pack_worker, rehydrate_worker
 
-OPTIONS = ShiftOptions(granularity=1)
 WATCHDOG = 2_000_000
 ENGINES = ("reference", "predecoded")
 
@@ -59,7 +59,7 @@ THROUGHPUT_RESIDENT_PAGES = 128
 def _machine(engine: str, mode: str = "recover", clean: int = 0,
              attacks: Sequence = ()):
     machine = build_worker(FleetConfig(
-        variant="resil", options=OPTIONS, engine_mode=mode,
+        variant="resil", options=BYTE_LEVEL, engine_mode=mode,
         recover_watchdog=WATCHDOG, engine=engine))
     attacks = list(attacks)
     for i in range(clean):
@@ -129,17 +129,17 @@ def _serve_once(engine: str, mode: str, requests: int,
 def throughput(engine: str, requests: int, repeats: int) -> Dict:
     """standard vs recover(delta) vs recover(full) on clean traffic.
 
-    Median-of-N *marginal* per-request cost, with the three arms
-    interleaved round-robin.  Every fresh machine pays a fixed warm-up
-    (compile cache on the first build, per-CPU predecode on the first
-    slice) that dwarfs the per-request serving cost at bench scale;
-    timing two run lengths and taking the difference cancels it.  The
-    other two choices are just as load-bearing: the arms interleave
-    because host-side drift (frequency boost decay, page-cache state)
-    is slow compared to one run, so back-to-back arms would bias
-    whichever ran last; and the statistic is the *median of per-pair
+    Median-of-N *marginal* per-request cost, with the three arms timed
+    in :func:`~repro.harness.runners.paired_times` rounds (the arm
+    order rotates each round).  Every fresh machine pays a fixed
+    warm-up (compile cache on the first build, per-CPU predecode on the
+    first slice) that dwarfs the per-request serving cost at bench
+    scale; timing two run lengths back to back and taking the
+    difference cancels it.  The statistic is the *median of per-round
     marginals* — not a difference of per-length minima, which lets one
-    lucky short run inflate (or lucky long run deflate) the estimate.
+    lucky short run inflate (or lucky long run deflate) the estimate —
+    and ``delta_overhead_quartiles`` are the quartiles of the
+    per-round delta/standard ratios, less one.
     """
     small = max(4, requests // 5)
     # Warm the shared compile cache so repeat 1 is comparable.
@@ -147,43 +147,35 @@ def throughput(engine: str, requests: int, repeats: int) -> Dict:
     arms = {"standard": ("raise", True),
             "recover_delta": ("recover", True),
             "recover_full": ("recover", False)}
-    samples = {name: [] for name in arms}
     stats: Dict[str, Dict] = {}
-    gc.disable()
-    try:
-        for _ in range(repeats):
-            for name, (mode, use_delta) in arms.items():
-                # One marginal per (small, large) *pair*: the two runs
-                # are adjacent in time so slow host drift cancels
-                # inside the pair.  Collect outside the timed region
-                # so GC pauses never land mid-measurement, and drop
-                # each machine before the next pair so no arm times
-                # its runs with another arm's footprint resident.
-                gc.collect()
-                small_s, _ = _serve_once(engine, mode, small, use_delta)
-                large_s, machine = _serve_once(
-                    engine, mode, requests, use_delta)
-                samples[name].append((large_s - small_s)
-                                     / (requests - small))
-                stat = {"served": len(machine.net.completed)}
-                if mode == "recover":
-                    sup = machine.resil
-                    stat["captures"] = sup.checkpoints_taken
-                    stat["delta_captures"] = sup.delta_captures
-                    stat["pages_captured"] = sup.pages_captured
-                stats[name] = stat
-                del machine
-    finally:
-        gc.enable()
 
+    def marginal(name: str, mode: str, use_delta: bool):
+        def arm() -> float:
+            small_s, _ = _serve_once(engine, mode, small, use_delta)
+            large_s, machine = _serve_once(engine, mode, requests,
+                                           use_delta)
+            stat = {"served": len(machine.net.completed)}
+            if mode == "recover":
+                sup = machine.resil
+                stat["captures"] = sup.checkpoints_taken
+                stat["delta_captures"] = sup.delta_captures
+                stat["pages_captured"] = sup.pages_captured
+            stats[name] = stat
+            return (large_s - small_s) / (requests - small)
+        return arm
+
+    samples = paired_times(
+        {name: marginal(name, *arm) for name, arm in arms.items()}, repeats)
     results = {}
     for name in arms:
-        marginal = statistics.median(samples[name])
+        marginal_s = statistics.median(samples[name])
         results[name] = dict(
-            {"ms_per_request": round(marginal * 1e3, 4),
-             "rps": round(1.0 / marginal, 2)}, **stats[name])
+            {"ms_per_request": round(marginal_s * 1e3, 4),
+             "rps": round(1.0 / marginal_s, 2)}, **stats[name])
     standard, delta, full = (results["standard"], results["recover_delta"],
                              results["recover_full"])
+    q1, _median, q3 = ratio_quartiles(samples["recover_delta"],
+                                      samples["standard"])
     return {
         "requests": requests,
         "repeats": repeats,
@@ -192,6 +184,7 @@ def throughput(engine: str, requests: int, repeats: int) -> Dict:
         "recover_full": full,
         "delta_overhead": round(
             delta["ms_per_request"] / standard["ms_per_request"] - 1.0, 4),
+        "delta_overhead_quartiles": [round(q1 - 1.0, 4), round(q3 - 1.0, 4)],
         "full_overhead": round(
             full["ms_per_request"] / standard["ms_per_request"] - 1.0, 4),
         "full_copies_more": full["pages_captured"] > delta["pages_captured"],
@@ -227,7 +220,7 @@ def equivalence() -> Dict:
 
 def migration(engine: str) -> Dict:
     """Mid-stream move: pack at "before request 3", replay on a twin."""
-    config = FleetConfig(variant="resil", options=OPTIONS, engine=engine,
+    config = FleetConfig(variant="resil", options=BYTE_LEVEL, engine=engine,
                          recover_watchdog=WATCHDOG)
     source = build_worker(config, "src")
     for i in range(6):

@@ -38,15 +38,12 @@ from repro.apps.webserver import (
     overflow_request,
     traversal_request,
 )
-from repro.compiler.instrument import ShiftOptions
+from repro.compiler.instrument import BYTE_LEVEL
 from repro.fleet import FleetConfig, FleetDriver, two_tier_experiment
 
 #: Fleet sizes measured by the scaling experiment.
 SCALING_WORKERS = (1, 2, 4, 8)
 QUICK_WORKERS = (1, 2)
-
-#: Strict pointer policy so the overflow attack in the mix is caught.
-ATTACK_OPTIONS = ShiftOptions(granularity=1)
 
 #: Per-request instruction budget for recover-mode fleet workers.
 FLEET_WATCHDOG = 2_000_000
@@ -54,11 +51,11 @@ FLEET_WATCHDOG = 2_000_000
 
 def _fleet_config(engine: str, *, strict: bool = False) -> FleetConfig:
     # Strict fleets serve the deliberately vulnerable server variant
-    # under the strict pointer policy — the configuration whose planted
-    # overflow the mix's buffer-smash attack actually reaches.
+    # under BYTE_LEVEL's strict pointer policy — the configuration whose
+    # planted overflow the mix's buffer-smash attack actually reaches.
     return FleetConfig(
         variant="resil" if strict else "standard",
-        options=ATTACK_OPTIONS if strict else None,
+        options=BYTE_LEVEL if strict else None,
         engine=engine,
         recover_watchdog=FLEET_WATCHDOG,
     )

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence
+import statistics
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 
 def geomean(values: Iterable[float]) -> float:
@@ -14,6 +15,16 @@ def geomean(values: Iterable[float]) -> float:
     if any(v <= 0 for v in values):
         raise ValueError("geometric mean requires positive values")
     return math.exp(sum(math.log(v) for v in values) / len(values))
+
+
+def ratio_quartiles(numerators: Sequence[float],
+                    denominators: Sequence[float]
+                    ) -> Tuple[float, float, float]:
+    """(q1, median, q3) of the pairwise ratios ``numerator / denominator``."""
+    q1, median, q3 = statistics.quantiles(
+        [n / d for n, d in zip(numerators, denominators)],
+        n=4, method="inclusive")
+    return q1, median, q3
 
 
 def format_table(

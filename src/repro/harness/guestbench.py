@@ -49,14 +49,12 @@ from repro.apps.guestvm import (
     ping_request,
     template_request,
 )
-from repro.compiler.instrument import ShiftOptions
-from repro.fleet.driver import FleetConfig, FleetDriver, build_worker
+from repro.compiler.instrument import BYTE_LEVEL
+from repro.fleet.driver import FleetConfig, FleetDriver
 from repro.fleet.wire import TaggedMessage
-from repro.harness.runners import guest_backend_policy, guestvm_policy
-
-#: The VM runs strict byte-granularity: its own address arithmetic is
-#: untainted by construction, so no pointer-policy relaxation is needed.
-GUEST_OPTIONS = ShiftOptions(granularity=1)
+from repro.harness.runners import (guest_backend_policy, guestvm_policy,
+                                   incident_rows, serve_requests,
+                                   switch_stats)
 
 #: Per-request instruction budget in recover mode.  A MiniScript
 #: request completes in well under 500k instructions.
@@ -184,46 +182,38 @@ SERVICES = {
 def _run_mix(variant: str, mix: Sequence[Tuple[bytes, Optional[str]]],
              engine: str, adaptive: str = "none",
              engine_mode: str = "recover") -> Dict:
-    """Serve one request mix; return the canonical outcome dict."""
-    machine = build_worker(FleetConfig(
-        variant=variant, options=GUEST_OPTIONS,
+    """Serve one request mix; return the canonical outcome dict.
+
+    The VM runs strict byte-granularity (``BYTE_LEVEL``): its own
+    address arithmetic is untainted by construction, so no
+    pointer-policy relaxation is needed.
+    """
+    summary, _machine = serve_requests(FleetConfig(
+        variant=variant, options=BYTE_LEVEL,
         policy_config=guestvm_policy(),
         engine_mode=engine_mode,
         recover_watchdog=GUEST_WATCHDOG,
         engine=engine,
         tracing=True,
         adaptive=adaptive,
-    ))
-    for payload, _expected in mix:
-        machine.net.add_request(payload)
-    served = machine.run(max_instructions=MAX_INSTRUCTIONS)
-    incidents = []
-    if machine.resil is not None:
-        incidents = [
-            {"request": inc.request_index, "reason": inc.reason,
-             "policy": inc.policy_id}
-            for inc in machine.resil.incidents
-        ]
+        max_instructions=MAX_INSTRUCTIONS,
+    ), [(payload, None) for payload, _expected in mix])
+    metrics = summary["metrics"]
     outcome = {
-        "served": served,
-        "responses": [bytes(c.outbound).decode("latin-1")
-                      for c in machine.net.completed],
-        "quarantined": len(machine.net.quarantined),
-        "incidents": incidents,
+        "served": summary["served"],
+        "responses": [r.decode("latin-1") for r in summary["responses"]],
+        "quarantined": metrics["net.quarantined"],
+        "incidents": incident_rows(summary),
         "alerts": [
-            {"policy_id": a.policy_id, "message": a.message,
-             "context": a.context,
-             "origins": [o.describe() for o in a.origins]}
-            for a in machine.alerts
+            {"policy_id": a["policy_id"], "message": a["message"],
+             "context": a["context"], "origins": a["origins"]}
+            for a in summary["alerts"]
         ],
-        "instructions": machine.counters.instructions,
+        "instructions": metrics["cpu.instructions"],
     }
-    if machine.adaptive is not None:
-        outcome["adaptive_stats"] = {
-            "switches_to_fast": machine.adaptive.switches_to_fast,
-            "switches_to_track": machine.adaptive.switches_to_track,
-            "final_mode": machine.adaptive.mode,
-        }
+    stats = switch_stats(metrics)
+    if stats is not None:
+        outcome["adaptive_stats"] = stats
     return outcome
 
 
@@ -333,7 +323,7 @@ def fleet_smoke(seed: int, engine: str) -> Dict:
     alert is if the wire-transported tag bits survived the hop — and
     the untagged control (same bytes, zero tags) must be served.
     """
-    config = FleetConfig(variant="guest-tmpl", options=GUEST_OPTIONS,
+    config = FleetConfig(variant="guest-tmpl", options=BYTE_LEVEL,
                          policy_config=guest_backend_policy(), engine=engine,
                          tracing=True)
     attack = template_request(XSS_PAYLOADS[0])

@@ -25,8 +25,8 @@ from typing import Callable, Dict, Tuple
 from repro.apps.spec import BENCHMARKS
 from repro.apps.webserver import make_request
 from repro.fleet.driver import FleetConfig, build_worker
-from repro.harness.formatting import geomean
-from repro.harness.runners import PERF_OPTIONS, spec_machine
+from repro.harness.formatting import geomean, ratio_quartiles
+from repro.harness.runners import PERF_OPTIONS, paired_times, spec_machine
 from repro.runtime.machine import MachineSpec
 
 ENGINES = ("reference", "predecoded")
@@ -98,20 +98,23 @@ def bench_workload(name: str, build: Builder, run: Runner,
                    pairs: int) -> Dict:
     """Time both engines in interleaved pairs and cross-validate.
 
-    Even pairs run the reference loop first and odd pairs the
-    predecoded engine, so drift in host speed falls on both sides.
-    The speedup is the median of the per-pair wall-time ratios, with
-    its quartiles.  Predecode tables fill in on first execution, so an
+    :func:`~repro.harness.runners.paired_times` alternates which engine
+    runs first, so drift in host speed falls on both sides.  The
+    speedup is the median of the per-pair wall-time ratios, with its
+    quartiles.  Predecode tables fill in on first execution, so an
     untimed predecoded run first warms the program's block sources and
     the process-wide code-object cache.
     """
     measure(build, run, "predecoded")
-    walls: Dict[str, list] = {e: [] for e in ENGINES}
     last: Dict[str, Dict] = {}
-    for i in range(pairs):
-        for engine in (ENGINES if i % 2 == 0 else ENGINES[::-1]):
+
+    def timed(engine: str) -> Callable[[], float]:
+        def arm() -> float:
             last[engine] = measure(build, run, engine)
-            walls[engine].append(last[engine]["wall_s"])
+            return last[engine]["wall_s"]
+        return arm
+
+    walls = paired_times({engine: timed(engine) for engine in ENGINES}, pairs)
     ref, pre = last["reference"], last["predecoded"]
     if ref["result"] != pre["result"]:
         raise AssertionError(
@@ -121,8 +124,8 @@ def bench_workload(name: str, build: Builder, run: Runner,
         raise AssertionError(
             f"{name}: engines diverged on counters "
             f"({ref['snapshot']} != {pre['snapshot']})")
-    ratios = [r / p for r, p in zip(walls["reference"], walls["predecoded"])]
-    q1, speedup, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+    q1, speedup, q3 = ratio_quartiles(walls["reference"],
+                                      walls["predecoded"])
     engines = {}
     for engine, times in walls.items():
         wall = statistics.median(times)

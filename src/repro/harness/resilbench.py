@@ -31,14 +31,10 @@ from repro.apps.webserver import (
     runaway_request,
     traversal_request,
 )
-from repro.compiler.instrument import ShiftOptions
-from repro.fleet.driver import FleetConfig, build_worker
+from repro.compiler.instrument import BYTE_LEVEL
+from repro.fleet.driver import FleetConfig
+from repro.harness.runners import incident_rows, serve_requests, switch_stats
 from repro.resil.inject import run_campaign
-
-#: The vulnerable server must run strict (default pointer policy):
-#: the planted bugs are exactly the corrupted-address loads L1 exists
-#: to catch.
-ATTACK_OPTIONS = ShiftOptions(granularity=1)
 
 #: Per-request instruction budget for the attack mix.  A clean request
 #: completes in well under 100k instructions; the retry-loop attack
@@ -54,50 +50,42 @@ def attack_mix(engine: str = "predecoded", clean_requests: int = 6,
     :mod:`repro.adaptive`); adaptivebench uses it to prove on-demand
     tracking quarantines the identical attack set.
     """
-    machine = build_worker(FleetConfig(
-        variant="resil", options=ATTACK_OPTIONS,
-        recover_watchdog=ATTACK_WATCHDOG,
-        engine=engine,
-        adaptive=adaptive,
-    ))
     attacks = (overflow_request(), traversal_request(), runaway_request())
     expected_reasons = ("alert", "alert", "runaway")
     # Interleave: clean, attack, clean, attack, ... clean.
+    requests = []
     for i in range(clean_requests):
-        machine.net.add_request(make_request(4))
+        requests.append((make_request(4), None))
         if i < len(attacks):
-            machine.net.add_request(attacks[i])
-    served = machine.run(max_instructions=1_000_000_000)
-
-    sup = machine.resil
+            requests.append((attacks[i], None))
+    # The vulnerable server runs strict (BYTE_LEVEL's default pointer
+    # policy): the planted bugs are exactly the corrupted-address loads
+    # L1 exists to catch.
+    summary, _machine = serve_requests(FleetConfig(
+        variant="resil", options=BYTE_LEVEL,
+        recover_watchdog=ATTACK_WATCHDOG,
+        engine=engine,
+        adaptive=adaptive,
+    ), requests)
+    metrics = summary["metrics"]
+    served = summary["served"]
+    quarantined = metrics["net.quarantined"]
+    incidents = incident_rows(summary)
     clean_ok = served == clean_requests and all(
-        bytes(c.outbound).startswith(b"HTTP/1.0 200")
-        for c in machine.net.completed)
-    reasons = tuple(i.reason for i in sup.incidents)
+        r.startswith(b"HTTP/1.0 200") for r in summary["responses"])
     exact = (clean_ok
-             and len(machine.net.quarantined) == len(attacks)
-             and reasons == expected_reasons)
-    adaptive_stats = None
-    if machine.adaptive is not None:
-        adaptive_stats = {
-            "switches_to_fast": machine.adaptive.switches_to_fast,
-            "switches_to_track": machine.adaptive.switches_to_track,
-            "final_mode": machine.adaptive.mode,
-        }
+             and quarantined == len(attacks)
+             and tuple(i["reason"] for i in incidents) == expected_reasons)
     return {
         "engine": engine,
         "adaptive": adaptive,
-        "adaptive_stats": adaptive_stats,
+        "adaptive_stats": switch_stats(metrics),
         "clean_requests": clean_requests,
         "attacks": len(attacks),
         "served": served,
-        "quarantined": len(machine.net.quarantined),
-        "incidents": [
-            {"request": i.request_index, "reason": i.reason,
-             "policy": i.policy_id}
-            for i in sup.incidents
-        ],
-        "checkpoints": sup.checkpoints_taken,
+        "quarantined": quarantined,
+        "incidents": incidents,
+        "checkpoints": metrics["resil.capture_count"],
         "exact": exact,
     }
 

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, replace
-from typing import Dict, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.guestvm import (GUESTVM_KV_SOURCE, GUESTVM_PING_SOURCE,
                                 GUESTVM_TMPL_SOURCE)
@@ -20,7 +21,7 @@ from repro.compiler.instrument import ShiftOptions
 from repro.compiler.pipeline import CompiledProgram
 from repro.core.shift import compile_protected
 from repro.cpu.perf import PerfCounters
-from repro.fleet.driver import FleetConfig, build_worker
+from repro.fleet.driver import EncodedRequest, FleetConfig, run_worker
 from repro.runtime.machine import Machine, MachineSpec
 from repro.taint.policy import PolicyConfig
 
@@ -60,6 +61,35 @@ def compiled_spec(bench: SpecBenchmark, options: ShiftOptions,
                   adaptive: bool = False) -> CompiledProgram:
     """Compile a kernel once per (benchmark, options, scale)."""
     return compiled(bench.source(scale), options, adaptive)
+
+
+def paired_times(arms: Dict[str, Callable[[], float]],
+                 pairs: int) -> Dict[str, List[float]]:
+    """Host seconds of every arm, one call per arm in each pair.
+
+    Each arm is a callable returning the seconds it timed.  Each pair
+    rotates the arm order by one (two arms alternate which runs first),
+    so every arm takes every position equally often and slow host drift
+    (frequency boost decay, cache state) falls on every arm alike.
+    Reversing the order instead would run the first and last arms
+    twice in a row at the pair boundaries and never the middle one.
+    The garbage collector runs before each call and stays off during
+    it, so no collection lands inside a timed region.
+    """
+    names = list(arms)
+    times: Dict[str, List[float]] = {name: [] for name in names}
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for pair in range(pairs):
+            shift = pair % len(names)
+            for name in names[shift:] + names[:shift]:
+                gc.collect()
+                times[name].append(arms[name]())
+    finally:
+        if was_enabled:
+            gc.enable()
+    return times
 
 
 def spec_policy(safe_input: bool) -> PolicyConfig:
@@ -306,14 +336,67 @@ class WebRun:
         return self.requests / (self.total_cycles / 1e9)
 
 
+def serve_requests(config: FleetConfig, requests: Sequence[EncodedRequest],
+                   worker_id: Optional[str] = None) -> Tuple[Dict, Machine]:
+    """Serve ``requests`` on one worker via :func:`run_worker`.
+
+    Returns its ``(summary, machine)``.  A worker that dies (an alert
+    in raise mode, a fault recovery did not absorb) raises
+    :class:`RuntimeError`: an experiment fails rather than report a run
+    that was cut short.
+    """
+    summary, machine = run_worker(config, worker_id, requests)
+    error = summary["error"]
+    if error is not None:
+        raise RuntimeError(f"worker {summary['worker_id']} died "
+                           f"({error['type']}): {error['message']}")
+    return summary, machine
+
+
+def arm_record(summary: Dict) -> Dict:
+    """One bench arm's observables, from its worker run's summary.
+
+    Alerts are ``[policy, pc, message]``; ``responses`` and ``metrics``
+    are kept for comparisons, not for the report.
+    """
+    metrics = summary["metrics"]
+    return {
+        "served": summary["served"],
+        "cycles": metrics["cpu.cycles"],
+        "io_cycles": metrics["cpu.io_cycles"],
+        "instructions": metrics["cpu.instructions"],
+        "alerts": [[a["policy_id"], a["pc"], a["message"]]
+                   for a in summary["alerts"]],
+        "responses": summary["responses"],
+        "live_bytes_final": metrics["taint.live_bytes"],
+        "metrics": metrics,
+    }
+
+
+def switch_stats(metrics: Dict) -> Optional[Dict]:
+    """Mode switches and final mode of one worker run's metrics; None
+    when the machine ran without a mode controller."""
+    if "adaptive.mode" not in metrics:
+        return None
+    return {"switches_to_fast": metrics["adaptive.switches_to_fast"],
+            "switches_to_track": metrics["adaptive.switches_to_track"],
+            "final_mode": "track" if metrics["adaptive.mode"] else "fast"}
+
+
+def incident_rows(summary: Dict) -> List[Dict]:
+    """One worker run's incidents as report rows: request, reason, policy."""
+    return [{"request": inc["request_index"], "reason": inc["reason"],
+             "policy": inc["policy_id"]} for inc in summary["incidents"]]
+
+
 def run_webserver(options: ShiftOptions, file_kb: int, requests: int = 50,
                   engine: str = "predecoded") -> WebRun:
     """Serve ``requests`` identical requests for one file size."""
-    machine = build_worker(FleetConfig(options=options, sizes=(file_kb,),
-                                       engine=engine, engine_mode="raise"))
-    for _ in range(requests):
-        machine.net.add_request(make_request(file_kb))
-    served = machine.run(max_instructions=1_000_000_000)
+    summary, machine = serve_requests(
+        FleetConfig(options=options, sizes=(file_kb,), engine=engine,
+                    engine_mode="raise"),
+        [(make_request(file_kb), None)] * requests)
+    served = summary["served"]
     if served != requests:
         raise ServerShortfallError(served, requests, machine.alerts)
     return WebRun(
@@ -321,6 +404,6 @@ def run_webserver(options: ShiftOptions, file_kb: int, requests: int = 50,
         file_kb=file_kb,
         requests=requests,
         served=served,
-        total_cycles=machine.counters.cycles,
-        io_cycles=machine.counters.io_cycles,
+        total_cycles=summary["metrics"]["cpu.cycles"],
+        io_cycles=summary["metrics"]["cpu.io_cycles"],
     )

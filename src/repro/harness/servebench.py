@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.apps.webserver import make_request
-from repro.compiler.instrument import ShiftOptions
+from repro.compiler.instrument import BYTE_LEVEL
 from repro.fleet.driver import FleetConfig
 from repro.fleet.supervised import SupervisedFleet
 from repro.serve import (
@@ -69,7 +69,7 @@ CURVE_WEIGHTS = (0.7, 0.2, 0.1)
 
 #: Attack-mix server runs strict byte granularity so the planted
 #: overflow is caught (same configuration as fleetbench's mix).
-ATTACK_OPTIONS = ShiftOptions(granularity=1)
+ATTACK_OPTIONS = BYTE_LEVEL
 ATTACK_SIZES = (4, 8)
 ATTACK_WEIGHTS = (0.8, 0.2)
 

@@ -32,17 +32,17 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.compiler.instrument import ShiftOptions
-from repro.fleet.driver import FleetConfig, build_worker
-from repro.harness.runners import specstore_policy
+from repro.compiler.instrument import (BYTE_LEVEL, UNINSTRUMENTED,
+                                       WORD_LEVEL, ShiftOptions)
+from repro.fleet.driver import FleetConfig
+from repro.harness.runners import (arm_record, serve_requests,
+                                   specstore_policy)
 from repro.apps.specstore import contained_mix, misspec_mix
-from repro.obs.metrics import collect_machine
 
 #: Strict byte-granularity tracking: speculation's claim is full
 #: detection strength with fast-path cycles, so the track half carries
 #: the strongest configuration.
-SPECSTORE_OPTIONS = ShiftOptions(granularity=1)
-WORD_OPTIONS = ShiftOptions(granularity=8)
+SPECSTORE_OPTIONS = BYTE_LEVEL
 
 #: Both engines: cross-engine identity is part of the gate.
 ENGINES = ("predecoded", "reference")
@@ -54,54 +54,38 @@ EXPECTED_ROLLBACKS = 2
 
 def _run_arm(adaptive: str, requests: Sequence[bytes], engine: str,
              options: ShiftOptions) -> Dict:
-    """One specstore arm over one request stream; raw observables."""
-    machine = build_worker(FleetConfig(
+    """One specstore arm over one request stream; raw observables.
+
+    The full taint-origin list and ``entry_failures`` are not in the
+    metric catalogue, so they are read off the machine.
+    """
+    summary, machine = serve_requests(FleetConfig(
         variant="specstore",
-        options=(options if adaptive != "uninstrumented"
-                 else ShiftOptions(mode="none")),
+        options=options if adaptive != "uninstrumented" else UNINSTRUMENTED,
         policy_config=specstore_policy(),
         files={},
         engine=engine,
         engine_mode="record",
         adaptive=adaptive if adaptive != "uninstrumented" else "none",
         tracing=True,
-    ))
-    for payload in requests:
-        machine.net.add_request(payload)
-    served = machine.run(max_instructions=2_000_000_000)
-    arm = {
-        "served": served,
-        "cycles": machine.counters.cycles,
-        "io_cycles": machine.counters.io_cycles,
-        "instructions": machine.counters.instructions,
-        "alerts": [(a.policy_id, a.pc, a.message) for a in machine.alerts],
-        "responses": [bytes(c.outbound) for c in machine.net.completed],
-        "origins": [(o.source, o.label, o.index, o.start, o.length)
-                    for o in machine.obs.provenance.origins],
-        "live_bytes_final": machine.taint_map.live_bytes,
-        "machine": machine,
-    }
-    spec = machine.spec
-    if spec is not None:
-        arm["spec"] = {
-            "epochs": spec.epochs,
-            "commits": spec.commits,
-            "rollbacks": spec.rollbacks,
-            "committed_instructions": spec.committed_instructions,
-            "wasted_instructions": spec.wasted_instructions,
-            "deferred_sends": spec.deferred_sends,
-            "deferred_bytes": spec.deferred_bytes,
-            "entry_failures": spec.entry_failures,
-        }
+        max_instructions=2_000_000_000,
+    ), [(payload, None) for payload in requests])
+    arm = arm_record(summary)
+    arm["origins"] = [(o.source, o.label, o.index, o.start, o.length)
+                      for o in machine.obs.provenance.origins]
+    metrics = arm["metrics"]
+    if machine.spec is not None:
+        arm["spec"] = {name: metrics[f"adaptive.spec.{name}"] for name in (
+            "epochs", "commits", "rollbacks", "committed_instructions",
+            "wasted_instructions", "deferred_sends", "deferred_bytes")}
+        arm["spec"]["entry_failures"] = machine.spec.entry_failures
     return arm
 
 
 def _public(arm: Dict) -> Dict:
-    """Strip non-serialisable internals from an arm record."""
-    out = {k: v for k, v in arm.items()
-           if k not in ("machine", "responses", "origins")}
-    out["alerts"] = [list(a) for a in arm["alerts"]]
-    return out
+    """An arm record without its responses, origins and metrics."""
+    return {k: v for k, v in arm.items()
+            if k not in ("metrics", "responses", "origins")}
 
 
 def _digest_equal(a: Dict, b: Dict) -> bool:
@@ -174,7 +158,7 @@ def run_suite(quick: bool) -> Dict:
               f"rollbacks={entry['rollbacks']}", flush=True)
         contained.append(entry)
         if not metrics:
-            metrics = collect_machine(speculate["machine"])
+            metrics = speculate["metrics"]
 
         print(f"specbench: misspeculation mix ({engine})", flush=True)
         mis = misspec_experiment(misspec_mix(mis_sums), engine)
@@ -185,7 +169,7 @@ def run_suite(quick: bool) -> Dict:
 
     print("specbench: word granularity (contained mix)", flush=True)
     word = contained_experiment(contained_mix(sums), ENGINES[0],
-                                WORD_OPTIONS, name="contained_word")
+                                WORD_LEVEL, name="contained_word")
     word.pop("_speculate")
     print(f"  speedup {word['speedup']:.2f}x, "
           f"identical={word['identical_to_always_on']}", flush=True)

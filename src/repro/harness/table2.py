@@ -16,16 +16,14 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.apps.vulnerable import TABLE2_APPS, VulnerableApp
-from repro.compiler.instrument import ShiftOptions, UNINSTRUMENTED
+from repro.compiler.instrument import (BYTE_LEVEL, UNINSTRUMENTED,
+                                       WORD_LEVEL, ShiftOptions)
 from repro.core.shift import build_machine, compile_protected
 from repro.cpu.faults import Fault
 from repro.harness.formatting import format_table
 from repro.runtime.machine import Machine
 from repro.taint.engine import SecurityAlert
 from repro.taint.policy import PolicyConfig
-
-BYTE_STRICT = ShiftOptions(granularity=1, pointer_policy="strict")
-WORD_STRICT = ShiftOptions(granularity=8, pointer_policy="strict")
 
 
 def unprotected_config() -> PolicyConfig:
@@ -87,7 +85,7 @@ def evaluate_app(app: VulnerableApp) -> AppEvaluation:
     succeeded = bool(app.compromised and app.compromised(unprotected))
 
     results = {}
-    for level, options in (("byte", BYTE_STRICT), ("word", WORD_STRICT)):
+    for level, options in (("byte", BYTE_LEVEL), ("word", WORD_LEVEL)):
         benign = _run_scenario(app, options, app.policy_config(), app.benign)
         attack = _run_scenario(app, options, app.policy_config(), app.attack)
         results[level] = {

@@ -13,18 +13,12 @@ from typing import List, Optional, Sequence, Set
 
 from repro.apps.spec import BENCHMARKS
 from repro.compiler.codesize import instructions_to_bytes
-from repro.compiler.instrument import ShiftOptions
+from repro.compiler.instrument import (BYTE_LEVEL, UNINSTRUMENTED,
+                                       WORD_LEVEL, ShiftOptions)
 from repro.compiler.parser import parse
 from repro.compiler.pipeline import compile_program
 from repro.harness.formatting import format_table
 from repro.runtime.libc_src import LIBC_SOURCE
-
-# Code size is measured for the protection configuration (strict
-# pointer policy); the permissive SPEC-perf mode adds out-of-line
-# pointer-laundering blocks that the paper's binaries do not contain.
-BYTE = ShiftOptions(granularity=1, pointer_policy="strict")
-WORD = ShiftOptions(granularity=8, pointer_policy="strict")
-NONE = ShiftOptions(mode="none")
 
 _DUMMY_MAIN = "int main() { return 0; }"
 
@@ -59,15 +53,21 @@ def _sizes(sources: List[str], functions: Optional[Set[str]],
 
 def run_table3(benchmarks: Optional[Sequence[str]] = None,
                scale: str = "ref") -> List[Table3Row]:
-    """Measure code-size expansion (Table 3)."""
+    """Measure code-size expansion (Table 3).
+
+    Sizes are of the protection configuration (``BYTE_LEVEL`` and
+    ``WORD_LEVEL``, strict pointer policy); the permissive SPEC-perf
+    mode adds out-of-line pointer-laundering blocks that the paper's
+    binaries do not contain.
+    """
     rows: List[Table3Row] = []
     libc_names = libc_function_names()
 
     # The libc row (the paper's glibc entry).
     libc_sources = [LIBC_SOURCE, _DUMMY_MAIN]
-    orig = _sizes(libc_sources, libc_names, NONE)
-    word = _sizes(libc_sources, libc_names, WORD)
-    byte = _sizes(libc_sources, libc_names, BYTE)
+    orig = _sizes(libc_sources, libc_names, UNINSTRUMENTED)
+    word = _sizes(libc_sources, libc_names, WORD_LEVEL)
+    byte = _sizes(libc_sources, libc_names, BYTE_LEVEL)
     rows.append(Table3Row(
         name="libc", orig_bytes=orig,
         word_bytes=word, word_overhead_percent=100.0 * (word - orig) / orig,
@@ -77,11 +77,11 @@ def run_table3(benchmarks: Optional[Sequence[str]] = None,
     for name in (benchmarks or list(BENCHMARKS)):
         bench = BENCHMARKS[name]
         sources = [LIBC_SOURCE, bench.source(scale)]
-        compiled_none = compile_program(sources, NONE)
+        compiled_none = compile_program(sources, UNINSTRUMENTED)
         own = {fn for fn in compiled_none.function_sizes if fn not in libc_names}
-        orig = _sizes(sources, own, NONE)
-        word = _sizes(sources, own, WORD)
-        byte = _sizes(sources, own, BYTE)
+        orig = _sizes(sources, own, UNINSTRUMENTED)
+        word = _sizes(sources, own, WORD_LEVEL)
+        byte = _sizes(sources, own, BYTE_LEVEL)
         rows.append(Table3Row(
             name=name, orig_bytes=orig,
             word_bytes=word, word_overhead_percent=100.0 * (word - orig) / orig,

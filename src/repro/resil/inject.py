@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.compiler.instrument import ShiftOptions
+from repro.compiler.instrument import BYTE_LEVEL
 from repro.core.shift import build_machine
 from repro.cpu.faults import Fault, NaTConsumptionFault
 from repro.isa.instruction import OpKind
@@ -99,8 +99,6 @@ int main() {
 }
 """
 
-_STRICT_BYTE = ShiftOptions(granularity=1)
-
 
 def _victim_policy() -> PolicyConfig:
     """stdin is *trusted* here: control runs must carry zero taint."""
@@ -113,7 +111,7 @@ def victim_machine(engine: str = "predecoded"):
     """A fresh strict-compiled victim machine with clean 64-byte input."""
     from repro.harness import runners
 
-    return build_machine(runners.compiled(VICTIM_SOURCE, _STRICT_BYTE),
+    return build_machine(runners.compiled(VICTIM_SOURCE, BYTE_LEVEL),
                          policy_config=_victim_policy(),
                          stdin=bytes(range(VICTIM_BUF)), engine=engine)
 
@@ -124,7 +122,7 @@ def spec_machine(bench_name: str, scale: str = "test",
     from repro.apps.spec import BENCHMARKS
     from repro.harness import runners
 
-    return runners.spec_machine(BENCHMARKS[bench_name], _STRICT_BYTE, scale,
+    return runners.spec_machine(BENCHMARKS[bench_name], BYTE_LEVEL, scale,
                                 safe_input=True,
                                 spec=MachineSpec(engine=engine))
 

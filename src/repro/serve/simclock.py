@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.chaos.journal import RequestJournal
 from repro.chaos.replica import RecoveryPolicy, Replica, ReplicaStore
 from repro.chaos.schedule import ChaosSchedule
-from repro.fleet.driver import FleetConfig, run_worker
+from repro.fleet.driver import FleetConfig, request_outcome, run_worker
 from repro.fleet.frontend import FleetFrontend
 from repro.fleet.observe import frontend_metrics
 from repro.fleet.wire import TaggedMessage, WireFormatError
@@ -136,16 +136,16 @@ class ServiceModel:
         self._boot: Optional[Dict] = None
         self._migration: Optional[Tuple[int, float]] = None
 
-    def _boot_summary(self) -> Dict:
+    def _boot_metrics(self) -> Dict:
         if self._boot is None:
             summary, _machine = run_worker(self.config, "svc-boot", [])
-            self._boot = summary
+            self._boot = summary["metrics"]
         return self._boot
 
     @property
     def boot_cycles(self) -> float:
         """Cycles to bring a worker up before it can serve (spawn cost)."""
-        return float(self._boot_summary()["cycles"])
+        return float(self._boot_metrics()["cpu.cycles"])
 
     @property
     def measured(self) -> int:
@@ -191,39 +191,28 @@ class ServiceModel:
         return entry
 
     def _measure(self, payload: bytes, tags: Optional[bytes]) -> ServiceCost:
-        boot = self._boot_summary()
+        boot = self._boot_metrics()
         summary, _machine = run_worker(self.config, "svc-probe",
                                        [(payload, tags)])
-        cycles = max(1.0, float(summary["cycles"]) - float(boot["cycles"]))
-        policy_ids = tuple(a["policy_id"] for a in summary["alerts"])
-        spec = summary.get("spec") or {}
-        spec_commits = spec.get("commits", 0)
-        spec_rollbacks = spec.get("rollbacks", 0)
+        metrics = summary["metrics"]
+        outcome = request_outcome(summary)
+        cycles = max(1.0, float(metrics["cpu.cycles"])
+                     - float(boot["cpu.cycles"]))
+        if outcome == "quarantined" and summary["incidents"]:
+            burned = (summary["incidents"][0]["instruction_count"]
+                      - boot["cpu.instructions"])
+            cycles = max(cycles, float(burned))
         response_sha = ""
-        if summary["responses"]:
+        if outcome in ("served", "noop") and summary["responses"]:
             response_sha = hashlib.sha256(
                 summary["responses"][0]).hexdigest()
-        if summary["error"] is not None:
-            return ServiceCost(
-                cycles=cycles, outcome="fatal", policy_ids=policy_ids,
-                alerts=len(summary["alerts"]),
-                error=summary["error"]["message"],
-                spec_commits=spec_commits, spec_rollbacks=spec_rollbacks)
-        if summary["quarantined"]:
-            burned = 0.0
-            if summary["incidents"]:
-                burned = (summary["incidents"][0]["instruction_count"]
-                          - boot["instructions"])
-            return ServiceCost(
-                cycles=max(cycles, float(burned), 1.0),
-                outcome="quarantined", policy_ids=policy_ids,
-                alerts=len(summary["alerts"]),
-                spec_commits=spec_commits, spec_rollbacks=spec_rollbacks)
-        outcome = "served" if summary["served"] else "noop"
         return ServiceCost(
-            cycles=cycles, outcome=outcome, policy_ids=policy_ids,
+            cycles=cycles, outcome=outcome,
+            policy_ids=tuple(a["policy_id"] for a in summary["alerts"]),
             alerts=len(summary["alerts"]), response_sha=response_sha,
-            spec_commits=spec_commits, spec_rollbacks=spec_rollbacks)
+            error=summary["error"]["message"] if summary["error"] else "",
+            spec_commits=metrics.get("adaptive.spec.commits", 0),
+            spec_rollbacks=metrics.get("adaptive.spec.rollbacks", 0))
 
 
 # -- per-request bookkeeping --------------------------------------------

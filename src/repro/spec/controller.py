@@ -86,13 +86,8 @@ class SpeculationState:
 class SpeculationController:
     """Owns speculative epochs: entry policy, guards, commit/rollback."""
 
-    def __init__(self, machine,
-                 max_ranges: int = SPEC_MAX_RANGES,
-                 max_live_granules: int = SPEC_MAX_LIVE_GRANULES) -> None:
+    def __init__(self, machine) -> None:
         self.machine = machine
-        self.max_ranges = max_ranges
-        self.max_live_granules = max_live_granules
-        self.enabled = True
         self._epoch: Optional[SpeculationState] = None
         self._next_epoch_id = 1
         #: Private base snapshot for epochs captured outside the
@@ -137,8 +132,6 @@ class SpeculationController:
         checkpoint captured here re-executes the native exactly once
         after a restore (the handler has not run yet).
         """
-        if not self.enabled:
-            return
         if name in COMMIT_NATIVES:
             if name == "accept":
                 self._cooldown_until_accept = False
@@ -185,13 +178,13 @@ class SpeculationController:
     def _try_enter(self, cpu) -> None:
         machine = self.machine
         adaptive = machine.adaptive
-        if adaptive is None or not adaptive.enabled:
+        if adaptive is None:
             return
         if self._cooldown_until_accept or cpu.halted:
             return
         taint_map = machine.taint_map
         live = taint_map.live_granules
-        if not 0 < live <= self.max_live_granules:
+        if not 0 < live <= SPEC_MAX_LIVE_GRANULES:
             return
         if self._deny_stamp is not None \
                 and self._deny_stamp == taint_map.mutations:
@@ -201,7 +194,7 @@ class SpeculationController:
             return
         if not adaptive._quiescent(cpu):
             return
-        watch = TaintWatch.build(machine, self.max_ranges)
+        watch = TaintWatch.build(machine, SPEC_MAX_RANGES)
         if watch is None or self._touches_stack(cpu, watch):
             self._deny_stamp = taint_map.mutations
             self.entry_failures += 1

@@ -5,7 +5,9 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.apps.webserver import make_request, traversal_request
+from repro.apps.webserver import (make_request, overflow_request,
+                                  traversal_request)
+from repro.compiler.instrument import BYTE_LEVEL
 from repro.fleet import (
     FleetConfig,
     FleetDriver,
@@ -25,13 +27,6 @@ class TestFrontendRouting:
         fe = FleetFrontend(["a", "b", "c"])
         placed = [fe.submit(bytes([i])) for i in range(6)]
         assert placed == ["a", "b", "c", "a", "b", "c"]
-
-    def test_least_loaded_prefers_short_queue(self):
-        fe = FleetFrontend(["a", "b"], policy="least_loaded")
-        fe.slots["a"].queue.extend([b"x", b"y"])
-        assert fe.submit(b"r1") == "b"
-        assert fe.submit(b"r2") == "b"  # still shorter (1 vs 2)
-        assert fe.submit(b"r3") == "a"  # tie broken by worker order
 
     def test_hash_is_sticky_per_payload(self):
         fe = FleetFrontend(["a", "b", "c", "d"], policy="hash", seed=3)
@@ -67,12 +62,10 @@ class TestFrontendRouting:
         assert fe.submit(b"r2") == "b"  # round-robin lands it on b anyway
         assert fe.submit(b"r3") is None  # both full
         assert fe.dropped == 1
-        fe2 = FleetFrontend(["a", "b"], policy="least_loaded",
-                            queue_capacity=2)
-        fe2.slots["a"].queue.extend([b"x", b"y"])  # a is full
-        fe2.slots["b"].queue.append(b"z")
-        assert fe2.submit(b"r") == "b"
-        assert fe2.spilled == 0  # b was first choice (shorter queue)
+        fe2 = FleetFrontend(["a", "b"], queue_capacity=2)
+        fe2.slots["a"].queue.append(b"x")  # a still has room
+        assert fe2.submit(b"r") == "a"
+        assert fe2.spilled == 0  # a was first choice
 
     def test_spill_counts_non_first_choice(self):
         fe = FleetFrontend(["a", "b"], queue_capacity=1)
@@ -206,11 +199,6 @@ class OracleFrontend:
             start = self.rr_next % len(routable)
             self.rr_next += 1
             return routable[start:] + routable[:start]
-        if self.policy == "least_loaded":
-            return sorted(routable, key=lambda w: (
-                len(self.slots[w]["queue"]),
-                sum(len(r) for r in self.slots[w]["queue"]),
-                self.order.index(w)))
         point = self._hash(key if key is not None else payload)
         start = next((i for i, (pos, _) in enumerate(self.ring)
                       if pos >= point), 0)
@@ -275,8 +263,7 @@ FRONTEND_STEPS = st.tuples(
 class TestRoutingView:
     """The live-worker routing view decides exactly as the full scan."""
 
-    @pytest.mark.parametrize("policy",
-                             ["round_robin", "least_loaded", "hash"])
+    @pytest.mark.parametrize("policy", ["round_robin", "hash"])
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 5),
            capacity=st.one_of(st.none(), st.integers(1, 3)),
@@ -452,7 +439,8 @@ class TestFleetDriver:
         assert result.served == 6
         assert result.quarantined == 0
         assert not result.ejected
-        assert result.sim_cycles == max(w["cycles"] for w in result.workers)
+        assert result.sim_cycles == max(w["metrics"]["cpu.cycles"]
+                                        for w in result.workers)
 
     def test_fixed_seed_is_bit_reproducible(self):
         driver = FleetDriver(FleetConfig(), workers=2, routing="hash", seed=5)
@@ -494,7 +482,7 @@ class TestFleetDriver:
         assert flat["fleet.quarantined"] == 1
         assert flat["net.completed"] == 4
         assert flat["cpu.instructions"] == sum(
-            w["instructions"] for w in result.workers)
+            w["metrics"]["cpu.instructions"] for w in result.workers)
         report = incident_report(result)
         assert len(report["incidents"]) == 1
         assert report["incidents"][0]["policy_id"] == "H2"
@@ -517,6 +505,27 @@ class TestFleetDriver:
         assert [w["metrics"]["adaptive.mode"] for w in result.workers] \
             == [1, 1]
         assert result.metrics()["adaptive.mode"] == 1
+
+    def test_attack_mix_digest_is_pinned(self):
+        # Recorded constant: each worker's served count, cycles,
+        # instructions, quarantines and response hashes over a strict
+        # recover-mode attack mix.  A change to how a worker run is
+        # served or recorded moves it.
+        attacks = [traversal_request(), overflow_request(),
+                   traversal_request("/../etc/passwd")]
+        batch = []
+        for i in range(6):
+            batch.append(make_request(4))
+            if i < len(attacks):
+                batch.append(attacks[i])
+        result = FleetDriver(
+            FleetConfig(variant="resil", options=BYTE_LEVEL,
+                        recover_watchdog=2_000_000),
+            workers=2, seed=0).run(batch)
+        assert (result.served, result.quarantined, result.ejected) == \
+            (6, 3, [])
+        assert result.digest() == ("c9b9737e0285fbd56c2da7e84278bd52"
+                                   "91fd7834131c79486e1ca6120b6e4b39")
 
     def test_incident_names_worker_request_and_origin(self):
         driver = FleetDriver(FleetConfig(tracing=True), workers=2, seed=0)
@@ -541,8 +550,7 @@ class TestFleetDriver:
 
 
 class TestMultiprocessing:
-    @pytest.mark.parametrize("routing", ["round_robin", "least_loaded",
-                                         "hash"])
+    @pytest.mark.parametrize("routing", ["round_robin", "hash"])
     def test_process_driver_matches_inline_digest(self, routing):
         driver = FleetDriver(FleetConfig(), workers=2, routing=routing,
                              seed=0)

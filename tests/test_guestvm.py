@@ -30,8 +30,8 @@ from repro.guestvm.asm import (
     assemble,
     disassemble,
 )
+from repro.compiler.instrument import BYTE_LEVEL
 from repro.harness.guestbench import (
-    GUEST_OPTIONS,
     GUEST_WATCHDOG,
     detection_campaign,
     fleet_smoke,
@@ -181,7 +181,7 @@ def run_guest(variant, requests, **kwargs):
     kwargs.setdefault("policy_config", guestvm_policy())
     kwargs.setdefault("engine_mode", "record")
     kwargs.setdefault("tracing", True)
-    machine = build_worker(FleetConfig(variant=variant, options=GUEST_OPTIONS,
+    machine = build_worker(FleetConfig(variant=variant, options=BYTE_LEVEL,
                                        **kwargs))
     for request in requests:
         machine.net.add_request(request)

@@ -1,17 +1,22 @@
 """Experiment-harness tests on reduced workloads."""
 
 import dataclasses
+import gc
 
 import pytest
 
+from repro.apps.webserver import traversal_request
+from repro.compiler.instrument import BYTE_LEVEL
+from repro.fleet.driver import FleetConfig
 from repro.harness.baselines_cmp import (format_baselines,
                                          run_baseline_comparison)
 from repro.harness.figure6 import format_figure6, run_figure6
 from repro.harness.figure7 import format_figure7, run_figure7
 from repro.harness.figure8 import format_figure8, run_figure8
 from repro.harness.figure9 import format_figure9, run_figure9
-from repro.harness.formatting import format_table, geomean
-from repro.harness.runners import PERF_OPTIONS, SpecTable
+from repro.harness.formatting import format_table, geomean, ratio_quartiles
+from repro.harness.runners import (PERF_OPTIONS, SpecTable, paired_times,
+                                   serve_requests)
 from repro.harness.table1 import format_table1_output, run_table1
 from repro.harness.table3 import format_table3, run_table3
 from repro.runtime.machine import MachineSpec
@@ -36,6 +41,38 @@ class TestFormatting:
         lines = text.splitlines()
         assert len(lines) == 4
         assert "2.50" in text
+
+
+class TestPairedTimes:
+    def test_arms_alternate_and_gc_stays_out(self):
+        calls = []
+
+        def arm(name, seconds):
+            def timed():
+                calls.append((name, gc.isenabled()))
+                return seconds
+            return timed
+
+        times = paired_times({"a": arm("a", 1.0), "b": arm("b", 2.0),
+                              "c": arm("c", 4.0)}, 3)
+        assert [name for name, _ in calls] == list("abcbcacab")
+        assert not any(enabled for _, enabled in calls)
+        assert gc.isenabled()
+        assert times == {"a": [1.0] * 3, "b": [2.0] * 3, "c": [4.0] * 3}
+
+    def test_ratio_quartiles(self):
+        assert ratio_quartiles([2.0, 4.0, 6.0, 8.0, 10.0], [1.0] * 5) == \
+            (4.0, 6.0, 8.0)
+
+
+class TestServeRequests:
+    def test_a_dead_worker_fails_the_experiment(self):
+        # Raise mode: the traversal's H2 alert kills the worker, and
+        # the experiment must not read the cut-short run as a result.
+        config = FleetConfig(variant="resil", options=BYTE_LEVEL,
+                             engine_mode="raise")
+        with pytest.raises(RuntimeError, match="died .alert.*H2"):
+            serve_requests(config, [(traversal_request(), None)])
 
 
 class TestFigure6:

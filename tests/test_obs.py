@@ -13,10 +13,10 @@ import pytest
 
 from repro.apps.spec import BENCHMARKS
 from repro.apps.vulnerable import BFTPD, QWIKIWIKI
+from repro.compiler.instrument import BYTE_LEVEL
 from repro.core.shift import build_machine, compile_protected
 from repro.cpu.faults import Fault
 from repro.harness.runners import PERF_OPTIONS, spec_policy
-from repro.harness.table2 import BYTE_STRICT
 from repro.obs.events import (
     EVENT_TYPES,
     AlertEvent,
@@ -257,7 +257,7 @@ class TestMachineIntegration:
 
 def run_attack(app):
     """Run one Table 2 exploit under record-mode tracing."""
-    compiled = compile_protected(app.source, BYTE_STRICT)
+    compiled = compile_protected(app.source, BYTE_LEVEL)
     machine = build_machine(compiled, policy_config=app.policy_config(),
                             engine_mode="record", tracing=True)
     scenario = app.attack(machine) if callable(app.attack) else app.attack

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.webserver import make_request, traversal_request
-from repro.compiler.instrument import ShiftOptions
+from repro.compiler.instrument import BYTE_LEVEL, ShiftOptions
 from repro.fleet.driver import FleetConfig
 from repro.fleet.frontend import FleetFrontend
 from repro.fleet.supervised import SupervisedFleet
@@ -478,7 +478,33 @@ class TestServeSim:
         assert flat["serve.quarantined"] == detection["detected"]
 
 
+#: One real ServiceModel cost per outcome it can produce: (config,
+#: payload, cycles, outcome, policy ids, response sha).  Recorded
+#: constants; a change to how a worker run is measured moves them.
+PINNED_COSTS = {
+    "served": (FleetConfig(), make_request(4), 160181.0, "served", (),
+               "4febe7ca2d0083c182fcbe518761b661"
+               "e2c3307ef597751bbb5fd0b6be8dd931"),
+    "quarantined": (FleetConfig(variant="resil", options=BYTE_LEVEL,
+                                recover_watchdog=2_000_000),
+                    traversal_request(), 2091.0, "quarantined", ("H2",),
+                    ""),
+    "fatal": (FleetConfig(variant="resil", options=BYTE_LEVEL,
+                          engine_mode="raise"),
+              traversal_request(), 18182.0, "fatal", ("H2",), ""),
+}
+
+
 class TestServiceModelReal:
+    @pytest.mark.parametrize("case", sorted(PINNED_COSTS))
+    def test_cost_is_pinned(self, case):
+        config, payload, cycles, outcome, policy_ids, sha = \
+            PINNED_COSTS[case]
+        cost = ServiceModel(config).cost(payload)
+        assert (cost.cycles, cost.outcome, cost.policy_ids,
+                cost.response_sha) == (cycles, outcome, policy_ids, sha)
+        assert cost.alerts == len(policy_ids)
+
     def test_budgets_are_measured_and_cached(self):
         model = ServiceModel(FleetConfig())
         assert model.boot_cycles > 0

@@ -285,8 +285,8 @@ class TestFleetSpeculation:
         summary, machine = run_worker(
             config, "w0",
             [(stor_request(0, BENIGN_VALUE), None), (sum_request(), None)])
-        assert summary["spec"] is not None
-        assert summary["spec"]["epochs"] == machine.spec.epochs
+        assert summary["metrics"]["adaptive.spec.epochs"] == \
+            machine.spec.epochs
         assert summary["metrics"]["adaptive.spec.commits"] == \
             machine.spec.commits
 

@@ -3,10 +3,8 @@
 import pytest
 
 from repro.apps.vulnerable import FIGURE1_APP, TABLE2_APPS
-from repro.compiler.instrument import UNINSTRUMENTED
+from repro.compiler.instrument import BYTE_LEVEL, UNINSTRUMENTED, WORD_LEVEL
 from repro.harness.table2 import (
-    BYTE_STRICT,
-    WORD_STRICT,
     _run_scenario,
     evaluate_app,
     unprotected_config,
@@ -26,12 +24,12 @@ class TestTable2Apps:
         assert not app.compromised(machine)
 
     def test_detected_at_byte_level(self, app):
-        machine = _run_scenario(app, BYTE_STRICT, app.policy_config(), app.attack)
+        machine = _run_scenario(app, BYTE_LEVEL, app.policy_config(), app.attack)
         assert machine.alerts, f"{app.name}: attack must be detected"
         assert machine.alerts[0].policy_id == app.expected_policy
 
     def test_no_false_positive_at_byte_level(self, app):
-        machine = _run_scenario(app, BYTE_STRICT, app.policy_config(), app.benign)
+        machine = _run_scenario(app, BYTE_LEVEL, app.policy_config(), app.benign)
         assert not machine.alerts, f"{app.name}: benign run raised an alert"
 
 
@@ -41,13 +39,13 @@ class TestWordLevelDetection:
 
     def test_detected_at_word_level(self, name):
         app = APPS_BY_NAME[name]
-        machine = _run_scenario(app, WORD_STRICT, app.policy_config(), app.attack)
+        machine = _run_scenario(app, WORD_LEVEL, app.policy_config(), app.attack)
         assert machine.alerts
         assert machine.alerts[0].policy_id == app.expected_policy
 
     def test_no_false_positive_at_word_level(self, name):
         app = APPS_BY_NAME[name]
-        machine = _run_scenario(app, WORD_STRICT, app.policy_config(), app.benign)
+        machine = _run_scenario(app, WORD_LEVEL, app.policy_config(), app.benign)
         assert not machine.alerts
 
 
@@ -75,7 +73,7 @@ class TestFigure1QwikSmtpd:
 
     def test_shift_detects_tainted_localip(self):
         app = FIGURE1_APP
-        machine = _run_scenario(app, BYTE_STRICT, app.policy_config(), app.attack)
+        machine = _run_scenario(app, BYTE_LEVEL, app.policy_config(), app.attack)
         assert machine.read_global("relayed") == 0
         assert "ALERT" in machine.console.text
         # The overflow taint is visible in the bitmap at localip.
@@ -83,7 +81,7 @@ class TestFigure1QwikSmtpd:
 
     def test_shift_benign_run_clean(self):
         app = FIGURE1_APP
-        machine = _run_scenario(app, BYTE_STRICT, app.policy_config(), app.benign)
+        machine = _run_scenario(app, BYTE_LEVEL, app.policy_config(), app.benign)
         assert "ALERT" not in machine.console.text
         assert not machine.taint_map.is_tainted(machine.address_of("localip"))
 
