@@ -8,15 +8,12 @@ analogues through the security harness.
 Run:  python examples/attack_detection.py
 """
 
-from repro.apps.vulnerable import BFTPD, FIGURE1_APP, QWIKIWIKI, TABLE2_APPS
+from repro.apps.vulnerable import (BFTPD, FIGURE1_APP, QWIKIWIKI, TABLE2_APPS,
+                                   unprotected_config)
 from repro.compiler.instrument import BYTE_LEVEL, UNINSTRUMENTED
 from repro.core.shift import build_machine, compile_protected
 from repro.cpu.faults import Fault
-from repro.harness.table2 import (
-    _run_scenario,
-    evaluate_app,
-    unprotected_config,
-)
+from repro.harness.paper import table2
 from repro.obs.report import render_incidents
 from repro.taint.engine import SecurityAlert
 
@@ -33,19 +30,19 @@ argument overflows clientHELO[32] straight into localip[64].
 """)
 
     print("[1] Attack against the UNPROTECTED server:")
-    machine = _run_scenario(app, UNINSTRUMENTED, unprotected_config(), app.attack)
+    machine = app.run(UNINSTRUMENTED, unprotected_config(), app.attack)
     print(f"    localip after overflow: {machine.read_string('localip')!r}")
     print(f"    mail relayed: {bool(machine.read_global('relayed'))}  <- exploit works\n")
 
     print("[2] Same attack against the SHIFT-protected server (byte level):")
-    machine = _run_scenario(app, BYTE_LEVEL, app.policy_config(), app.attack)
+    machine = app.run(BYTE_LEVEL, app.policy_config(), app.attack)
     localip = machine.address_of("localip")
     print(f"    taint bitmap at localip: tainted={machine.taint_map.is_tainted(localip)}")
     print(f"    guest console: {machine.console.text.strip()!r}")
     print(f"    mail relayed: {bool(machine.read_global('relayed'))}  <- attack defeated\n")
 
     print("[3] Benign session against the SHIFT-protected server:")
-    machine = _run_scenario(app, BYTE_LEVEL, app.policy_config(), app.benign)
+    machine = app.run(BYTE_LEVEL, app.policy_config(), app.benign)
     print(f"    alerts: {machine.alerts or 'none'} (no false positive)\n")
 
 
@@ -56,13 +53,13 @@ def table2_tour(names=("tar", "qwikiwiki", "phpmyfaq", "bftpd")):
     by_name = {app.name: app for app in TABLE2_APPS}
     for name in names:
         app = by_name[name]
-        evaluation = evaluate_app(app)
+        row = table2([app])["apps"][0]
         print(f"\n{app.name} ({app.cve}) -- {app.attack_type}")
-        print(f"    exploit succeeds unprotected: {evaluation.attack_succeeds_unprotected}")
-        print(f"    detected byte/word: {evaluation.detected_byte}/{evaluation.detected_word} "
-              f"(policy {evaluation.alert_policy_byte})")
+        print(f"    exploit succeeds unprotected: {row['attack_succeeds_unprotected']}")
+        print(f"    detected byte/word: {row['detected_byte']}/{row['detected_word']} "
+              f"(policy {row['alert_policy_byte']})")
         print(f"    false positives: "
-              f"{evaluation.false_positive_byte or evaluation.false_positive_word}")
+              f"{row['false_positive_byte'] or row['false_positive_word']}")
 
 
 def incident_forensics():

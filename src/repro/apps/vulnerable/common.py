@@ -11,9 +11,13 @@ unprotected program and are detected on the protected one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple, Union
 
+from repro.compiler.instrument import ShiftOptions
+from repro.core.shift import build_machine, compile_protected
+from repro.cpu.faults import Fault
 from repro.runtime.machine import Machine
+from repro.taint.engine import SecurityAlert
 from repro.taint.policy import PolicyConfig
 
 
@@ -60,3 +64,36 @@ class VulnerableApp:
             machine.fs.write(path, data)
         for request in scenario.requests:
             machine.net.add_request(request)
+
+    def run(self, options: ShiftOptions, policy_config: PolicyConfig,
+            scenario: Union[Scenario, Callable[[Machine], Scenario]],
+            ) -> Machine:
+        """Build this app in record mode, run one scenario, return the
+        machine; read the outcome off ``machine.alerts``.
+
+        ``scenario`` is a :class:`Scenario` or a callable that takes the
+        loaded machine and returns one.  An alert or fault that ends the
+        run is swallowed: in record mode the engine logs the alert and
+        the NaT-consumption fault still ends the guest (the hardware
+        fault is the detection mechanism for L1-L3).
+        """
+        machine = build_machine(compile_protected(self.source, options),
+                                policy_config=policy_config,
+                                engine_mode="record")
+        self.prepare(machine,
+                     scenario(machine) if callable(scenario) else scenario)
+        try:
+            machine.run(max_instructions=50_000_000)
+        except (SecurityAlert, Fault):
+            pass
+        return machine
+
+
+def unprotected_config() -> PolicyConfig:
+    """No taint sources, no policies: the stock vulnerable program."""
+    config = PolicyConfig()
+    for source in config.tainted_sources:
+        config.tainted_sources[source] = False
+    for policy in config.enabled:
+        config.enabled[policy] = False
+    return config

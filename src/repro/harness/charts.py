@@ -1,7 +1,7 @@
 """ASCII bar charts for the regenerated figures.
 
-The paper presents Figures 6-9 as grouped bar charts; these helpers
-render the same data as fixed-width text so `results/` artefacts are
+The paper presents Figures 6-9 as grouped bar charts; :func:`bar_chart`
+renders the same data as fixed-width text so `results/` artefacts are
 readable at a glance without plotting dependencies.
 """
 
@@ -64,47 +64,3 @@ def bar_chart(
         lines.append(ruler)
     return "\n".join(lines).rstrip() + "\n"
 
-
-def figure7_chart(result) -> str:
-    """Bar-chart view of a Figure7Result."""
-    groups = [
-        (row.benchmark, {
-            "byte": row.byte_unsafe,
-            "word": row.word_unsafe,
-        })
-        for row in result.rows
-    ]
-    return bar_chart(groups, title="Figure 7 (unsafe input): slowdown vs baseline",
-                     unit="X")
-
-
-def figure8_chart(result, level: str = "byte") -> str:
-    """Bar-chart view of a Figure8Result at one granularity."""
-    groups = [
-        (row.benchmark, {
-            "unsafe": row.unsafe,
-            "+set/clear": row.set_clear,
-            "+both": row.both,
-        })
-        for row in result.level_rows(level)
-    ]
-    return bar_chart(groups,
-                     title=f"Figure 8 ({level}-level): enhancement impact", unit="X")
-
-
-def figure9_chart(result, level: str = "byte") -> str:
-    """Stacked components of a Figure9Result as grouped bars."""
-    groups = []
-    for row in result.rows:
-        if row.level != level:
-            continue
-        groups.append((row.benchmark, {
-            "ld compute": row.load_compute,
-            "ld mem": row.load_mem,
-            "st compute": row.store_compute,
-            "st mem": row.store_mem,
-        }))
-    return bar_chart(groups, unit="x base",
-                     title=f"Figure 9 ({level}-level): overhead components "
-                           "(fraction of baseline runtime)",
-                     baseline=None)

@@ -101,14 +101,10 @@ def spec_policy(safe_input: bool) -> PolicyConfig:
 
 @dataclass
 class MeasuredRun:
-    """One measured execution."""
+    """One measured execution: its cycles, the kernel's ``result``
+    checksum and every counter."""
 
-    label: str
     cycles: float
-    compute_cycles: float
-    io_cycles: float
-    instructions: int
-    exit_code: int
     checksum: int
     counters: PerfCounters
 
@@ -133,23 +129,14 @@ def run_spec(
     options: ShiftOptions,
     scale: str = "ref",
     safe_input: bool = False,
-    label: str = "",
     spec: MachineSpec = MachineSpec(),
 ) -> MeasuredRun:
     """Run one SPEC kernel under one configuration (:func:`spec_machine`)."""
     machine = spec_machine(bench, options, scale, safe_input, spec)
-    exit_code = machine.run()
-    counters = machine.counters
-    return MeasuredRun(
-        label=label or options.label,
-        cycles=counters.cycles,
-        compute_cycles=counters.compute_cycles,
-        io_cycles=counters.io_cycles,
-        instructions=counters.instructions,
-        exit_code=exit_code,
-        checksum=machine.read_global("result"),
-        counters=counters,
-    )
+    machine.run()
+    return MeasuredRun(cycles=machine.counters.cycles,
+                       checksum=machine.read_global("result"),
+                       counters=machine.counters)
 
 
 class SpecTable:

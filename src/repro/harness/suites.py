@@ -241,8 +241,11 @@ _SUITES = (
         ("baselines.mean.interpreter", ">", 5.0),
         ("baselines.lift_clear_win", "==", True),
         ("ablations.mean.natgen per use", ">", "@byte (baseline)"),
+        ("ablations.rows.*.slowdowns.natgen per use", ">", "@byte (baseline)"),
         ("ablations.global_natgen_no_worse", "==", True),
         ("ablations.mean.x86-style tag xlat", "<", "@byte (baseline)"),
+        ("ablations.rows.*.slowdowns.x86-style tag xlat", "<",
+         "@byte (baseline)"),
         ("ablations.mean.no relax (safe)", "<", "@byte (safe input)"),
         ("ablation_width.narrow_costs_more", "==", True),
         ("pruning.*.never_hurts", "==", True),

@@ -1,9 +1,7 @@
 """ASCII chart rendering tests."""
 
-from repro.harness.charts import bar_chart, figure7_chart, figure8_chart, figure9_chart
-from repro.harness.figure7 import Figure7Result, Figure7Row
-from repro.harness.figure8 import Figure8Result, Figure8Row
-from repro.harness.figure9 import Figure9Result, Figure9Row
+from repro.harness.charts import bar_chart
+from repro.harness.paper import render_figure7, render_figure8, render_figure9
 
 
 class TestBarChart:
@@ -34,29 +32,40 @@ class TestBarChart:
 
 
 class TestFigureCharts:
+    """Each figure's chart, rendered after its table from a section."""
+
     def test_figure7_chart(self):
-        result = Figure7Result(rows=[
-            Figure7Row("gzip", 2.5, 2.0, 2.2, 1.9),
-            Figure7Row("mcf", 1.4, 1.3, 1.35, 1.25),
-        ], scale="test")
-        text = figure7_chart(result)
+        bars = ("byte_unsafe", "byte_safe", "word_unsafe", "word_safe")
+        rows = [dict(zip(("benchmark", *bars), values)) for values in [
+            ("gzip", 2.5, 2.0, 2.2, 1.9),
+            ("mcf", 1.4, 1.3, 1.35, 1.25),
+        ]]
+        section = {"rows": rows, "mean": {bar: 1.0 for bar in bars}}
+        text = render_figure7(section, "test").split("\n\n", 1)[1]
         assert "gzip" in text and "mcf" in text
         assert "2.50X" in text
 
     def test_figure8_chart(self):
-        result = Figure8Result(rows=[
-            Figure8Row("gzip", "byte", 2.5, 2.3, 1.8),
-            Figure8Row("gzip", "word", 2.2, 2.1, 1.6),
-        ], scale="test")
-        text = figure8_chart(result, "byte")
+        bars = ("unsafe", "set_clear", "both")
+        rows = [{"benchmark": "gzip", "level": level,
+                 "set_clear_reduction_points": 0.0,
+                 "both_reduction_points": 0.0, **dict(zip(bars, values))}
+                for level, values in [("byte", (2.5, 2.3, 1.8)),
+                                      ("word", (2.2, 2.1, 1.6))]]
+        mean = {bar: 1.0 for bar in bars}
+        section = {"rows": rows, "levels": {
+            level: {**mean, "set_clear_reduction": 0.0, "both_reduction": 0.0}
+            for level in ("byte", "word")}}
+        text = render_figure8(section, "test").split("\n\n", 1)[1]
         assert "+both" in text
         assert "1.80X" in text
         assert "1.60X" not in text  # word row excluded
 
     def test_figure9_chart(self):
-        result = Figure9Result(rows=[
-            Figure9Row("gzip", "byte", 0.6, 0.05, 0.1, 0.01, 0.5),
-        ], scale="test")
-        text = figure9_chart(result, "byte")
+        parts = ("load_compute", "load_mem", "store_compute", "store_mem",
+                 "other_instrumentation")
+        section = {"rows": [{"benchmark": "gzip", "level": "byte",
+                             **dict(zip(parts, (0.6, 0.05, 0.1, 0.01, 0.5)))}]}
+        text = render_figure9(section, "test").split("\n\n", 1)[1]
         assert "ld compute" in text
         assert "0.60x base" in text

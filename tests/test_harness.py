@@ -2,24 +2,21 @@
 
 import dataclasses
 import gc
+import json
+import pathlib
 
 import pytest
 
 from repro.apps.webserver import traversal_request
 from repro.compiler.instrument import BYTE_LEVEL
 from repro.fleet.driver import FleetConfig
-from repro.harness.baselines_cmp import (format_baselines,
-                                         run_baseline_comparison)
-from repro.harness.figure6 import format_figure6, run_figure6
-from repro.harness.figure7 import format_figure7, run_figure7
-from repro.harness.figure8 import format_figure8, run_figure8
-from repro.harness.figure9 import format_figure9, run_figure9
+from repro.harness import paper
 from repro.harness.formatting import format_table, geomean, ratio_quartiles
 from repro.harness.runners import (PERF_OPTIONS, SpecTable, paired_times,
                                    serve_requests)
-from repro.harness.table1 import format_table1_output, run_table1
-from repro.harness.table3 import format_table3, run_table3
 from repro.runtime.machine import MachineSpec
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -77,65 +74,77 @@ class TestServeRequests:
 
 class TestFigure6:
     def test_rows_and_mean(self):
-        result = run_figure6(sizes_kb=(4, 16), requests=3)
-        assert [row.file_kb for row in result.rows] == [4, 16]
-        assert -2.0 < result.mean_overhead_percent < 10.0
-        text = format_figure6(result)
+        section = paper.figure6(sizes_kb=(4, 16), requests=3)
+        assert [row["file_kb"] for row in section["rows"]] == [4, 16]
+        assert -2.0 < section["mean_overhead_percent"] < 10.0
+        text = paper.render_figure6(section)
         assert "4 KB" in text and "geometric-mean" in text
 
 
 class TestFigure7:
     def test_subset_run(self, table):
-        result = run_figure7(table, ["mcf", "crafty"])
-        assert len(result.rows) == 2
-        for row in result.rows:
-            assert row.byte_unsafe >= row.word_unsafe * 0.95
-            assert row.byte_unsafe > 1.0
-        assert "geo.mean" in format_figure7(result)
+        section = paper.figure7(table, ["mcf", "crafty"])
+        assert len(section["rows"]) == 2
+        for row in section["rows"]:
+            assert row["byte_unsafe"] >= row["word_unsafe"] * 0.95
+            assert row["byte_unsafe"] > 1.0
+        assert "geo.mean" in paper.render_figure7(section, table.scale)
+
+    def test_render_reads_only_report_data(self, table):
+        # The report is written as sorted-key JSON: a section must
+        # render the same text after that round trip.
+        section = paper.figure7(table, ["mcf"])
+        stored = json.loads(json.dumps(section, sort_keys=True))
+        assert paper.render_figure7(stored, table.scale) == \
+            paper.render_figure7(section, table.scale)
 
 
 class TestFigure8:
     def test_enhancements_reduce_slowdown(self, table):
-        result = run_figure8(table, ["gzip"])
-        for row in result.rows:
-            assert row.both <= row.unsafe
-            assert row.set_clear <= row.unsafe * 1.01
-        text = format_figure8(result)
+        # The per-level summary reads mcf's points, so mcf rides along.
+        section = paper.figure8(table, ["gzip", "mcf"])
+        for row in section["rows"]:
+            assert row["both"] <= row["unsafe"]
+            assert row["set_clear"] <= row["unsafe"] * 1.01
+        text = paper.render_figure8(section, table.scale)
         assert "red(both) pts" in text
 
 
 class TestFigure9:
     def test_breakdown_structure(self, table):
-        result = run_figure9(table, ["gzip"], levels=("byte",))
-        row = result.rows[0]
-        assert row.load_compute > 0
-        assert row.load_mem > 0
+        section = paper.figure9(table, ["gzip"])
+        row = section["rows"][0]
+        assert row["level"] == "byte"
+        assert row["load_compute"] > 0
+        assert row["load_mem"] > 0
         # The paper's headline findings:
-        assert row.computation_total > row.memory_total
-        assert row.load_compute > row.store_compute
-        assert "ld compute" in format_figure9(result)
+        assert (row["load_compute"] + row["store_compute"]
+                > row["load_mem"] + row["store_mem"])
+        assert row["load_compute"] > row["store_compute"]
+        assert "ld compute" in paper.render_figure9(section, table.scale)
 
 
 class TestTables:
     def test_table1_static(self):
-        assert len(run_table1()) == 8
-        assert "H5" in format_table1_output()
+        report = json.loads((ROOT / "BENCH_paper.json").read_text())
+        assert len(report["table1"]["policy_ids"]) == 8
+        assert "H5" in paper.render(report)["table1"]
 
     def test_table3_subset(self):
-        rows = run_table3(benchmarks=["mcf"], scale="test")
-        by_name = {row.name: row for row in rows}
-        assert set(by_name) == {"libc", "mcf"}
-        mcf = by_name["mcf"]
-        assert 0 < mcf.word_overhead_percent < mcf.byte_overhead_percent
-        assert "Table 3" in format_table3(rows)
+        section = paper.table3("test", ["mcf"])
+        assert section["apps"] == ["libc", "mcf"]
+        mcf = section["spec"][0]
+        assert 0 < mcf["word_overhead_percent"] < mcf["byte_overhead_percent"]
+        assert "Table 3" in paper.render_table3(section)
 
 
 class TestBaselineComparison:
     def test_ordering(self, table):
-        result = run_baseline_comparison(table, ["bzip2"])
-        row = result.rows[0]
-        assert row.shift_word < row.shift_byte < row.lift < row.interpreter
-        assert "LIFT-style" in format_baselines(result)
+        section = paper.baselines(table, ["bzip2"])
+        row = section["rows"][0]
+        assert (row["shift_word"] < row["shift_byte"] < row["lift"]
+                < row["interpreter"])
+        assert "LIFT-style" in paper.render_baselines(section, table.scale)
 
 
 class TestSpecSlowdownHelper:
