@@ -30,19 +30,21 @@ argument overflows clientHELO[32] straight into localip[64].
 """)
 
     print("[1] Attack against the UNPROTECTED server:")
-    machine = app.run(UNINSTRUMENTED, unprotected_config(), app.attack)
+    machine = app.run(compile_protected(app.source, UNINSTRUMENTED),
+                      unprotected_config(), app.attack)
     print(f"    localip after overflow: {machine.read_string('localip')!r}")
     print(f"    mail relayed: {bool(machine.read_global('relayed'))}  <- exploit works\n")
 
     print("[2] Same attack against the SHIFT-protected server (byte level):")
-    machine = app.run(BYTE_LEVEL, app.policy_config(), app.attack)
+    protected = compile_protected(app.source, BYTE_LEVEL)
+    machine = app.run(protected, app.policy_config(), app.attack)
     localip = machine.address_of("localip")
     print(f"    taint bitmap at localip: tainted={machine.taint_map.is_tainted(localip)}")
     print(f"    guest console: {machine.console.text.strip()!r}")
     print(f"    mail relayed: {bool(machine.read_global('relayed'))}  <- attack defeated\n")
 
     print("[3] Benign session against the SHIFT-protected server:")
-    machine = app.run(BYTE_LEVEL, app.policy_config(), app.benign)
+    machine = app.run(protected, app.policy_config(), app.benign)
     print(f"    alerts: {machine.alerts or 'none'} (no false positive)\n")
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
-from repro.compiler.instrument import ShiftOptions
-from repro.core.shift import build_machine, compile_protected
+from repro.compiler.pipeline import CompiledProgram
+from repro.core.shift import build_machine
 from repro.cpu.faults import Fault
 from repro.runtime.machine import Machine
 from repro.taint.engine import SecurityAlert
@@ -65,20 +65,21 @@ class VulnerableApp:
         for request in scenario.requests:
             machine.net.add_request(request)
 
-    def run(self, options: ShiftOptions, policy_config: PolicyConfig,
+    def run(self, compiled: CompiledProgram, policy_config: PolicyConfig,
             scenario: Union[Scenario, Callable[[Machine], Scenario]],
             ) -> Machine:
-        """Build this app in record mode, run one scenario, return the
-        machine; read the outcome off ``machine.alerts``.
+        """Load one build of this app in record mode, run one scenario,
+        return the machine; read the outcome off ``machine.alerts``.
 
-        ``scenario`` is a :class:`Scenario` or a callable that takes the
-        loaded machine and returns one.  An alert or fault that ends the
-        run is swallowed: in record mode the engine logs the alert and
-        the NaT-consumption fault still ends the guest (the hardware
-        fault is the detection mechanism for L1-L3).
+        ``compiled`` is ``compile_protected(app.source, options)``; one
+        build serves any number of runs.  ``scenario`` is a
+        :class:`Scenario` or a callable that takes the loaded machine
+        and returns one.  An alert or fault that ends the run is
+        swallowed: in record mode the engine logs the alert and the
+        NaT-consumption fault still ends the guest (the hardware fault
+        is the detection mechanism for L1-L3).
         """
-        machine = build_machine(compile_protected(self.source, options),
-                                policy_config=policy_config,
+        machine = build_machine(compiled, policy_config=policy_config,
                                 engine_mode="record")
         self.prepare(machine,
                      scenario(machine) if callable(scenario) else scenario)

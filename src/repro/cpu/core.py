@@ -48,6 +48,11 @@ class CpuContext:
 #: Execution engines (see ``CPU.engine``).
 ENGINES = ("predecoded", "reference")
 
+#: Most instructions one fused block runs (``repro.cpu.predecode``).  The
+#: predecoded run loop stops dispatching blocks this many instructions
+#: short of its budget, so no block can overrun ``max_instructions``.
+MAX_BLOCK = 24
+
 #: ``break`` immediates understood by the executor.
 BREAK_SYSCALL = 0x100000
 BREAK_NATIVE_BASE = 0x200000
@@ -378,12 +383,12 @@ class CPU:
         n = len(uops)
         limit = start + budget
         # A fused block executes up to MAX_BLOCK instructions per call,
-        # so the bulk loop stops short of the budget and the per-micro-op
-        # tail enforces the exact stopping point.  Micro-ops return the
-        # next pc, or its bitwise complement when the halted/yield flags
-        # may have changed (only break micro-ops run handlers), so the
-        # hot loop needs no per-step flag checks.
-        safe = limit - 64
+        # so the bulk loop stops MAX_BLOCK short of the budget and the
+        # per-micro-op tail enforces the exact stopping point.  Micro-ops
+        # return the next pc, or its bitwise complement when the
+        # halted/yield flags may have changed (only break micro-ops run
+        # handlers), so the hot loop needs no per-step flag checks.
+        safe = limit - MAX_BLOCK
         pc = self.pc
         while counters.instructions < safe:
             if not 0 <= pc < n:

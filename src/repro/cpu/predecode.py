@@ -5,15 +5,33 @@ with the guest's work: dict dispatch on the mnemonic, re-reading operand
 ``Reg`` objects, a ``getattr`` for cached issue metadata, and a method
 call into :class:`~repro.cpu.perf.IssueModel` whose conflict masks and
 config limits are re-fetched every instruction.  This module removes all
-of it by *predecoding*.  One generator, :func:`_block`, turns a
-straight-line run of instructions into the *source code* of one
-function: operand indices, immediates, dependency bitmasks, branch-target
-pcs, the issue-model limits and the memory geometry are embedded as
-literals, so the common case calls no Python function, only builtins
-(the page dict's ``get``, ``struct`` codecs, set and deque appends).
-``counters.instructions`` is batched into one store at block exit
-(members that need the live value — store-buffer sequence numbers — use
-``ci + j`` with the member's static offset).
+of it by *predecoding*.  One generator, :func:`_block`, turns a run of
+instructions into the *source code* of one function: operand indices,
+immediates, dependency bitmasks, branch-target pcs, the issue-model
+limits and the memory geometry are embedded as literals, so the common
+case calls no Python function, only builtins (the page dict's ``get``,
+``struct`` codecs, set and deque appends).  ``counters.instructions`` is
+batched into one store at block exit (members that need the live value —
+store-buffer sequence numbers — use ``ci + j`` with the member's index
+``j``).
+
+A block of more than one member is a *superblock*: its members run in
+order from its leader, and the run goes on through branches:
+
+* A guarded direct branch (``br``, ``br.cond``, ``br.call``) or a
+  ``chk.s`` is a *side exit*.  Taken, it runs its taken accounting and
+  the exit writeback and returns its target; not taken, the next member
+  runs.
+* An unguarded direct ``br`` or ``br.call`` is *followed*: the next
+  member is the one at its target (a call writes its return link
+  first).
+* The block stops before an indirect branch, a return or a ``break``
+  (each forms a block only as its sole member), before a member that
+  cannot be fused, before a pc it already holds, and at ``MAX_BLOCK``
+  members.
+
+Members are not contiguous, so every exit returns an absolute pc, and a
+faulting member's pc is found by its index in a literal tuple.
 
 Issue groups are compiled in, the way an IA-64 compiler writes stop bits
 (``;;``) into the binary.  While generating a block, :class:`_Schedule`
@@ -26,15 +44,18 @@ the schedule closes a group whatever that entry group held:
   conflict test, ``group.append``, close loop.  Outside
   ``IssueModel.issue`` it is the only copy of the close rule.
 * At ``r`` the open group closes unconditionally, by the generic loop
-  over ``group`` (it may still hold the entry group's members).
+  over ``group`` (it may still hold the entry group's members) — unless
+  a followed branch right before ``r`` closed it already: a taken
+  branch closes its group, so ``r`` comes at the latest right after the
+  block's first followed branch.
 * From ``r`` on the *fixed schedule* is literal: per close
   ``counters.groups``, ``counters.issue_cycles`` and one share addition
   per member in issue order, never folded (the sums are floats); per
   member only its slot, load/store and stall lines.
 * Every exit, and the ``except Fault`` handler (by the faulting member's
-  offset ``ipc - pc``), writes back the group ``IssueModel`` would hold
-  there: the locals in the prefix, else ``group.extend`` of the open
-  group's cells plus literal masks, memory count and slots.
+  index ``d``), writes back the group ``IssueModel`` would hold there:
+  the locals in the prefix, else ``group.extend`` of the open group's
+  cells plus literal masks, memory count and slots.
 
 Guest loads and stores are compiled in too, as the common case of each
 layer they pass through, with one call out when it does not hold:
@@ -73,9 +94,9 @@ it runs.
   one-instruction block (``limit=1``), or, for an unusual shape, a
   fallback to ``CPU._execute``.  It runs budget tails, the thread
   scheduler's single steps, and every pc that leads no fused block.
-* ``predecode_fused(cpu)[pc]`` is the block of up to ``MAX_BLOCK``
-  instructions led by ``pc``, ending at most at a direct branch or
-  ``chk.s``; None where fewer than two instructions would fuse.
+* ``predecode_fused(cpu)[pc]`` is the superblock of up to
+  ``MAX_BLOCK`` members led by ``pc``; None where fewer than two
+  instructions would fuse.
 
 Micro-op contract: ``uop(pc) -> next_pc``.  Only break micro-ops can
 change ``halted``/``yield_requested`` (their handlers run the guest OS),
@@ -84,7 +105,9 @@ to check the flags.  Every other micro-op returns the next pc directly,
 so the hot loop carries no per-step flag loads.  A fault leaving a
 micro-op belongs to the instruction at ``pc``; a fused block stores its
 faulting member's pc in ``cpu._fault_pc`` before re-raising.  Indirect
-branches and breaks only ever form one-instruction blocks.
+branches and breaks only ever form one-instruction blocks.  The run
+loop stops dispatching fused blocks ``MAX_BLOCK`` instructions short of
+its budget (``repro.cpu.core`` defines the cap for both).
 
 Code cache: each block is compiled once and its code object kept on the
 program, keyed by ``(start, limit)`` and grouped by :class:`_Shape` —
@@ -130,6 +153,7 @@ from repro.cpu.core import (
     CODE_SLOT_BYTES,
     CPU,
     MASK64,
+    MAX_BLOCK,
     code_address,
     to_signed,
 )
@@ -169,7 +193,7 @@ _OFFSET = hex(_UNIMPL_MASK | PAGE_MASK)
 _PARAMS = ("gr, nats, pr, br, im, counters, pair_costs, RoleCost, "
            "pages_get, dirty_add, unpack2, unpack4, unpack8, pack2, pack4, "
            "pack8, mem_load, load, store, cache_access, l1_sets, l1_stats, "
-           "recent, cpu, to_signed, NaTConsumptionFault, "
+           "recent, cpu, NaTConsumptionFault, "
            "Fault, IllegalInstructionFault, tag_watch, spec_ranges, "
            "spec_check, group, syscall, native, fns")
 
@@ -179,9 +203,6 @@ _CODECS = (tuple(_SCALAR[n].unpack_from for n in (2, 4, 8))
 
 _PLAIN_KINDS = frozenset((OpKind.ALU, OpKind.CMP, OpKind.LOAD, OpKind.STORE,
                           OpKind.MOVBR, OpKind.MOVAR, OpKind.NOP))
-#: Maximum instructions fused into one block; the run loop keeps a
-#: larger budget margin so blocks never overrun max_instructions.
-MAX_BLOCK = 24
 
 
 class _Shape(NamedTuple):
@@ -242,8 +263,20 @@ def _s(d) -> str:
     return hex(d) if isinstance(d, int) else d
 
 
+#: The sign bit of a 64-bit value.
+_SIGN = hex(1 << 63)
+
+
+def _flip(d) -> str:
+    """``d`` with its sign bit flipped: unsigned order on flipped values
+    is signed order on the originals, so signed compares need no call."""
+    return hex(d ^ (1 << 63)) if isinstance(d, int) else f"({d} ^ {_SIGN})"
+
+
 def _ts(d) -> str:
-    return str(to_signed(d)) if isinstance(d, int) else f"to_signed({d})"
+    """``d`` read as a signed 64-bit value, without a call."""
+    return (str(to_signed(d)) if isinstance(d, int)
+            else f"(({d} ^ {_SIGN}) - {_SIGN})")
 
 
 _UNARY = {"mov", "sxt1", "sxt2", "sxt4", "zxt1", "zxt2", "zxt4"}
@@ -261,7 +294,8 @@ _SIMPLE2 = {
     "andcm": "{a} & ~{b} & {m}",
     "or": "{a} | {b}",
     "xor": "{a} ^ {b}",
-    "mul": "({sa} * {sb}) & {m}",
+    # Equal modulo 2**64 to the product of the signed readings.
+    "mul": "({a} * {b}) & {m}",
 }
 _SXT_BITS = {"sxt1": 8, "sxt2": 16, "sxt4": 32}
 
@@ -270,10 +304,10 @@ _REL_FMT = {
     "ne": "{a} != {b}",
     "ltu": "{a} < {b}",
     "geu": "{a} >= {b}",
-    "lt": "{sa} < {sb}",
-    "le": "{sa} <= {sb}",
-    "gt": "{sa} > {sb}",
-    "ge": "{sa} >= {sb}",
+    "lt": "{fa} < {fb}",
+    "le": "{fa} <= {fb}",
+    "gt": "{fa} > {fb}",
+    "ge": "{fa} >= {fb}",
 }
 
 
@@ -298,7 +332,7 @@ def _alu_sem(op: str, dest: int, ins_idx, imm,
             val = [f"gr[{dest}] = " + _SIMPLE1[op].format(a=_s(a), m=_M)]
         elif op in _SIMPLE2:
             val = [f"gr[{dest}] = " + _SIMPLE2[op].format(
-                a=_s(a), b=_s(b), sa=_ts(a), sb=_ts(b), m=_M)]
+                a=_s(a), b=_s(b), m=_M)]
         elif op in _SXT_BITS:
             bits = _SXT_BITS[op]
             top, mask = 1 << (bits - 1), (1 << bits) - 1
@@ -377,7 +411,8 @@ def _cmp_sem(op: str, pt: int, pf: int, ins_idx, imm) -> Optional[List[str]]:
     if isinstance(a, int) and isinstance(b, int):
         rexpr = str(bool(CPU._RELOPS[rel](a, b)))
     else:
-        rexpr = _REL_FMT[rel].format(a=_s(a), b=_s(b), sa=_ts(a), sb=_ts(b))
+        rexpr = _REL_FMT[rel].format(a=_s(a), b=_s(b), fa=_flip(a),
+                                     fb=_flip(b))
     if pt and pf:
         direct = [f"r = {rexpr}", f"pr[{pt}] = r", f"pr[{pf}] = not r"]
     elif pt:
@@ -530,7 +565,9 @@ class _Schedule:
     entry group only adds writes, slots and memory ops, so it closes no
     later than that).  ``r`` is the first member before which every run
     closes a group.  From ``r`` on the runs agree, so the groups no
-    longer depend on the entry group and one run carries on alone.
+    longer depend on the entry group and one run carries on alone.  A
+    followed branch (:meth:`follow`) closes whatever group is open, so
+    ``r`` comes at the latest right after the first one.
     """
 
     def __init__(self, shape: _Shape) -> None:
@@ -542,7 +579,8 @@ class _Schedule:
         self.r: Optional[int] = None
         #: First member of the group open after the last member added.
         self.first = 0
-        #: From ``r`` on: member -> members of the group closed before it.
+        #: From ``r`` on: member -> members of the group closed before it,
+        #: or None at ``r`` when that group may hold the entry group's.
         self.closes: dict = {}
         #: From ``r`` on: member -> the open group after it issues (not
         #: taken): its members and (writes, pr_writes, mem, slots).
@@ -562,6 +600,7 @@ class _Schedule:
             closed = [self._closes(m, instr) for m in self.runs]
             if closed and all(closed):
                 self.r = self.first = j
+                self.closes[j] = None
                 del self.runs[1:]
             elif self.entry_open:
                 # The entry group may close before this member: start a
@@ -580,23 +619,39 @@ class _Schedule:
                          (m._group_writes, m._group_pr_writes, m._group_mem,
                           m._group_slots))
 
+    def follow(self) -> None:
+        """The member just added is a branch the block follows: taken,
+        it closes the group open after it, so the next member starts an
+        empty group whatever the entry group held."""
+        j = self.n - 1
+        del self.runs[1:]
+        self.runs[0]._close_group()
+        self.first = j + 1
+        if self.r is None:
+            self.r = j + 1
+        else:
+            self.after[j] = (range(j + 1, j + 1), (0, 0, 0, 0))
+
 
 def _block(program: Program, shape: _Shape, start: int, limit: int):
     """Generate the block led by ``start``: ``(source, fns, conts)``.
 
-    The block takes up to ``limit`` straight-line instructions and may
-    end with a terminator: a direct branch or ``chk.s``, or — only as its
-    sole member — an indirect branch or a ``break``.  ``source`` is None
-    when the first instruction needs the fallback micro-op, or when
-    ``limit > 1`` and fewer than two instructions fuse.  ``conts`` lists
-    pcs past the block that may lead blocks the leader scan cannot see.
+    The block is a superblock of up to ``limit`` members, run in order
+    from ``start``.  A direct branch or ``chk.s`` with a guard is a side
+    exit; an unguarded direct branch is followed into its target.  The
+    block stops before an indirect branch or a ``break`` (each runs only
+    in a one-instruction block), before a member that cannot be fused
+    and before a pc it already holds.  ``source`` is None when the
+    first instruction needs the fallback micro-op, or when ``limit > 1``
+    and fewer than two instructions fuse.  ``conts`` lists pcs past the
+    block that may lead blocks the leader scan cannot see.
     """
     code = program.code
     n = len(code)
     cells: List[str] = []
     key_local: dict = {}
     fns: list = []
-    #: Members that may fault (each sets ``ipc`` first).
+    #: Members that may fault (each sets ``d`` to its index first).
     faults: List[int] = []
     sched = _Schedule(shape)
     #: Member -> the local holding its RoleCost bucket.
@@ -639,12 +694,9 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
             member_cell.append(cname)
         fixed = sched.r is not None and j >= sched.r
         if fixed:
-            if j == sched.r:
-                out = list(_CLOSE_GROUP)
-            elif j in sched.closes:
-                out = _fixed_close(cells_of(sched.closes[j]))
-            else:
-                out = []
+            shut = sched.closes.get(j, ())
+            out = (list(_CLOSE_GROUP) if shut is None
+                   else _fixed_close(cells_of(shut)) if shut else [])
             out += res
         else:
             rw = reads | writes
@@ -757,7 +809,7 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
                          f"{size - 1}) & {hex(_UNIMPL_MASK)}")
                 if ia:
                     defer = f"nats[{ia}] or {defer}"
-                sem = [f"ipc = pc + {j}",
+                sem = [f"d = {j}",
                        f"addr = {addr}",
                        f"off = addr & {_OFFSET}",
                        f"if {defer}:",
@@ -776,7 +828,7 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
                     f"nats[{dest}] = bool((cpu.unat >> ((addr >> 3)"
                     " & 63)) & 1)"
                     if op == "ld8.fill" else f"nats[{dest}] = False")
-                sem = [f"ipc = pc + {j}", f"addr = {addr}"]
+                sem = [f"d = {j}", f"addr = {addr}"]
                 if ia:
                     sem += [f"if nats[{ia}]:",
                             "    raise NaTConsumptionFault"
@@ -795,7 +847,7 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
                 return None
             size = STORE_SIZES[op]
             ia, iv = instr.ins[0].index, instr.ins[1].index
-            sem = [f"ipc = pc + {j}",
+            sem = [f"d = {j}",
                    f"addr = {_s(_gr_src(ia))}"]
             if ia:
                 sem += [f"if nats[{ia}]:",
@@ -832,7 +884,7 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
                 i0 = instr.ins[0].index
                 ob = instr.outs[0].index
                 if i0:
-                    sem = [f"ipc = pc + {j}",
+                    sem = [f"d = {j}",
                            f"if nats[{i0}]:",
                            "    raise NaTConsumptionFault"
                            "(\"branch_move\")",
@@ -852,7 +904,7 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
                     return None
                 i0 = instr.ins[0].index
                 if i0:
-                    sem = [f"ipc = pc + {j}",
+                    sem = [f"d = {j}",
                            f"if nats[{i0}]:",
                            "    raise NaTConsumptionFault(\"ar_move\")",
                            f"cpu.unat = gr[{i0}]"]
@@ -879,45 +931,51 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
             out = sem
         return out + acct_local(instr, j, stall=stall)
 
-    def term_fragment(instr, i, j):
-        """Lines for a block-ending member, or None to end before it."""
+    def control_fragment(instr, i, j):
+        """``(lines, next_pc)`` for a branch, ``chk.s`` or ``break``
+        member, or ``(None, None)`` to end the block before it.
+
+        A guarded member is a side exit: taken, it runs its taken
+        accounting, writes the exit state back and returns its target;
+        not taken, the block goes on at ``i + 1``.  An unguarded direct
+        branch is followed: the block goes on at its target.  Indirect
+        branches and breaks run only in one-instruction blocks; unguarded
+        they return on every path (``next_pc`` None).
+        """
         op = instr.op
         kind = OP_KIND[op]
         qp = instr.qp
-        # The member runs ``head``, its accounting (a taken branch's
-        # included), ``flush``, the exit writeback and ``tail`` when
-        # ``guard`` holds; otherwise it falls through not taken.
+        # Taken (when ``guard`` holds), the member runs ``head``, its
+        # accounting, ``flush``, the exit writeback and then returns its
+        # direct ``target`` or runs ``tail``.
         guard = f"pr[{qp}]" if qp else None
         head: List[str] = []
         flush: List[str] = []
         taken = True
+        target = None
         if op == "chk.s":
             if not instr.ins:
-                return None
+                return None, None
             i0 = instr.ins[0].index
-            tidx = _resolve(program, instr.target) if i0 else None
-            if i0 and tidx is None:
-                return None
-            if i0 == 0:
-                guard, taken = None, False
-                tail = [f"return pc + {j + 1}"]
-            else:
-                guard = (f"pr[{qp}] and nats[{i0}]" if qp
-                         else f"nats[{i0}]")
-                tail = [f"return {tidx}"]
+            if i0 == 0:  # r0 has no NaT: never taken
+                _, pre = use_key((instr.role, instr.origin))
+                return pre + acct_local(instr, j, taken=False), i + 1
+            target = _resolve(program, instr.target)
+            if target is None:
+                return None, None
+            guard = f"{guard} and nats[{i0}]" if qp else f"nats[{i0}]"
         elif op in ("br", "br.cond", "br.call"):
-            tidx = _resolve(program, instr.target)
-            if tidx is None or (op == "br.call" and not instr.outs):
-                return None
+            target = _resolve(program, instr.target)
+            if target is None or (op == "br.call" and not instr.outs):
+                return None, None
             if op == "br.call":
                 head = [f"br[{instr.outs[0].index}] = "
                         f"{hex(code_address(i + 1))}"]
-            tail = [f"return {tidx}"]
-        elif j:
-            return None  # indirect branches and breaks run alone
+        elif limit > 1:
+            return None, None  # indirect branches and breaks run alone
         elif op in ("br.call.ind", "br.ret", "br.ind"):
             if not instr.ins or (op == "br.call.ind" and not instr.outs):
-                return None
+                return None, None
             head = [f"t = (br[{instr.ins[0].index}] & {hex(IMPL_MASK)})"
                     f" // {CODE_SLOT_BYTES} - 1"]
             if op == "br.call.ind":
@@ -940,7 +998,7 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
                 # The handler runs the guest OS on a drained pipeline
                 # and may halt or yield: return the flag-check sentinel.
                 flush = _close_local()
-                tail = ["cpu.pc = pc", call, "return ~(pc + 1)"]
+                tail = [f"cpu.pc = {i}", call, f"return ~{i + 1}"]
             else:
                 if imm == BREAK_SYSCALL:
                     msg = "no syscall handler installed"
@@ -950,50 +1008,53 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
                     msg = f"break {imm:#x}"
                 tail = [f"raise IllegalInstructionFault({msg!r})"]
         else:
-            return None
+            return None, None
         _, pre = use_key((instr.role, instr.origin))
-        run = (head + acct_local(instr, j, taken=taken) + flush
-               + exit_after(j, taken) + tail)
+        run = head + acct_local(instr, j, taken=taken) + flush
+        if guard is None and target is not None:
+            sched.follow()
+            return pre + run, target
+        run += exit_after(j, taken) + (
+            tail if target is None else [f"return {target}"])
         if guard is None:
-            return pre + run
+            return pre + run, None
         # Guard false: the slot is consumed, nothing else happens.
         return (pre + [f"if {guard}:"] + _indent(run)
-                + acct_local(instr, j, taken=False) + exit_after(j)
-                + [f"return pc + {j + 1}"])
+                + acct_local(instr, j, taken=False)), i + 1
 
     body: List[str] = []
+    #: Member -> its pc.
+    pcs: List[int] = []
     i = start
-    j = 0
-    term = None
-    while i < n and j < limit:
+    #: The last member returns on every path.
+    returns = False
+    while len(pcs) < limit and i < n and i not in pcs:
         instr = code[i]
-        kind = OP_KIND[instr.op]
-        if kind in _PLAIN_KINDS:
-            frag = plain_fragment(instr, j)
-            if frag is None:
-                break
-            body += frag
-            fns.append(_ALU_FUNCS.get(instr.op)
-                       if kind is OpKind.ALU else None)
-            i += 1
-            j += 1
-            continue
-        term = term_fragment(instr, i, j)
-        break
-    total = j + (1 if term is not None else 0)
-    # The continuation pc (and the pc after an unfusable member) may
-    # lead a fusable run that the global leader scan cannot see.
-    conts = (i, i + 1) if term is None else ()
+        j = len(pcs)
+        if OP_KIND[instr.op] in _PLAIN_KINDS:
+            frag, nxt = plain_fragment(instr, j), i + 1
+        else:
+            frag, nxt = control_fragment(instr, i, j)
+        if frag is None:
+            break
+        body += frag
+        pcs.append(i)
+        fns.append(_ALU_FUNCS.get(instr.op))
+        if nxt is None:
+            returns = True
+            break
+        i = nxt
+    # The pc the block stops at (and the pc after an unfusable member)
+    # may lead a fusable run that the global leader scan cannot see.
+    conts = () if returns else (i, i + 1)
     # Fusing one instruction gains nothing over its per-pc micro-op.
-    if total < min(limit, 2):
+    if len(pcs) < min(limit, 2):
         return None, (), conts
-    if term is not None:
-        body += term
-    else:
-        body += exit_after(j - 1) + [f"return pc + {j}"]
+    if not returns:
+        body += exit_after(len(pcs) - 1) + [f"return {i}"]
     if faults:
         # A faulting member has not issued: store the group open after
-        # the member before it, chosen by the faulting member's offset.
+        # the member before it, chosen by the faulting member's index.
         handler: List[str] = []
         for f in faults:
             if sched.r is not None and f > sched.r:
@@ -1002,9 +1063,9 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
         handler = (handler + ["else:"] + _indent(_LOCAL_STATE) if handler
                    else _LOCAL_STATE)
         body = (["try:"] + _indent(body)
-                + ["except Fault:", "    d = ipc - pc"] + _indent(handler)
+                + ["except Fault:"] + _indent(handler)
                 + ["    counters.instructions = ci + d",
-                   "    cpu._fault_pc = ipc",
+                   f"    cpu._fault_pc = {tuple(pcs)!r}[d]",
                    "    raise"])
     body = (["gw = im._group_writes",
              "pw = im._group_pr_writes",
@@ -1034,6 +1095,16 @@ def _faulting(memory):
     return load, store
 
 
+def _shape(cpu: CPU) -> _Shape:
+    """The :class:`_Shape` of the blocks ``cpu`` runs."""
+    l1 = cpu.caches.l1
+    return _Shape(cpu.issue.config, l1._line_shift, l1._set_mask,
+                  l1.config.hit_extra_cycles,
+                  cpu.tag_limit if cpu.tag_watch is not None else None,
+                  cpu.syscall_handler is not None,
+                  cpu.native_handler is not None)
+
+
 def _blocks(cpu: CPU):
     """``make(start, limit) -> (block or None, conts)`` for one CPU.
 
@@ -1042,11 +1113,7 @@ def _blocks(cpu: CPU):
     instantiates a fresh closure bound to this CPU's state.
     """
     l1 = cpu.caches.l1
-    shape = _Shape(cpu.issue.config, l1._line_shift, l1._set_mask,
-                   l1.config.hit_extra_cycles,
-                   cpu.tag_limit if cpu.tag_watch is not None else None,
-                   cpu.syscall_handler is not None,
-                   cpu.native_handler is not None)
+    shape = _shape(cpu)
     program = cpu.program
     groups = getattr(program, "_block_code", None)
     if groups is None:
@@ -1061,7 +1128,7 @@ def _blocks(cpu: CPU):
               counters.pair_costs, RoleCost, memory._pages.get,
               memory._dirty.add, *_CODECS, memory.load, *_faulting(memory),
               cpu.caches.access, l1._sets, l1.stats, cpu._recent_stores,
-              cpu, to_signed, NaTConsumptionFault, Fault,
+              cpu, NaTConsumptionFault, Fault,
               IllegalInstructionFault, cpu.tag_watch, cpu.spec_ranges,
               cpu.spec_check, im._group, cpu.syscall_handler,
               cpu.native_handler)

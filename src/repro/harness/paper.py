@@ -33,6 +33,7 @@ from repro.compiler.instrument import (BYTE_LEVEL, UNINSTRUMENTED,
                                        WORD_LEVEL, ShiftOptions)
 from repro.compiler.parser import parse
 from repro.compiler.pipeline import compile_program
+from repro.core.shift import compile_protected
 from repro.cpu.perf import IssueConfig
 from repro.harness.charts import bar_chart
 from repro.harness.formatting import format_table, geomean
@@ -86,12 +87,14 @@ def table2(apps: Sequence[VulnerableApp] = TABLE2_APPS) -> Dict:
     without an alert."""
     rows = []
     for app in apps:
-        unprotected = app.run(UNINSTRUMENTED, unprotected_config(), app.attack)
+        unprotected = app.run(compile_protected(app.source, UNINSTRUMENTED),
+                              unprotected_config(), app.attack)
         row = {"app": app.name, "attack_succeeds_unprotected":
                bool(app.compromised and app.compromised(unprotected))}
         for level, options in (("byte", BYTE_LEVEL), ("word", WORD_LEVEL)):
-            benign = app.run(options, app.policy_config(), app.benign)
-            attack = app.run(options, app.policy_config(), app.attack)
+            compiled = compile_protected(app.source, options)
+            benign = app.run(compiled, app.policy_config(), app.benign)
+            attack = app.run(compiled, app.policy_config(), app.attack)
             row[f"false_positive_{level}"] = bool(benign.alerts)
             row[f"detected_{level}"] = bool(attack.alerts)
             row[f"alert_policy_{level}"] = (attack.alerts[0].policy_id

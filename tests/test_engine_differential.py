@@ -11,15 +11,16 @@ runs one workload under both engines and compares.
 """
 
 import itertools
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.spec import BENCHMARKS
 from repro.core.shift import build_machine, compile_protected
-from repro.cpu import CPU, IssueConfig
+from repro.cpu import CPU, MASK64, IssueConfig, to_signed
 from repro.cpu.faults import Fault, NaTConsumptionFault, RunawayError
-from repro.cpu.predecode import MAX_BLOCK
+from repro.cpu.predecode import MAX_BLOCK, _block, _shape
 from repro.isa import assemble
 from repro.mem import (
     IMPL_MASK,
@@ -439,6 +440,153 @@ class TestTerminatorsDifferential:
             assert fault[:2] == ("IllegalInstructionFault", message)
 
 
+#: One program per superblock shape, with the member count of the fused
+#: block led by ``main``'s first instruction.
+SUPERBLOCK_PROGRAMS = {
+    "side_exit_not_taken": (f"""
+    func main:
+        movl r14 = 1
+        cmp.eq p6, p7 = r14, r0
+        (p6) br.cond out
+        add r15 = r14, r14
+        movl r32 = 3
+    out:
+        {EXIT}
+    endfunc
+    """, 5),
+    "side_exit_taken": (f"""
+    func main:
+        movl r14 = 1
+        cmp.ne p6, p7 = r14, r0
+        (p6) br.cond out
+        add r15 = r14, r14
+        movl r32 = 3
+    out:
+        {EXIT}
+    endfunc
+    """, 5),
+    "followed_br": (f"""
+    func main:
+        movl r14 = 1
+        br next
+        movl r14 = 2
+    next:
+        add r15 = r14, r14
+        {EXIT}
+    endfunc
+    """, 3),
+    "followed_br_call": (f"""
+    func main:
+        movl r14 = 1
+        br.call b1 = twice
+        add r16 = r15, r14
+        {EXIT}
+    twice:
+        add r15 = r14, r14
+        br.ret b1
+    endfunc
+    """, 3),
+    "stops_at_held_pc": (f"""
+    func main:
+        movl r14 = 3
+    top:
+        adds r14 = -1, r14
+        cmp.eq p6, p7 = r14, r0
+        (p6) br.cond done
+        br top
+    done:
+        {EXIT}
+    endfunc
+    """, 5),
+    "cap_after_followed_branch": ("\n".join(
+        ["func main:", "movl r14 = 1"]
+        + ["add r15 = r15, r14"] * (MAX_BLOCK - 2)
+        + ["br next", "movl r15 = 0", "next:", "add r16 = r15, r14", EXIT,
+           "endfunc"]), MAX_BLOCK),
+    "fault_after_followed_branch": (f"""
+    func main:
+        movl r14 = {_STORE_ADDR}
+        settag r14
+        movl r15 = 5
+        br next
+        movl r14 = 0
+    next:
+        ld8 r16 = [r14]
+        {EXIT}
+    endfunc
+    """, 5),
+}
+
+
+class TestSuperblocks:
+    @pytest.mark.parametrize("name", sorted(SUPERBLOCK_PROGRAMS))
+    def test_shape_identical(self, name):
+        """Each shape runs as one fused block and as single micro-ops:
+        both match the reference down to the fault pc, the partial
+        instruction count and the group left open."""
+        text, members = SUPERBLOCK_PROGRAMS[name]
+        program = assemble(text)
+        shape = _shape(_asm_cpu(text, "predecoded"))
+        assert len(_block(program, shape, 0, MAX_BLOCK)[1]) == members
+        for budget in (1_000, 1):
+            cpus = [_asm_cpu(text, engine) for engine in ENGINES]
+            outcomes = []
+            for cpu in cpus:
+                outcome = None
+                while not (cpu.halted or outcome):
+                    outcome = _run_outcome(cpu, budget)[1]
+                outcomes.append(outcome)
+            assert outcomes[0] == outcomes[1]
+            assert _issue_state(cpus[0]) == _issue_state(cpus[1])
+            assert _cpu_state(cpus[0]) == _cpu_state(cpus[1])
+            if name.startswith("fault"):
+                assert outcomes[1] == ("NaTConsumptionFault",
+                                       "NaT consumption fault (load_addr)",
+                                       program.label_index("next"))
+                assert cpus[1].counters.instructions == 4
+            else:
+                assert outcomes[1] is None
+
+
+#: The boundaries of the signed 64-bit range, as unsigned register values.
+_SIGNED_EDGES = (0, 1, (1 << 63) - 1, 1 << 63, (1 << 64) - 1)
+
+
+class TestSignedOperations:
+    @pytest.mark.parametrize("a, b", itertools.product(_SIGNED_EDGES,
+                                                        repeat=2))
+    def test_signed_forms_identical(self, a, b):
+        """Signed compares, ``mul`` and ``shr`` at the range edges, with
+        register, immediate and r0 operands, fused and single-stepped."""
+        rels = {"lt": operator.lt, "le": operator.le, "gt": operator.gt,
+                "ge": operator.ge}
+        forms = ("r15", hex(b), "r0")
+        # Predicate pairs p2/p3 ... p24/p25, one per relation and form.
+        ops = [f"cmp.{rel} p{p}, p{p + 1} = r14, {src}"
+               for p, (rel, src) in zip(itertools.count(2, 2),
+                                        itertools.product(rels, forms))]
+        ops += [f"{op} r{16 + k} = r14, {src}" for k, (op, src) in enumerate(
+            itertools.product(("mul", "shr"), forms[:2]))]
+        ops += ["cmp.lt p30, p31 = r0, r15", "shr r20 = r0, r15"]
+        text = "\n".join(["func main:", f"movl r14 = {hex(a)}",
+                          f"movl r15 = {hex(b)}", *ops, EXIT, "endfunc"])
+        for budget in (1_000, 1):
+            states = []
+            for engine in ENGINES:
+                cpu = _asm_cpu(text, engine)
+                while not cpu.halted:
+                    cpu.run_slice(budget)
+                states.append(_cpu_state(cpu))
+            assert states[0] == states[1]
+        sa, sb = to_signed(a), to_signed(b)
+        assert [cpu.pr[p] for p in range(2, 26, 2)] == [
+            rel(sa, other) for rel in rels.values() for other in (sb, sb, 0)]
+        assert cpu.pr[30] == (0 < sb)
+        assert cpu.read_gr(16) == cpu.read_gr(17) == (sa * sb) & MASK64
+        assert cpu.read_gr(18) == cpu.read_gr(19) == (
+            (sa >> min(b, 63)) & MASK64)
+
+
 class TestProgramSourceCache:
     def test_issue_model_does_not_leak_between_machines(self):
         """Generated sources are cached on the program: a narrow
@@ -523,11 +671,12 @@ def _cpu_state(cpu):
             list(cpu._recent_stores), _memory_state(cpu))
 
 
-#: Slice budgets: single steps, values straddling MAX_BLOCK and the run
-#: loop's 64-instruction fused-block margin, and long slices.
+#: Slice budgets: single steps, values straddling MAX_BLOCK (the largest
+#: block and the run loop's fused-block margin) and one block past it,
+#: and long slices.
 _BUDGETS = st.one_of(
     st.sampled_from((1, 2, MAX_BLOCK - 1, MAX_BLOCK, MAX_BLOCK + 1,
-                     63, 64, 65, 64 + MAX_BLOCK)),
+                     2 * MAX_BLOCK - 1, 2 * MAX_BLOCK, 2 * MAX_BLOCK + 1)),
     st.integers(min_value=1, max_value=4_000))
 
 
@@ -602,13 +751,26 @@ def _grid_segment(draw, k, bad):
     """Straight-line members ending in ``chk.s``, ``br.cond`` or ``br``
     to ``L{k}`` (or, for a taken ``chk.s``, its recovery code).  With
     ``bad`` one member loads or stores through the unimplemented r27 or
-    the edge address r26 (an ``ld8.s`` there defers instead)."""
+    the edge address r26 (an ``ld8.s`` there defers instead).  The
+    members may call ``sub{k}``, which returns through ``br.ret b1``,
+    and may end in an unconditional back edge to the segment's start
+    ``S{k}``, left through a side exit once r24 counts down."""
     lines = draw(st.lists(_grid_member(), max_size=30))
     if bad:
         a = draw(st.sampled_from(_POOL))
         lines.insert(draw(st.integers(0, len(lines))), (draw(st.sampled_from(
             (f"ld8 r{a} = [r27]", f"st4 [r27] = r{a}", f"ld8 r{a} = [r26]",
              f"st8 [r26] = r{a}", f"ld8.s r{a} = [r26]"))), (None, None)))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     (f"br.call b1 = sub{k}", draw(st.sampled_from(_ROLES))))
+    if draw(st.booleans()):
+        role = draw(st.sampled_from(_ROLES))
+        loop = ("adds r24 = -1, r24", "cmp.eq p2, p3 = r24, r0",
+                f"(p2) br.cond B{k}", f"br S{k}")
+        lines = ([(f"movl r24 = {draw(st.integers(1, 2))}", role),
+                  (f"S{k}:", None)] + lines
+                 + [(ln, role) for ln in loop] + [(f"B{k}:", None)])
     term = draw(st.sampled_from(("chk", "chk", "cmp_br", "br_cond", "br")))
     if term == "chk":
         reg = draw(st.sampled_from((20, 2)))
@@ -628,7 +790,8 @@ def _grid_segment(draw, k, bad):
 
 @st.composite
 def _grid_program(draw):
-    """A loop over generated segments, with each member's role."""
+    """A loop over generated segments, with each member's role, then
+    each segment's recovery code and subroutine."""
     prologue = [f"movl r30 = {_DATA_BASE}", "adds r29 = 0, r30",
                 "adds r28 = 0, r30", f"movl r27 = {_BAD_ADDRESS}",
                 f"movl r26 = {_EDGE_ADDRESS}",
@@ -646,7 +809,9 @@ def _grid_program(draw):
         "(p14) br.cond top", EXIT)]
     for k in range(segments):
         lines += [(f"rec{k}:", None), ("cleartag r20", (None, None)),
-                  (f"br L{k}", (None, None))]
+                  (f"br L{k}", (None, None)), (f"sub{k}:", None)]
+        lines += draw(st.lists(_grid_member(), max_size=6))
+        lines += [("br.ret b1", draw(st.sampled_from(_ROLES)))]
     text = "\n".join(["func main:"] + [ln for ln, _ in lines]
                      + ["endfunc"])
     program = assemble(text)
