@@ -109,7 +109,7 @@ class AdaptiveController:
         live = self.machine.taint_map.live_granules
         if self.mode == MODE_FAST:
             if live or cpu.unat:
-                spec = getattr(self.machine, "spec", None)
+                spec = self.machine.spec
                 if spec is not None and spec.active:
                     # Speculation holds fast mode open with live taint:
                     # the epoch's range guards stand in for tracking,
@@ -135,20 +135,18 @@ class AdaptiveController:
         for i in range(1, NUM_GR):
             if nat[i] and i not in BOUNDARY_DEAD_GRS:
                 return False
-        threads = getattr(self.machine, "threads", None)
-        if threads is not None:
-            for thread in threads.threads.values():
-                ctx = thread.context
-                if ctx is None or thread.status == "done":
-                    continue
-                if ctx.unat:
+        for thread in self.machine.threads.threads.values():
+            ctx = thread.context
+            if ctx is None or thread.status == "done":
+                continue
+            if ctx.unat:
+                return False
+            # A preempted context can be stopped anywhere, so no
+            # calling-convention argument applies: any NaT except the
+            # manufactured source blocks fast mode.
+            for i in range(1, NUM_GR):
+                if ctx.nat[i] and i != GR_NAT_SOURCE:
                     return False
-                # A preempted context can be stopped anywhere, so no
-                # calling-convention argument applies: any NaT except
-                # the manufactured source blocks fast mode.
-                for i in range(1, NUM_GR):
-                    if ctx.nat[i] and i != GR_NAT_SOURCE:
-                        return False
         return True
 
     # -- switching ---------------------------------------------------------
@@ -206,12 +204,9 @@ class AdaptiveController:
         """
         from repro.runtime.threads import thread_stack_top
 
-        threads = getattr(self.machine, "threads", None)
-        current_tid = threads.current_tid if threads is not None else 0
+        threads = self.machine.threads
         self._translate_stack_window(
-            cpu.gr[GR_SP], thread_stack_top(current_tid), mapping)
-        if threads is None:
-            return
+            cpu.gr[GR_SP], thread_stack_top(threads.current_tid), mapping)
         for thread in threads.threads.values():
             ctx = thread.context
             if ctx is None or thread.status == "done":
@@ -229,10 +224,7 @@ class AdaptiveController:
             addr += 8
 
     def _translate_contexts(self, mapping) -> None:
-        threads = getattr(self.machine, "threads", None)
-        if threads is None:
-            return
-        for thread in threads.threads.values():
+        for thread in self.machine.threads.threads.values():
             ctx = thread.context
             if ctx is None or thread.status == "done":
                 continue

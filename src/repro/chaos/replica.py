@@ -163,7 +163,7 @@ def recover_from_replica(replica: Replica, config, worker_id: str):
         raise ValueError("replica carries no blob to recover from")
     machine = build_worker(config, worker_id)
     rehydrate_worker(replica.blob, machine)
-    sup = getattr(machine, "resil", None)
+    sup = machine.resil
     evidence = [] if sup is None else [
         {"request_index": inc.request_index, "reason": inc.reason,
          "policy_id": inc.policy_id, "worker": inc.worker or replica.worker}

@@ -183,7 +183,7 @@ def migrate_worker(config: FleetConfig, source_machine, new_worker_id: str,
 
     checkpoint = None
     if at_request is not None:
-        sup = getattr(source_machine, "resil", None)
+        sup = source_machine.resil
         if sup is None:
             raise ValueError(
                 "at_request needs a supervised (recover-mode) source")
@@ -201,7 +201,7 @@ def migrate_worker(config: FleetConfig, source_machine, new_worker_id: str,
 
 
 def _incident_dicts(machine, worker_id: str) -> List[Dict]:
-    sup = getattr(machine, "resil", None)
+    sup = machine.resil
     if sup is None:
         return []
     alerts_by_count = {a.instruction_count: a for a in machine.alerts}

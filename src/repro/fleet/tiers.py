@@ -64,8 +64,7 @@ def request_mix(clean: int, attacks: int) -> List[bytes]:
 
 def run_two_tier(*, clean: int = 4, attacks: int = 1,
                  proxy_workers: int = 2, routing: str = "round_robin",
-                 seed: int = 0, engine: str = "predecoded",
-                 transport_tags: bool = True,
+                 seed: int = 0, transport_tags: bool = True,
                  adaptive: str = "none",
                  options=None) -> Dict:
     """Run the proxy fleet, ship frames to the backend, run the backend.
@@ -85,8 +84,8 @@ def run_two_tier(*, clean: int = 4, attacks: int = 1,
     # -- tier 1: the proxy fleet ----------------------------------------
     tier1 = FleetDriver(
         FleetConfig(variant="proxy", options=options,
-                    policy_config=webserver_policy(), engine=engine,
-                    engine_mode="raise", capture_taint=True),
+                    policy_config=webserver_policy(), engine_mode="raise",
+                    capture_taint=True),
         workers=proxy_workers, routing=routing, seed=seed)
     requests = request_mix(clean, attacks)
     result1 = tier1.run(requests)
@@ -111,7 +110,7 @@ def run_two_tier(*, clean: int = 4, attacks: int = 1,
     # -- tier 2: the backend --------------------------------------------
     summary, _backend = serve_requests(FleetConfig(
         options=options, policy_config=backend_policy(), files=backend_site(),
-        engine=engine, recover_watchdog=TIER_WATCHDOG, adaptive=adaptive),
+        recover_watchdog=TIER_WATCHDOG, adaptive=adaptive),
         [encode_request(msg) for msg in messages], "backend")
     metrics = summary["metrics"]
     served = summary["served"]
@@ -174,16 +173,15 @@ def run_two_tier(*, clean: int = 4, attacks: int = 1,
 def two_tier_experiment(*, clean: int = 4, attacks: int = 1,
                         proxy_workers: int = 2,
                         routing: str = "round_robin", seed: int = 0,
-                        engine: str = "predecoded",
                         options=None) -> Dict:
     """Both arms of the proof: tags transported vs. tags stripped."""
     tagged = run_two_tier(
         clean=clean, attacks=attacks, proxy_workers=proxy_workers,
-        routing=routing, seed=seed, engine=engine, transport_tags=True,
+        routing=routing, seed=seed, transport_tags=True,
         options=options)
     control = run_two_tier(
         clean=clean, attacks=attacks, proxy_workers=proxy_workers,
-        routing=routing, seed=seed, engine=engine, transport_tags=False,
+        routing=routing, seed=seed, transport_tags=False,
         options=options)
     return {
         "tagged": tagged,

@@ -94,9 +94,10 @@ def _public(arm: Dict) -> Dict:
 
 def server_experiment(name: str, requests: Sequence[Request],
                       engine: str,
-                      expected_alerts: int = None) -> Dict:
+                      expected_alerts: int = None) -> Tuple[Dict, Dict]:
     """Run adaptive / always-on / uninstrumented arms over one stream.
 
+    Returns the report entry and the adaptive arm's machine metrics.
     ``expected_alerts`` defaults to the tainted-request count (right for
     the clean-heavy mix, whose tainted requests are traversal probes);
     the taint-heavy mix passes 0 — its tainted requests are benign.
@@ -125,22 +126,19 @@ def server_experiment(name: str, requests: Sequence[Request],
         "attacks_detected": len(adaptive["alerts"]),
         "attacks_expected": expected_alerts,
     }
-    entry["_metrics"] = adaptive["metrics"]
-    return entry
+    return entry, adaptive["metrics"]
 
 
-def spec_experiment(benchmarks: Sequence[str], scale: str,
-                    engine: str) -> List[Dict]:
+def spec_experiment(benchmarks: Sequence[str], scale: str) -> List[Dict]:
     """Dual-built SPEC kernels, safe vs tainted input, vs always-on."""
     rows = []
     for name in benchmarks:
         bench = BENCHMARKS[name]
         for safe in (True, False):
             on = run_spec(bench, BYTE_LEVEL, scale, safe_input=safe,
-                          spec=MachineSpec(engine=engine, adaptive="on"))
+                          spec=MachineSpec(adaptive="on"))
             track = run_spec(bench, BYTE_LEVEL, scale, safe_input=safe,
-                             spec=MachineSpec(engine=engine,
-                                              adaptive="track"))
+                             spec=MachineSpec(adaptive="track"))
             rows.append({
                 "benchmark": name,
                 "safe_input": safe,
@@ -181,43 +179,19 @@ def wire_taint_detection(engine: str) -> Dict:
 def run_suite(quick: bool) -> Dict:
     """All four experiments; returns the report body."""
     clean, tainted = (20, 1) if quick else (60, 3)
-    engine, scale = "predecoded", "test"
-    print("adaptivebench: clean-heavy server mix", flush=True)
-    clean_entry = server_experiment(
+    engine = "predecoded"
+    clean_entry, metrics = server_experiment(
         "clean_heavy", clean_heavy_mix(clean, tainted), engine)
-    metrics = clean_entry.pop("_metrics")
-    print(f"  speedup {clean_entry['speedup']:.2f}x over always-on, "
-          f"identical={clean_entry['identical_to_always_on']}, "
-          f"alerts {clean_entry['attacks_detected']}"
-          f"/{clean_entry['attacks_expected']}", flush=True)
-
-    print("adaptivebench: taint-heavy server mix", flush=True)
-    heavy_entry = server_experiment(
+    heavy_entry, _ = server_experiment(
         "taint_heavy", taint_heavy_mix(6 if quick else 20), engine,
         expected_alerts=0)
-    heavy_entry.pop("_metrics")
-    print(f"  overhead vs floor {heavy_entry['overhead_vs_floor']:.2f}x "
-          f"(always-on {heavy_entry['always_on']['cycles'] / heavy_entry['uninstrumented']['cycles']:.2f}x)",
-          flush=True)
-
-    print("adaptivebench: SPEC kernels", flush=True)
     spec_rows = spec_experiment(
-        ["gzip"] if quick else ["gzip", "gcc", "mcf"], scale, engine)
-    for row in spec_rows:
-        print(f"  {row['benchmark']:6s} safe={row['safe_input']!s:5s} "
-              f"speedup {row['speedup']:.2f}x "
-              f"checksum_match={row['checksum_match']}", flush=True)
-
-    print("adaptivebench: attack detection (adaptive resil server)", flush=True)
-    mix = attack_mix(engine=engine, adaptive="on")
-    wire = wire_taint_detection(engine)
-    print(f"  attack mix exact={mix['exact']}, "
-          f"wire-taint traversal detected={wire['detected']}", flush=True)
-
+        ["gzip"] if quick else ["gzip", "gcc", "mcf"], "test")
     return {
         "clean_heavy": clean_entry,
         "taint_heavy": heavy_entry,
         "spec": spec_rows,
-        "detection": {"attack_mix": mix, "wire_taint": wire},
+        "detection": {"attack_mix": attack_mix(engine=engine, adaptive="on"),
+                      "wire_taint": wire_taint_detection(engine)},
         "metrics": metrics,
     }

@@ -263,7 +263,7 @@ def wire_run(service: ServiceModel, seed: int, requests: int) -> Dict:
     }
 
 
-def supervised_run(engine: str, seed: int, requests: int) -> Dict:
+def supervised_run(seed: int, requests: int) -> Dict:
     """Real processes, real SIGKILL (reported, never gated)."""
     chaos = ChaosSchedule(directives={
         "w0": WorkerChaos(crash_after=2),
@@ -271,63 +271,21 @@ def supervised_run(engine: str, seed: int, requests: int) -> Dict:
     workload = [ServeRequest(index=i, session=i, arrival=0.0,
                              payload=b"GET /static/page-%d.html" % i)
                 for i in range(requests)]
-    return SupervisedFleet(_attack_config(engine), workers=2, seed=seed,
+    return SupervisedFleet(_attack_config(), workers=2, seed=seed,
                            routing="round_robin", chaos=chaos).run(workload)
 
 
 def run_suite(quick: bool, seed: int) -> Dict:
     """All experiments; returns the report body."""
     requests = 50 if quick else 110
-    engine = "predecoded"
-    seeds = [seed + i for i in range(2 if quick else 3)]
-    service = ServiceModel(_attack_config(engine))
-
-    print("chaosbench: measuring service budgets", flush=True)
+    service = ServiceModel(_attack_config())
     mean = _mean_service(service, ATTACK_SIZES, ATTACK_WEIGHTS)
-    print(f"  boot {service.boot_cycles:.0f} cycles, mix mean "
-          f"{mean:.0f} cycles ({service.measured} payloads measured)",
-          flush=True)
-
-    campaigns = []
-    for s in seeds:
-        print(f"chaosbench: crash campaign (seed {s})", flush=True)
-        trial = campaign_run(service, s, requests)
-        campaigns.append(trial)
-        print(f"  {len(trial['recoveries'])} recoveries, "
-              f"{trial['replayed']} replayed, journal "
-              f"{trial['journal']['completed']}/"
-              f"{trial['journal']['admitted']}, outcome==control: "
-              f"{trial['outcome_matches_control']}, rerun identical: "
-              f"{trial['rerun_identical']}", flush=True)
-
-    print("chaosbench: zombie dedup", flush=True)
+    campaigns = [campaign_run(service, seed + i, requests)
+                 for i in range(2 if quick else 3)]
     zombie = zombie_run(service, seed, requests=max(20, requests // 2))
-    print(f"  {zombie['journal']['duplicates_suppressed']} duplicate(s) "
-          f"suppressed, exactly-once: {zombie['exactly_once']}",
-          flush=True)
-
-    print("chaosbench: graceful degradation (2x capacity)", flush=True)
     shed = shed_run(service, seed, requests)
-    print(f"  {shed['shed']} shed / {shed['requests']} offered, "
-          f"accepted complete: {shed['accepted_complete']}, silent "
-          f"drops: {shed['dropped']}", flush=True)
-
-    print("chaosbench: wire chaos", flush=True)
     wire = wire_run(service, seed, requests=max(30, requests // 2))
-    print(f"  {wire['retransmits']} retransmits "
-          f"({wire['frame_rejects']} CRC rejects, "
-          f"{wire['frames_lost']} lost), outcome==control: "
-          f"{wire['outcome_matches_control']}", flush=True)
-
-    supervised = None
-    if not quick:
-        print("chaosbench: supervised wall-clock arm (real SIGKILL)",
-              flush=True)
-        supervised = supervised_run(engine, seed, requests=8)
-        print(f"  {supervised['completed']}/{supervised['requests']} done, "
-              f"{len(supervised['recoveries'])} recoveries, exactly-once: "
-              f"{supervised['journal']['exactly_once']}", flush=True)
-
+    supervised = None if quick else supervised_run(seed, requests=8)
     return {
         "service_model": {
             "boot_cycles": service.boot_cycles,

@@ -56,8 +56,8 @@ SEED_BASE = make_address(REGION_DATA, 0x40_0000)
 THROUGHPUT_RESIDENT_PAGES = 128
 
 
-def _machine(engine: str, mode: str = "recover", clean: int = 0,
-             attacks: Sequence = ()):
+def _machine(engine: str = "predecoded", mode: str = "recover",
+             clean: int = 0, attacks: Sequence = ()):
     machine = build_worker(FleetConfig(
         variant="resil", options=BYTE_LEVEL, engine_mode=mode,
         recover_watchdog=WATCHDOG, engine=engine))
@@ -87,12 +87,11 @@ def _state_digest(machine) -> str:
     return h.hexdigest()
 
 
-def capture_scaling(engine: str,
-                    residents: Sequence[int] = (0, 32, 128)) -> List[Dict]:
+def capture_scaling(residents: Sequence[int] = (0, 32, 128)) -> List[Dict]:
     """Full vs delta capture cost as the resident footprint grows."""
     rows = []
     for extra_pages in residents:
-        machine = _machine(engine, mode="raise", clean=6)
+        machine = _machine(mode="raise", clean=6)
         if extra_pages:
             machine.memory.write_bytes(
                 SEED_BASE, b"\x5A" * (extra_pages * PAGE_SIZE))
@@ -114,9 +113,9 @@ def capture_scaling(engine: str,
     return rows
 
 
-def _serve_once(engine: str, mode: str, requests: int,
+def _serve_once(mode: str, requests: int,
                 use_delta: bool) -> Tuple[float, object]:
-    machine = _machine(engine, mode=mode, clean=requests)
+    machine = _machine(mode=mode, clean=requests)
     machine.memory.write_bytes(
         SEED_BASE, b"\x5A" * (THROUGHPUT_RESIDENT_PAGES * PAGE_SIZE))
     if mode == "recover":
@@ -126,7 +125,7 @@ def _serve_once(engine: str, mode: str, requests: int,
     return time.perf_counter() - t0, machine
 
 
-def throughput(engine: str, requests: int, repeats: int) -> Dict:
+def throughput(requests: int, repeats: int) -> Dict:
     """standard vs recover(delta) vs recover(full) on clean traffic.
 
     Median-of-N *marginal* per-request cost, with the three arms timed
@@ -143,7 +142,7 @@ def throughput(engine: str, requests: int, repeats: int) -> Dict:
     """
     small = max(4, requests // 5)
     # Warm the shared compile cache so repeat 1 is comparable.
-    _serve_once(engine, "raise", 1, True)
+    _serve_once("raise", 1, True)
     arms = {"standard": ("raise", True),
             "recover_delta": ("recover", True),
             "recover_full": ("recover", False)}
@@ -151,9 +150,8 @@ def throughput(engine: str, requests: int, repeats: int) -> Dict:
 
     def marginal(name: str, mode: str, use_delta: bool):
         def arm() -> float:
-            small_s, _ = _serve_once(engine, mode, small, use_delta)
-            large_s, machine = _serve_once(engine, mode, requests,
-                                           use_delta)
+            small_s, _ = _serve_once(mode, small, use_delta)
+            large_s, machine = _serve_once(mode, requests, use_delta)
             stat = {"served": len(machine.net.completed)}
             if mode == "recover":
                 sup = machine.resil
@@ -218,9 +216,9 @@ def equivalence() -> Dict:
     }
 
 
-def migration(engine: str) -> Dict:
+def migration() -> Dict:
     """Mid-stream move: pack at "before request 3", replay on a twin."""
-    config = FleetConfig(variant="resil", options=BYTE_LEVEL, engine=engine,
+    config = FleetConfig(variant="resil", options=BYTE_LEVEL,
                          recover_watchdog=WATCHDOG)
     source = build_worker(config, "src")
     for i in range(6):
@@ -262,41 +260,11 @@ def migration(engine: str) -> Dict:
 
 def run_suite(quick: bool) -> Dict:
     """All four experiments; returns the report body."""
-    engine = "predecoded"
     residents: Tuple[int, ...] = (0, 32) if quick else (0, 32, 128, 512)
-    requests = 120 if quick else 300
-    repeats = 5 if quick else 7
-
-    print("ckptbench: capture scaling", flush=True)
-    scaling = capture_scaling(engine, residents)
-    for row in scaling:
-        print(f"  {row['resident_pages']:4d} resident pages: "
-              f"full {row['full_pages']:4d}p/{row['full_ms']:.2f}ms, "
-              f"delta {row['delta_pages']:4d}p/{row['delta_ms']:.2f}ms",
-              flush=True)
-
-    print("ckptbench: recover-vs-standard throughput", flush=True)
-    tput = throughput(engine, requests, repeats)
-    print(f"  standard {tput['standard']['rps']:.0f} req/s, "
-          f"delta {tput['recover_delta']['rps']:.0f} req/s "
-          f"({tput['delta_overhead']:+.1%}), "
-          f"full {tput['recover_full']['rps']:.0f} req/s "
-          f"({tput['full_overhead']:+.1%})", flush=True)
-
-    print("ckptbench: delta/full equivalence", flush=True)
-    equiv = equivalence()
-    print(f"  bit-identical under both engines: {equiv['identical']}",
-          flush=True)
-
-    print("ckptbench: migration round-trip", flush=True)
-    mig = migration(engine)
-    print(f"  blob {mig['blob_bytes']} B, pack {mig['pack_ms']:.2f}ms, "
-          f"rehydrate {mig['rehydrate_ms']:.2f}ms, "
-          f"digest-identical: {mig['digest_identical']}", flush=True)
-
     return {
-        "capture_scaling": scaling,
-        "throughput": tput,
-        "equivalence": equiv,
-        "migration": mig,
+        "capture_scaling": capture_scaling(residents),
+        "throughput": throughput(requests=120 if quick else 300,
+                                 repeats=5 if quick else 7),
+        "equivalence": equivalence(),
+        "migration": migration(),
     }

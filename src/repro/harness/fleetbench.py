@@ -49,26 +49,24 @@ QUICK_WORKERS = (1, 2)
 FLEET_WATCHDOG = 2_000_000
 
 
-def _fleet_config(engine: str, *, strict: bool = False) -> FleetConfig:
+def _fleet_config(*, strict: bool = False) -> FleetConfig:
     # Strict fleets serve the deliberately vulnerable server variant
     # under BYTE_LEVEL's strict pointer policy — the configuration whose
     # planted overflow the mix's buffer-smash attack actually reaches.
     return FleetConfig(
         variant="resil" if strict else "standard",
         options=BYTE_LEVEL if strict else None,
-        engine=engine,
         recover_watchdog=FLEET_WATCHDOG,
     )
 
 
-def scaling_run(worker_counts, requests: int, seed: int,
-                engine: str) -> Dict:
+def scaling_run(worker_counts, requests: int, seed: int) -> Dict:
     """Serve one batch with fleets of increasing size."""
     batch = [make_request(4) for _ in range(requests)]
     per_fleet: Dict[str, Dict] = {}
     digests: Dict[int, str] = {}
     for workers in worker_counts:
-        driver = FleetDriver(_fleet_config(engine), workers=workers,
+        driver = FleetDriver(_fleet_config(), workers=workers,
                              routing="round_robin", seed=seed)
         result = driver.run(batch)
         digests[workers] = result.digest()
@@ -96,8 +94,7 @@ def scaling_run(worker_counts, requests: int, seed: int,
     }
 
 
-def attack_mix_run(workers: int, clean_requests: int, seed: int,
-                   engine: str) -> Dict:
+def attack_mix_run(workers: int, clean_requests: int, seed: int) -> Dict:
     """Clean + attack traffic sharded across a recover-mode fleet."""
     attacks: List[bytes] = [traversal_request(), overflow_request(),
                             traversal_request("/../etc/passwd")]
@@ -106,8 +103,8 @@ def attack_mix_run(workers: int, clean_requests: int, seed: int,
         batch.append(make_request(4))
         if i < len(attacks):
             batch.append(attacks[i])
-    driver = FleetDriver(_fleet_config(engine, strict=True),
-                         workers=workers, seed=seed)
+    driver = FleetDriver(_fleet_config(strict=True), workers=workers,
+                         seed=seed)
     result = driver.run(batch)
     detection = (result.quarantined / len(attacks)) if attacks else 1.0
     exact = (result.served == clean_requests
@@ -131,12 +128,11 @@ def attack_mix_run(workers: int, clean_requests: int, seed: int,
     }
 
 
-def clean_control_run(workers: int, requests: int, seed: int,
-                      engine: str) -> Dict:
+def clean_control_run(workers: int, requests: int, seed: int) -> Dict:
     """Attack-free traffic: any alert or quarantine is a false positive."""
     batch = [make_request(4) for _ in range(requests)]
-    driver = FleetDriver(_fleet_config(engine, strict=True),
-                         workers=workers, seed=seed)
+    driver = FleetDriver(_fleet_config(strict=True), workers=workers,
+                         seed=seed)
     result = driver.run(batch)
     false_alerts = sum(len(w["alerts"]) for w in result.workers)
     return {
@@ -150,11 +146,10 @@ def clean_control_run(workers: int, requests: int, seed: int,
     }
 
 
-def reproducibility_run(workers: int, requests: int, seed: int,
-                        engine: str) -> Dict:
+def reproducibility_run(workers: int, requests: int, seed: int) -> Dict:
     """Same seed twice in-process, once via multiprocessing: one digest."""
     batch = [make_request(4) for _ in range(requests)]
-    driver = FleetDriver(_fleet_config(engine), workers=workers, seed=seed)
+    driver = FleetDriver(_fleet_config(), workers=workers, seed=seed)
     first = driver.run(batch).digest()
     second = driver.run(batch).digest()
     mp_result = driver.run(batch, processes=True)
@@ -176,53 +171,14 @@ def reproducibility_run(workers: int, requests: int, seed: int,
 
 def run_suite(quick: bool, seed: int) -> Dict:
     """All five experiments; returns the report body."""
-    worker_counts = QUICK_WORKERS if quick else SCALING_WORKERS
     requests = 12 if quick else 32
-    engine = "predecoded"
-    mix_workers = 2
-
-    print("fleetbench: throughput scaling", flush=True)
-    scaling = scaling_run(worker_counts, requests, seed, engine)
-    for w in worker_counts:
-        entry = scaling["fleets"][str(w)]
-        print(f"  {w} worker(s): {entry['sim_cycles']:.0f} cycles, "
-              f"{entry['sim_throughput']:.1f} req/Gcycle "
-              f"({scaling['speedup_vs_1'][str(w)]:.2f}x)", flush=True)
-
-    print("fleetbench: attack mix", flush=True)
-    mix = attack_mix_run(mix_workers, clean_requests=6, seed=seed,
-                         engine=engine)
-    print(f"  served {mix['served']}/{mix['clean_requests']} clean, "
-          f"quarantined {mix['quarantined']}/{mix['attacks']} attacks, "
-          f"detection {mix['detection_rate']:.2f}", flush=True)
-
-    print("fleetbench: clean control", flush=True)
-    control = clean_control_run(mix_workers, requests=6, seed=seed,
-                                engine=engine)
-    print(f"  served {control['served']}/{control['requests']}, "
-          f"false alerts {control['false_alerts']}", flush=True)
-
-    print("fleetbench: two-tier taint transport", flush=True)
-    two_tier = two_tier_experiment(clean=4, attacks=2, proxy_workers=2,
-                                   seed=seed, engine=engine)
-    print(f"  tagged: {two_tier['tagged']['tier2']['detected_h2']} H2 "
-          f"detections, leaked={two_tier['tagged']['tier2']['secret_leaked']}"
-          f" | control: {two_tier['control']['tier2']['detected_h2']} "
-          f"detections, leaked="
-          f"{two_tier['control']['tier2']['secret_leaked']} | "
-          f"proof={two_tier['proof']}", flush=True)
-
-    print("fleetbench: reproducibility", flush=True)
-    repro = reproducibility_run(2, requests=min(requests, 8), seed=seed,
-                                engine=engine)
-    print(f"  rerun identical: {repro['rerun_identical']}, "
-          f"multiprocessing identical: {repro['processes_identical']}",
-          flush=True)
-
     return {
-        "scaling": scaling,
-        "attack_mix": mix,
-        "clean_control": control,
-        "two_tier": two_tier,
-        "reproducibility": repro,
+        "scaling": scaling_run(QUICK_WORKERS if quick else SCALING_WORKERS,
+                               requests, seed),
+        "attack_mix": attack_mix_run(2, clean_requests=6, seed=seed),
+        "clean_control": clean_control_run(2, requests=6, seed=seed),
+        "two_tier": two_tier_experiment(clean=4, attacks=2, proxy_workers=2,
+                                        seed=seed),
+        "reproducibility": reproducibility_run(
+            2, requests=min(requests, 8), seed=seed),
     }

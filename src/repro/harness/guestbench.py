@@ -180,8 +180,7 @@ SERVICES = {
 
 
 def _run_mix(variant: str, mix: Sequence[Tuple[bytes, Optional[str]]],
-             engine: str, adaptive: str = "none",
-             engine_mode: str = "recover") -> Dict:
+             adaptive: str = "none", engine_mode: str = "recover") -> Dict:
     """Serve one request mix; return the canonical outcome dict.
 
     The VM runs strict byte-granularity (``BYTE_LEVEL``): its own
@@ -193,7 +192,6 @@ def _run_mix(variant: str, mix: Sequence[Tuple[bytes, Optional[str]]],
         policy_config=guestvm_policy(),
         engine_mode=engine_mode,
         recover_watchdog=GUEST_WATCHDOG,
-        engine=engine,
         tracing=True,
         adaptive=adaptive,
         max_instructions=MAX_INSTRUCTIONS,
@@ -234,20 +232,20 @@ def _origins_reach_source(outcome: Dict, source: str = "network") -> bool:
     return True
 
 
-def detection_campaign(service: str, seed: int, clean: int, attacks: int,
-                       engine: str) -> Dict:
+def detection_campaign(service: str, seed: int, clean: int,
+                       attacks: int) -> Dict:
     """Attack + clean mixes for one guest service at one seed."""
     spec = SERVICES[service]
     rng = random.Random(seed)
     attack_mix = spec["mix"](rng, clean, attacks, True)
     expected = [p for _r, p in attack_mix if p is not None]
 
-    first = _run_mix(spec["variant"], attack_mix, engine)
-    rerun = _run_mix(spec["variant"], attack_mix, engine)
+    first = _run_mix(spec["variant"], attack_mix)
+    rerun = _run_mix(spec["variant"], attack_mix)
     digest, digest2 = _digest(first), _digest(rerun)
 
     clean_mix = spec["mix"](random.Random(seed + 1), clean, attacks, False)
-    control = _run_mix(spec["variant"], clean_mix, engine)
+    control = _run_mix(spec["variant"], clean_mix)
 
     detected = sum(1 for inc in first["incidents"]
                    if inc["reason"] == "alert"
@@ -277,7 +275,7 @@ def detection_campaign(service: str, seed: int, clean: int, attacks: int,
     return entry
 
 
-def adaptive_arm(seed: int, clean: int, attacks: int, engine: str) -> Dict:
+def adaptive_arm(seed: int, clean: int, attacks: int) -> Dict:
     """Dual-version VM: identical alerts, and real mode switching."""
     rng = random.Random(seed)
     attack_mix = _tmpl_mix(rng, clean, attacks, True)
@@ -287,7 +285,7 @@ def adaptive_arm(seed: int, clean: int, attacks: int, engine: str) -> Dict:
                 for a in outcome["alerts"]]
 
     arms = {
-        mode: _run_mix("guest-tmpl", attack_mix, engine, adaptive=mode,
+        mode: _run_mix("guest-tmpl", attack_mix, adaptive=mode,
                        engine_mode="record")
         for mode in ("none", "on", "track")
     }
@@ -298,7 +296,7 @@ def adaptive_arm(seed: int, clean: int, attacks: int, engine: str) -> Dict:
     # Clean traffic through the switching VM: the per-request scrub
     # must re-quiesce the machine so the controller drops to fast mode.
     clean_mix = _tmpl_mix(random.Random(seed + 1), clean, attacks, False)
-    switching = _run_mix("guest-tmpl", clean_mix, engine, adaptive="on",
+    switching = _run_mix("guest-tmpl", clean_mix, adaptive="on",
                          engine_mode="record")
     stats = switching["adaptive_stats"]
     return {
@@ -315,7 +313,7 @@ def adaptive_arm(seed: int, clean: int, attacks: int, engine: str) -> Dict:
     }
 
 
-def fleet_smoke(seed: int, engine: str) -> Dict:
+def fleet_smoke(seed: int) -> Dict:
     """MiniScript requests through TaggedMessage wire frames.
 
     Interior-tier workers trust their own network ingress
@@ -324,8 +322,7 @@ def fleet_smoke(seed: int, engine: str) -> Dict:
     the untagged control (same bytes, zero tags) must be served.
     """
     config = FleetConfig(variant="guest-tmpl", options=BYTE_LEVEL,
-                         policy_config=guest_backend_policy(), engine=engine,
-                         tracing=True)
+                         policy_config=guest_backend_policy(), tracing=True)
     attack = template_request(XSS_PAYLOADS[0])
     clean = template_request("alice")
     requests = [
@@ -365,37 +362,13 @@ def fleet_smoke(seed: int, engine: str) -> Dict:
 def run_suite(quick: bool, seed: int) -> Dict:
     """Full guest campaign; returns the report body."""
     clean, attacks = (6, 3) if quick else (14, 6)
-    engine = "predecoded"
     seeds = [seed] if quick else [seed, seed + 17]
-
-    services = {}
-    for service in SERVICES:
-        runs = []
-        for s in seeds:
-            print(f"guestbench: {service} detection mix (seed {s})",
-                  flush=True)
-            entry = detection_campaign(service, s, clean, attacks, engine)
-            print(f"  served {entry['served']}/{entry['clean_requests']} "
-                  f"clean, quarantined {entry['quarantined']}/"
-                  f"{entry['attacks']} attacks "
-                  f"({SERVICES[service]['policy_id']}), "
-                  f"origins_ok={entry['origins_ok']}, "
-                  f"stable={entry['digest_stable']}", flush=True)
-            runs.append(entry)
-        services[service] = runs
-
-    print("guestbench: adaptive dual-version arm", flush=True)
-    adaptive = adaptive_arm(seed, clean, attacks, engine)
-    print(f"  alerts_match={adaptive['alerts_match']}, "
-          f"switches_to_fast={adaptive['switches_to_fast']}", flush=True)
-
-    print("guestbench: fleet wire-tag smoke", flush=True)
-    fleet = fleet_smoke(seed, engine)
-    print(f"  served {fleet['served']}, quarantined {fleet['quarantined']}, "
-          f"origins_ok={fleet['origins_ok']}", flush=True)
-
     return {
-        "services": services,
-        "adaptive": adaptive,
-        "fleet": fleet,
+        "services": {
+            service: [detection_campaign(service, s, clean, attacks)
+                      for s in seeds]
+            for service in SERVICES
+        },
+        "adaptive": adaptive_arm(seed, clean, attacks),
+        "fleet": fleet_smoke(seed),
     }

@@ -500,7 +500,7 @@ def run_suite(quick: bool) -> Dict:
     """Measure every table and figure; returns the report body."""
     scale = "test" if quick else "ref"
     table = SpecTable(scale)
-    report = {
+    return {
         "scale": scale,
         "table1": {"policy_ids": [policy.policy_id for policy in TABLE1]},
         "table2": table2(),
@@ -515,8 +515,6 @@ def run_suite(quick: bool) -> Dict:
         "pruning": pruning(table),
         "spec_runs": len(table.runs),
     }
-    print(f"{report['spec_runs']} SPEC runs at {scale} scale", flush=True)
-    return report
 
 
 def render(report: Dict) -> Dict[str, str]:

@@ -141,26 +141,17 @@ def bench_workload(name: str, build: Builder, run: Runner,
 
 def run_suite(quick: bool) -> Dict:
     """Run the benchmark matrix; returns the report body."""
-    spec_names = QUICK_SPEC if quick else FULL_SPEC
-    requests = 20 if quick else 50
     workloads: Dict[str, Dict] = {}
-    for name in spec_names:
+    for name in QUICK_SPEC if quick else FULL_SPEC:
         build, run = spec_workload(name, SCALE)
         workloads[f"spec:{name}"] = bench_workload(name, build, run, PAIRS)
-        print(f"  spec:{name:8s} {workloads[f'spec:{name}']['speedup']:.2f}x",
-              flush=True)
-    build, run = web_workload(requests)
+    build, run = web_workload(20 if quick else 50)
     workloads["webserver"] = bench_workload("webserver", build, run, PAIRS)
-    print(f"  webserver     {workloads['webserver']['speedup']:.2f}x",
-          flush=True)
     spec_speedups = [w["speedup"] for k, w in workloads.items()
                      if k.startswith("spec:")]
-    report = {
+    return {
         "workloads": workloads,
         "geomean_speedup_spec": round(geomean(spec_speedups), 3),
         "geomean_speedup_all": round(
             geomean([w["speedup"] for w in workloads.values()]), 3),
     }
-    print(f"geomean speedup (spec): {report['geomean_speedup_spec']:.2f}x")
-    print(f"geomean speedup (all):  {report['geomean_speedup_all']:.2f}x")
-    return report

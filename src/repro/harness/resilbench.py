@@ -92,15 +92,5 @@ def attack_mix(engine: str = "predecoded", clean_requests: int = 6,
 
 def run_suite(quick: bool, seed: int) -> Dict:
     """Campaign + attack mix; returns the report body."""
-    print("resilbench: fault-injection campaign", flush=True)
-    campaign = run_campaign(seed=seed, quick=quick)
-    for kind, summary in campaign["kinds"].items():
-        rate = summary.get("detection_rate")
-        shown = f"detection {rate:.2f}" if rate is not None else "no gate"
-        print(f"  {kind:14s} {summary['trials']} trials, {shown}", flush=True)
-    print("resilbench: attack-mix webserver", flush=True)
-    mix = attack_mix()
-    print(f"  served {mix['served']}/{mix['clean_requests']} clean, "
-          f"quarantined {mix['quarantined']}/{mix['attacks']} attacks, "
-          f"exact={mix['exact']}", flush=True)
-    return {"campaign": campaign, "attack_mix": mix}
+    return {"campaign": run_campaign(seed=seed, quick=quick),
+            "attack_mix": attack_mix()}

@@ -77,15 +77,13 @@ ATTACK_WEIGHTS = (0.8, 0.2)
 SERVE_WATCHDOG = 2_000_000
 
 
-def _curve_config(engine: str) -> FleetConfig:
-    return FleetConfig(sizes=CURVE_SIZES, engine=engine,
-                       recover_watchdog=SERVE_WATCHDOG)
+def _curve_config() -> FleetConfig:
+    return FleetConfig(sizes=CURVE_SIZES, recover_watchdog=SERVE_WATCHDOG)
 
 
-def _attack_config(engine: str) -> FleetConfig:
+def _attack_config() -> FleetConfig:
     return FleetConfig(variant="resil", options=ATTACK_OPTIONS,
-                       sizes=ATTACK_SIZES, engine=engine,
-                       recover_watchdog=SERVE_WATCHDOG)
+                       sizes=ATTACK_SIZES, recover_watchdog=SERVE_WATCHDOG)
 
 
 def _mean_service(service: ServiceModel, sizes, weights) -> float:
@@ -192,9 +190,9 @@ def autoscale_run(service: ServiceModel, curve: Dict, seed: int,
     }
 
 
-def attack_run(engine: str, seed: int, requests: int) -> Dict:
+def attack_run(seed: int, requests: int) -> Dict:
     """Burst-then-taper attack mix: detect everything while scaling."""
-    service = ServiceModel(_attack_config(engine))
+    service = ServiceModel(_attack_config())
     mean = _mean_service(service, ATTACK_SIZES, ATTACK_WEIGHTS)
     capacity = BASE_WORKERS * 1e6 / mean
     offered = 2.0 * capacity  # burst well past the fixed knee
@@ -266,8 +264,7 @@ def attack_run(engine: str, seed: int, requests: int) -> Dict:
     }
 
 
-def wallclock_run(service: ServiceModel, seed: int, engine: str,
-                  requests: int) -> Dict:
+def wallclock_run(service: ServiceModel, seed: int, requests: int) -> Dict:
     """Real-process open-loop serving (reported, never gated)."""
     import time
 
@@ -277,14 +274,14 @@ def wallclock_run(service: ServiceModel, seed: int, engine: str,
     # workload's cycle schedule replays at realistic pressure.
     mean = _mean_service(service, CURVE_SIZES, CURVE_WEIGHTS)
     started = time.perf_counter()
-    run_worker(_curve_config(engine), "wall-cal",
+    run_worker(_curve_config(), "wall-cal",
                [(make_request(4), None)])
     wall_per_request = max(time.perf_counter() - started, 1e-4)
     time_scale = service.cost(make_request(4)).cycles / wall_per_request
     offered = 0.7 * BASE_WORKERS * 1e6 / mean
     workload = _workload(seed, offered, requests,
                          sizes=CURVE_SIZES, weights=CURVE_WEIGHTS)
-    report = SupervisedFleet(_curve_config(engine), workers=BASE_WORKERS,
+    report = SupervisedFleet(_curve_config(), workers=BASE_WORKERS,
                              seed=seed).run(workload, time_scale=time_scale)
     report["offered_load_cycles"] = round(offered, 3)
     return report
@@ -293,54 +290,13 @@ def wallclock_run(service: ServiceModel, seed: int, engine: str,
 def run_suite(quick: bool, seed: int) -> Dict:
     """All experiments; returns the report body."""
     requests = 60 if quick else 140
-    engine = "predecoded"
-    service = ServiceModel(_curve_config(engine))
-
-    print("servebench: measuring service budgets", flush=True)
+    service = ServiceModel(_curve_config())
     mean = _mean_service(service, CURVE_SIZES, CURVE_WEIGHTS)
-    print(f"  boot {service.boot_cycles:.0f} cycles, clean mix mean "
-          f"{mean:.0f} cycles ({service.measured} payloads measured)",
-          flush=True)
-
-    print("servebench: latency/throughput curve", flush=True)
     curve = curve_run(service, seed, requests)
-    for point in curve["points"]:
-        print(f"  x{point['multiplier']:<5} offered "
-              f"{point['offered_load']:6.2f} req/Mcycle: p50 "
-              f"{point['latency']['p50']:>10.0f}  p99 "
-              f"{point['latency']['p99']:>10.0f} cycles "
-              f"({point['p99_in_services']:.1f} services)", flush=True)
-
-    print("servebench: autoscaling at the knee", flush=True)
     autoscale = autoscale_run(service, curve, seed, requests)
-    print(f"  p99 {autoscale['latency']['p99']:.0f} vs fixed "
-          f"{autoscale['p99_fixed']:.0f} cycles, peak workers "
-          f"{autoscale['peak_workers']}, rerun identical: "
-          f"{autoscale['rerun_identical']}", flush=True)
-
-    print("servebench: attack mix while scaling", flush=True)
-    attack = attack_run(engine, seed, requests=max(60, requests // 2))
-    print(f"  {attack['detection']['detected']}/"
-          f"{attack['detection']['attacks']} attacks quarantined, "
-          f"{attack['false_alerts']} false alerts, "
-          f"{attack['scale_ups']} scale-ups, {attack['retires']} retires",
-          flush=True)
-    migration = attack["drain_migration"]
-    print(f"  drain-via-migration: {migration['migrations']} migrations "
-          f"({migration['migration_blob_bytes']} B blob, "
-          f"{migration['migration_cycles']:.0f} cycles each), "
-          f"{migration['requests_migrated']} requests moved, "
-          f"zero-downtime: {migration['zero_downtime']}", flush=True)
-
-    wallclock = None
-    if not quick:
-        print("servebench: wall-clock mode (multiprocessing)", flush=True)
-        wallclock = wallclock_run(service, seed, engine,
-                                  requests=min(requests // 3, 40))
-        print(f"  {wallclock['completed']}/{wallclock['requests']} done in "
-              f"{wallclock['wall_seconds']:.1f}s, p99 "
-              f"{wallclock['latency_ms']['p99']:.0f} ms", flush=True)
-
+    attack = attack_run(seed, requests=max(60, requests // 2))
+    wallclock = None if quick else wallclock_run(
+        service, seed, requests=min(requests // 3, 40))
     return {
         "service_model": {
             "boot_cycles": service.boot_cycles,

@@ -98,8 +98,11 @@ def _digest_equal(a: Dict, b: Dict) -> bool:
 
 def contained_experiment(requests: Sequence[bytes], engine: str,
                          options: ShiftOptions,
-                         name: str = "contained") -> Dict:
-    """Speculate / on / track / floor arms over the contained mix."""
+                         name: str = "contained") -> Tuple[Dict, Dict]:
+    """Speculate / on / track / floor arms over the contained mix.
+
+    Returns the report entry and the speculate arm's machine metrics.
+    """
     speculate = _run_arm("speculate", requests, engine, options)
     on = _run_arm("on", requests, engine, options)
     track = _run_arm("track", requests, engine, options)
@@ -119,8 +122,7 @@ def contained_experiment(requests: Sequence[bytes], engine: str,
         "identical_to_always_on": _digest_equal(speculate, track),
         "rollbacks": speculate["spec"]["rollbacks"],
     }
-    entry["_speculate"] = speculate
-    return entry
+    return entry, speculate["metrics"]
 
 
 def misspec_experiment(requests: Sequence[bytes], engine: str) -> Dict:
@@ -146,33 +148,15 @@ def run_suite(quick: bool) -> Dict:
     mis_sums = 4 if quick else 10
     contained: List[Dict] = []
     misspec: List[Dict] = []
-    metrics: Dict = {}
+    metrics: List[Dict] = []
     for engine in ENGINES:
-        print(f"specbench: contained-taint mix ({engine})", flush=True)
-        entry = contained_experiment(contained_mix(sums), engine,
-                                     SPECSTORE_OPTIONS)
-        speculate = entry.pop("_speculate")
-        print(f"  speedup {entry['speedup']:.2f}x over always-on "
-              f"({entry['speedup_vs_on']:.2f}x over adaptive-on), "
-              f"identical={entry['identical_to_always_on']}, "
-              f"rollbacks={entry['rollbacks']}", flush=True)
+        entry, arm_metrics = contained_experiment(
+            contained_mix(sums), engine, SPECSTORE_OPTIONS)
         contained.append(entry)
-        if not metrics:
-            metrics = speculate["metrics"]
-
-        print(f"specbench: misspeculation mix ({engine})", flush=True)
-        mis = misspec_experiment(misspec_mix(mis_sums), engine)
-        print(f"  rollbacks {mis['rollbacks']}/{mis['expected_rollbacks']}, "
-              f"replay_digest_equal={mis['replay_digest_equal']}, "
-              f"H4={mis['h4_detected']}", flush=True)
-        misspec.append(mis)
-
-    print("specbench: word granularity (contained mix)", flush=True)
-    word = contained_experiment(contained_mix(sums), ENGINES[0],
-                                WORD_LEVEL, name="contained_word")
-    word.pop("_speculate")
-    print(f"  speedup {word['speedup']:.2f}x, "
-          f"identical={word['identical_to_always_on']}", flush=True)
+        metrics.append(arm_metrics)
+        misspec.append(misspec_experiment(misspec_mix(mis_sums), engine))
+    word, _ = contained_experiment(contained_mix(sums), ENGINES[0],
+                                   WORD_LEVEL, name="contained_word")
 
     def _engine_key(arm: Dict) -> Tuple:
         return (arm["cycles"], arm["served"], arm["alerts"],
@@ -189,5 +173,5 @@ def run_suite(quick: bool) -> Dict:
         "misspec": misspec,
         "word": word,
         "cross_engine_identical": cross_engine_identical,
-        "metrics": metrics,
+        "metrics": metrics[0],
     }

@@ -15,9 +15,11 @@ returns the report body) and its gate rows.  A gate row is data,
 A row may carry a fourth element, ``"quick"`` or ``"full"``, when its
 threshold differs between the two modes or its claim holds in one mode
 only (``config.quick`` decides).
-:func:`check` evaluates every row and returns one
-``GATE FAIL <suite>: <path> = <actual>, want <op> <expected>`` line
-per violation; a path that does not resolve is a violation too.
+:func:`gate_table` evaluates every row and returns one line per
+concrete value it names: ``GATE ok <suite>: <path> = <actual>, want
+<op> <expected>`` when the value holds, ``GATE FAIL`` in its place when
+it does not; a path that does not resolve is a violation too.
+:func:`check` returns just the ``GATE FAIL`` lines.
 
 ::
 
@@ -26,10 +28,15 @@ per violation; a path that does not resolve is a violation too.
 
 writes ``BENCH_<NAME>.json``: the suite's report plus one common
 ``config`` block (suite, quick, seed, python).  ``--quick`` is the CI
-smoke configuration; ``--gate`` exits 1 unless every row holds.  A full
-run of a suite with a ``render`` step (the paper suite) also writes
-each of its ``results/<name>.txt`` tables from the report, in a
-``results/`` directory beside the report file.
+smoke configuration.  A full run of a suite with a ``render`` step (the
+paper suite) also writes each of its ``results/<name>.txt`` tables from
+the report, in a ``results/`` directory beside the report file.
+
+A suite's ``run`` only measures: :func:`main` is the one place that
+prints.  It names the run, then the files it wrote, then the gate
+table (``GATE ok`` lines on stdout, ``GATE FAIL`` lines on stderr) on
+every run; ``--gate`` only makes the exit status 1 unless every row
+holds.
 """
 
 from __future__ import annotations
@@ -56,7 +63,8 @@ from repro.harness import (
     specbench,
 )
 
-__all__ = ["OPS", "SUITES", "Suite", "check", "main", "report_diff", "run"]
+__all__ = ["OPS", "SUITES", "Suite", "check", "gate_table", "main",
+           "report_diff", "run"]
 
 #: Gate comparison operators; ``len>=`` compares a list's length.
 OPS: Dict[str, Callable[[Any, Any], bool]] = {
@@ -306,38 +314,43 @@ def _show(value: Any, op: str) -> str:
     return repr(value)
 
 
-def check(suite: Suite, report: Dict) -> List[str]:
-    """One ``GATE FAIL`` line per gate row ``report`` violates."""
-    failures: List[str] = []
-    fail = f"GATE FAIL {suite.name}:"
+def gate_table(suite: Suite, report: Dict) -> List[str]:
+    """One ``GATE ok`` or ``GATE FAIL`` line per concrete gate value."""
+    lines: List[str] = []
+    ok, fail = f"GATE ok {suite.name}:", f"GATE FAIL {suite.name}:"
     for path, op, expected, *mode in suite.gates:
         if mode:
             quick = _get(report, "config.quick")
             if quick is _MISSING:
-                failures.append(f"{fail} config.quick does not resolve")
+                lines.append(f"{fail} config.quick does not resolve")
                 continue
             if mode[0] != ("quick" if quick else "full"):
                 continue
         for concrete, actual, container in _resolve(report, path.split(".")):
             if actual is _MISSING:
-                failures.append(f"{fail} {concrete} does not resolve")
+                lines.append(f"{fail} {concrete} does not resolve")
                 continue
             want, shown = expected, repr(expected)
             if isinstance(expected, str) and expected.startswith("@"):
                 want = _get(container, expected[1:])
                 if want is _MISSING:
-                    failures.append(f"{fail} {concrete}: sibling "
-                                    f"{expected} does not resolve")
+                    lines.append(f"{fail} {concrete}: sibling "
+                                 f"{expected} does not resolve")
                     continue
                 shown = f"{expected} ({want!r})"
             try:
                 holds = OPS[op](actual, want)
             except TypeError:
                 holds = False
-            if not holds:
-                failures.append(f"{fail} {concrete} = {_show(actual, op)}, "
-                                f"want {op} {shown}")
-    return failures
+            lines.append(f"{ok if holds else fail} {concrete} = "
+                         f"{_show(actual, op)}, want {op} {shown}")
+    return lines
+
+
+def check(suite: Suite, report: Dict) -> List[str]:
+    """The ``GATE FAIL`` lines of :func:`gate_table`: one per violation."""
+    return [line for line in gate_table(suite, report)
+            if line.startswith("GATE FAIL")]
 
 
 def report_diff(old: Any, new: Any, path: str = "") -> List[str]:
@@ -393,7 +406,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="the CI smoke configuration")
     parser.add_argument("--gate", action="store_true",
-                        help="exit 1 unless every gate row holds")
+                        help="exit 1 unless every gate row holds "
+                        "(the gate table prints either way)")
     parser.add_argument("--seed", type=int,
                         help="seed for a seeded suite (default: its own)")
     parser.add_argument("--output", help="report path "
@@ -403,24 +417,28 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.seed is not None and suite.seed is None:
         parser.error(f"suite {suite.name!r} has no seeded randomness")
 
-    report = run(suite, args.quick, args.seed)
+    seed = suite.seed if args.seed is None else args.seed
+    shown_seed = "" if seed is None else f", seed {seed}"
+    print(f"running {suite.name} ({'quick' if args.quick else 'full'}"
+          f"{shown_seed})", flush=True)
+    report = run(suite, args.quick, seed)
     output = args.output or f"BENCH_{suite.name}.json"
     with open(output, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {output}")
+    print(f"wrote {output}", flush=True)
     if suite.render is not None and not args.quick:
         results = pathlib.Path(output).parent / "results"
         results.mkdir(exist_ok=True)
         for name, text in suite.render(report).items():
             (results / f"{name}.txt").write_text(text + "\n")
-        print(f"rendered {results}/")
-    if not args.gate:
-        return 0
-    failures = check(suite, report)
-    for failure in failures:
-        print(failure, file=sys.stderr)
-    return 1 if failures else 0
+        print(f"rendered {results}/", flush=True)
+    failures = 0
+    for line in gate_table(suite, report):
+        failed = line.startswith("GATE FAIL")
+        failures += failed
+        print(line, file=sys.stderr if failed else sys.stdout, flush=True)
+    return 1 if args.gate and failures else 0
 
 
 if __name__ == "__main__":

@@ -198,7 +198,7 @@ class _SnapshotBase:
         # the controller's mode must stay consistent with them or a
         # restored machine could enter fast mode non-quiescent.
         self._live_granules = machine.taint_map.live_granules
-        adaptive = getattr(machine, "adaptive", None)
+        adaptive = machine.adaptive
         self._adaptive = None if adaptive is None else adaptive.capture()
 
         # Guest OS scalars (the fd table is epoch-tracked: see capture).
@@ -406,7 +406,7 @@ class _SnapshotBase:
         machine._heap_sizes.clear()
         machine._heap_sizes.update(self._heap_sizes)
         machine.taint_map.live_granules = self._live_granules
-        adaptive = getattr(machine, "adaptive", None)
+        adaptive = machine.adaptive
         if adaptive is not None and self._adaptive is not None:
             adaptive.restore(self._adaptive)
 

@@ -34,30 +34,10 @@ from repro.core.shift import build_machine
 from repro.cpu.faults import Fault, NaTConsumptionFault
 from repro.isa.instruction import OpKind
 from repro.isa.operands import RegClass
-from repro.resil.transient import TransientErrorInjector
+from repro.resil.transient import CampaignRng, TransientErrorInjector
 from repro.runtime.machine import MachineSpec
 from repro.taint.engine import SecurityAlert
 from repro.taint.policy import PolicyConfig
-
-_MASK64 = (1 << 64) - 1
-
-
-class CampaignRng:
-    """Seeded LCG: the campaign's only randomness source (replayable)."""
-
-    def __init__(self, seed: int) -> None:
-        self._state = (seed or 1) & _MASK64
-
-    def uniform(self) -> float:
-        """Next sample in [0, 1)."""
-        self._state = (self._state * 6364136223846793005
-                       + 1442695040888963407) & _MASK64
-        return ((self._state >> 33) & 0x7FFFFFFF) / float(1 << 31)
-
-    def randrange(self, n: int) -> int:
-        """Next integer in [0, n)."""
-        return int(self.uniform() * n) if n > 1 else 0
-
 
 @dataclass
 class TrialResult:

@@ -78,7 +78,7 @@ def pack_worker(machine, checkpoint: Optional[_SnapshotBase] = None, *,
     :mod:`repro.chaos.replica`).  Readers use :func:`blob_watermark`;
     blobs packed without one report -1 (no replay guarantee).
     """
-    sup = getattr(machine, "resil", None)
+    sup = machine.resil
     if checkpoint is None:
         if sup is not None:
             checkpoint = sup.checkpoint_now(reason)
@@ -184,7 +184,7 @@ def rehydrate_worker(blob: bytes, machine) -> None:
 
     tip.restore(machine)
 
-    sup = getattr(machine, "resil", None)
+    sup = machine.resil
     if sup is not None:
         sup.chain = list(chain)
         sup._checkpoint = tip

@@ -208,7 +208,7 @@ class ResilienceSupervisor:
         no request was pending at the checkpoint (the abort would recur
         deterministically), or the recovery backstop is exhausted.
         """
-        spec = getattr(self.machine, "spec", None)
+        spec = self.machine.spec
         if spec is not None and spec.active:
             # The abort happened inside a speculation epoch: roll back
             # to the *epoch* entry and replay the slice under full

@@ -2,10 +2,11 @@
 
 A :class:`TransientErrorInjector` attached to ``machine.net.faults`` or
 ``machine.fs.faults`` makes individual I/O *attempts* fail (or reads
-come back short) according to a seeded PCG-style stream — no wall-clock,
-no host randomness, so every campaign trial replays exactly.  The I/O
-natives absorb transients with a bounded retry-with-backoff loop (see
-``GuestOS._retry_io``); an injector is deliberately **not** part of a
+come back short) according to a seeded :class:`CampaignRng` stream — no
+wall-clock, no host randomness, so every campaign trial replays
+exactly.  The I/O natives absorb transients with a bounded
+retry-with-backoff loop (see ``GuestOS._retry_io``); an injector is
+deliberately **not** part of a
 :class:`~repro.resil.checkpoint.MachineCheckpoint`, so a rollback does
 not rewind the error stream and replay the same transient forever.
 """
@@ -18,6 +19,23 @@ from typing import Dict
 _MASK64 = (1 << 64) - 1
 _MUL = 6364136223846793005
 _INC = 1442695040888963407
+
+
+class CampaignRng:
+    """Seeded 64-bit LCG: the fault campaign's and the transient-error
+    injector's only randomness source (replayable)."""
+
+    def __init__(self, seed: int) -> None:
+        self._state = (seed or 1) & _MASK64
+
+    def uniform(self) -> float:
+        """Next sample in [0, 1)."""
+        self._state = (self._state * _MUL + _INC) & _MASK64
+        return ((self._state >> 33) & 0x7FFFFFFF) / float(1 << 31)
+
+    def randrange(self, n: int) -> int:
+        """Next integer in [0, n)."""
+        return int(self.uniform() * n) if n > 1 else 0
 
 
 @dataclass(frozen=True)
@@ -60,18 +78,13 @@ class TransientErrorInjector:
     def __init__(self, seed: int = 1, *, fail_rate: float = 0.0,
                  truncate_rate: float = 0.0,
                  max_failures: int = None) -> None:
-        self._state = (seed or 1) & _MASK64
+        self._rng = CampaignRng(seed)
         self.fail_rate = fail_rate
         self.truncate_rate = truncate_rate
         self.max_failures = max_failures
         self.injected_failures = 0
         self.injected_truncations = 0
         self.by_op: Dict[str, int] = {}
-
-    def _next(self) -> float:
-        """Next uniform sample in [0, 1)."""
-        self._state = (self._state * _MUL + _INC) & _MASK64
-        return ((self._state >> 33) & 0x7FFFFFFF) / float(1 << 31)
 
     def transient(self, op: str) -> bool:
         """True when this I/O attempt should fail transiently."""
@@ -80,7 +93,7 @@ class TransientErrorInjector:
         if (self.max_failures is not None
                 and self.injected_failures >= self.max_failures):
             return False
-        if self._next() >= self.fail_rate:
+        if self._rng.uniform() >= self.fail_rate:
             return False
         self.injected_failures += 1
         self.by_op[op] = self.by_op.get(op, 0) + 1
@@ -90,9 +103,9 @@ class TransientErrorInjector:
         """Possibly-shortened delivery length for a read of ``length``."""
         if length <= 1 or self.truncate_rate <= 0.0:
             return length
-        if self._next() >= self.truncate_rate:
+        if self._rng.uniform() >= self.truncate_rate:
             return length
-        cut = 1 + int(self._next() * (length - 1))
+        cut = 1 + int(self._rng.uniform() * (length - 1))
         self.injected_truncations += 1
         self.by_op[op] = self.by_op.get(op, 0) + 1
         return min(cut, length)

@@ -160,7 +160,7 @@ class GuestOS:
             return
         if number == SYS_THREAD_EXIT:
             self.machine.threads.exit_current(cpu.read_gr(GR_FIRST_ARG))
-            adaptive = getattr(self.machine, "adaptive", None)
+            adaptive = self.machine.adaptive
             if adaptive is not None:
                 adaptive.on_boundary(cpu)
             return
@@ -178,7 +178,7 @@ class GuestOS:
             raise IllegalInstructionFault(f"native {names[index]!r} not provided")
         if self.machine.obs is not None:
             self._trace_call(names[index])
-        spec = getattr(self.machine, "spec", None)
+        spec = self.machine.spec
         if spec is not None:
             # Pre-dispatch: the pc still sits on the break, so an epoch
             # entered here checkpoints *before* the handler's effects —
@@ -190,7 +190,7 @@ class GuestOS:
         # stub here, so no code-address translation of the pc itself is
         # needed and taint sources (read/recv/wire ingress) have just
         # run — the earliest moment new taint can exist.
-        adaptive = getattr(self.machine, "adaptive", None)
+        adaptive = self.machine.adaptive
         if adaptive is not None:
             adaptive.on_boundary(cpu)
         if spec is not None:
@@ -284,7 +284,7 @@ class GuestOS:
         fd, buf, length = (self._arg(cpu, i) for i in range(3))
         data = self.machine.memory.read_bytes(buf, length)
         if fd in (_FD_STDOUT, _FD_STDERR):
-            spec = getattr(self.machine, "spec", None)
+            spec = self.machine.spec
             if spec is not None and spec.active:
                 # Console output is externally visible: buffer it until
                 # the speculation epoch commits.  (File writes are not
@@ -319,7 +319,7 @@ class GuestOS:
         # Request boundary: the recovery supervisor checkpoints *before*
         # the pending connection is dequeued, so a rollback re-executes
         # this accept with the offender back at the head of the queue.
-        resil = getattr(self.machine, "resil", None)
+        resil = self.machine.resil
         if resil is not None:
             resil.on_request_boundary()
         conn = self.net.accept()
@@ -397,7 +397,7 @@ class GuestOS:
             # of what was sent so the bytes can leave the machine as a
             # TaggedMessage with their tags still attached.
             outbound_tags = self.machine.taint_map.taint_flags(buf, length)
-        spec = getattr(self.machine, "spec", None)
+        spec = self.machine.spec
         if spec is not None and spec.active:
             # Externally visible effect under speculation: the payload
             # and its tags are computed *now* (machine state at send
@@ -501,7 +501,7 @@ class GuestOS:
     def _native_console_log(self, cpu: CPU) -> None:
         addr = self._arg(cpu, 0)
         text = self.machine.memory.read_cstring(addr)
-        spec = getattr(self.machine, "spec", None)
+        spec = self.machine.spec
         if spec is not None and spec.active:
             spec.defer_console(1, text + b"\n")
         else:

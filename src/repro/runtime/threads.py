@@ -218,7 +218,7 @@ class ThreadManager:
         self.current_tid = thread.tid
         self.context_switches += 1
         self.cpu.counters.add_io_cycles(self.switch_cost)
-        obs = getattr(self.machine, "obs", None)
+        obs = self.machine.obs
         if obs is not None:
             from repro.obs.events import ThreadSwitchEvent
 

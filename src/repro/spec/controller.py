@@ -189,8 +189,7 @@ class SpeculationController:
         if self._deny_stamp is not None \
                 and self._deny_stamp == taint_map.mutations:
             return
-        threads = getattr(machine, "threads", None)
-        if threads is not None and threads.multi_threaded:
+        if machine.threads.multi_threaded:
             return
         if not adaptive._quiescent(cpu):
             return
@@ -225,14 +224,13 @@ class SpeculationController:
         stack window — the request is certain to trip immediately."""
         from repro.runtime.threads import thread_stack_top
 
-        threads = getattr(self.machine, "threads", None)
-        tid = threads.current_tid if threads is not None else 0
+        tid = self.machine.threads.current_tid
         return watch.intersects(cpu.gr[GR_SP] & ~7, thread_stack_top(tid))
 
     def _capture_entry(self) -> Tuple[DeltaCheckpoint, str, int]:
         machine = self.machine
         mem = machine.memory
-        resil = getattr(machine, "resil", None)
+        resil = machine.resil
         if resil is not None and resil.chain \
                 and mem.dirty_epoch == resil.chain[-1].epoch:
             tip = resil.chain[-1]

@@ -307,7 +307,7 @@ class TestAdaptiveMode:
 
 class TestFleetWire:
     def test_wire_tags_are_load_bearing(self):
-        entry = fleet_smoke(seed=3, engine="predecoded")
+        entry = fleet_smoke(seed=3)
         # tagged attack quarantined; untagged twin + clean both served
         assert entry["exact"], entry
         assert entry["served"] == 3 and entry["quarantined"] == 1
@@ -323,16 +323,14 @@ class TestFleetWire:
 
 class TestGuestbench:
     def test_detection_campaign_gates(self):
-        entry = detection_campaign("kv", seed=99, clean=3, attacks=2,
-                                   engine="predecoded")
+        entry = detection_campaign("kv", seed=99, clean=3, attacks=2)
         assert entry["exact"], entry
         assert entry["detection_rate"] == 1.0
         assert entry["origins_ok"] and entry["digest_stable"]
         assert entry["clean_false_alerts"] == 0
 
     def test_report_is_json_serialisable(self):
-        entry = detection_campaign("template", seed=7, clean=2, attacks=1,
-                                   engine="predecoded")
+        entry = detection_campaign("template", seed=7, clean=2, attacks=1)
         assert json.loads(json.dumps(entry))["service"] == "template"
 
 

@@ -18,6 +18,7 @@ from repro.harness.resilbench import attack_mix
 from repro.harness.runners import ServerShortfallError, webserver_policy
 from repro.resil import MachineCheckpoint, TransientErrorInjector
 from repro.resil.inject import flip_tag, run_campaign, victim_machine
+from repro.resil.transient import CampaignRng
 from repro.taint.engine import SecurityAlert
 from tests.conftest import BYTE_STRICT
 
@@ -308,6 +309,31 @@ class TestTransientIO:
         exit_code = machine.run(max_instructions=10_000_000)
         assert exit_code in ((-2) & ((1 << 64) - 1), -2, 254)
         assert machine.os.io_failures > 0
+
+
+def _reference_lcg(seed, count):
+    """The campaign LCG written out: 64-bit state, seed 0 read as 1,
+    bits 33-63 of each state over 2**31."""
+    mask = (1 << 64) - 1
+    state = (seed or 1) & mask
+    draws = []
+    for _ in range(count):
+        state = (state * 6364136223846793005 + 1442695040888963407) & mask
+        draws.append(((state >> 33) & 0x7FFFFFFF) / float(1 << 31))
+    return draws
+
+
+class TestCampaignRng:
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 12345 ^ 0x9E3779B9])
+    def test_draws_match_the_reference_lcg(self, seed):
+        reference = _reference_lcg(seed, 1000)
+        rng = CampaignRng(seed)
+        assert [rng.uniform() for _ in range(1000)] == reference
+        # The injector fails an attempt exactly when its draw is below
+        # the rate: it reads the same stream.
+        injector = TransientErrorInjector(seed=seed, fail_rate=0.5)
+        assert [injector.transient("read") for _ in range(1000)] == \
+            [draw < 0.5 for draw in reference]
 
 
 class TestCampaign:
