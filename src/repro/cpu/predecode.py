@@ -11,9 +11,17 @@ immediates, dependency bitmasks, branch-target pcs, the issue-model
 limits and the memory geometry are embedded as literals, so the common
 case calls no Python function, only builtins (the page dict's ``get``,
 ``struct`` codecs, set and deque appends).  ``counters.instructions`` is
-batched into one store at block exit (members that need the live value —
+batched into one store at each exit (members that need the live value —
 store-buffer sequence numbers — use ``ci + j`` with the member's index
-``j``).
+``j``).  So is every other increment whose amount is known when the
+block is generated: the generator keeps a *tally* of the path it emits —
+each member's ``cN.slots`` and ``counters.loads``/``stores``, each
+certain close's ``counters.groups`` and ``counters.issue_cycles``, each
+taken or followed branch's ``counters.branches_taken`` and
+``counters.branch_penalty_cycles`` — and each exit writes it as one
+``+= <literal>`` per counter beside that store.  Folding is exact: these
+counters grow only by whole numbers (``issue_cycles`` by ``1.0`` per
+close, the penalty by the integer ``branch_penalty``).
 
 A block of more than one member is a *superblock*: its members run in
 order from its leader, and the run goes on through branches:
@@ -42,20 +50,26 @@ the schedule closes a group whatever that entry group held:
 * Members before ``r`` (the *dynamic prefix*) keep an inline replica of
   ``IssueModel.issue`` on plain locals (``gw``/``pw``/``mm``/``sl``):
   conflict test, ``group.append``, close loop.  Outside
-  ``IssueModel.issue`` it is the only copy of the close rule.
+  ``IssueModel.issue`` it is the only copy of the close rule.  Whether
+  a prefix close happens is known only at runtime, so its counter lines
+  stay in it.
 * At ``r`` the open group closes unconditionally, by the generic loop
   over ``group`` (it may still hold the entry group's members) — unless
   a followed branch right before ``r`` closed it already: a taken
   branch closes its group, so ``r`` comes at the latest right after the
-  block's first followed branch.
-* From ``r`` on the *fixed schedule* is literal: per close
-  ``counters.groups``, ``counters.issue_cycles`` and one share addition
-  per member in issue order, never folded (the sums are floats); per
-  member only its slot, load/store and stall lines.
+  block's first followed branch.  The close is certain, so its counts
+  go to the tally.
+* From ``r`` on the *fixed schedule* is literal: per close one share
+  addition per member in issue order, never folded (the per-role sums
+  are floats), and its counts in the tally; per member only its stall
+  lines.
 * Every exit, and the ``except Fault`` handler (by the faulting member's
   index ``d``), writes back the group ``IssueModel`` would hold there:
   the locals in the prefix, else ``group.extend`` of the open group's
-  cells plus literal masks, memory count and slots.
+  cells plus literal masks, memory count and slots.  Each also writes
+  the tally of its path: a side exit with its taken accounting (the
+  not-taken path carries on from the tally before it), the handler the
+  tally of the members before the faulting one.
 
 Guest loads and stores are compiled in too, as the common case of each
 layer they pass through, with one call out when it does not hold:
@@ -125,7 +139,10 @@ Equivalence rules (enforced by tests/test_engine_differential.py):
   (including the fault path), so blocks interleave exactly with
   reference ``step()`` calls — e.g. the thread scheduler's
   instrumentation drain.  The fixed schedule depends only on the code
-  and the :class:`_Shape`, so it needs no extra cache key.
+  and the :class:`_Shape`, so it needs no extra cache key.  Nothing a
+  block calls reads the tallied counters before the block leaves, and
+  every way out (exit or ``Fault``, ``SpecGuardTrip`` included) writes
+  them first.
 * ``pair_costs`` buckets are created lazily on first execution, never at
   predecode time, so the set of (role, origin) keys matches the
   reference run bit-for-bit.
@@ -376,9 +393,15 @@ def _alu_sem(op: str, dest: int, ins_idx, imm,
             if len(srcs) == 1:
                 argsrc += ","
             val = [f"gr[{dest}] = {fn_name}(({argsrc}))"]
-    terms = [f"nats[{i}]" for i in ins_idx if i]
-    val.append(f"nats[{dest}] = " + (" or ".join(terms) or "False"))
+    terms = _nat_terms(ins_idx)
+    if terms != [f"nats[{dest}]"]:  # a self-copy changes nothing
+        val.append(f"nats[{dest}] = " + (" or ".join(terms) or "False"))
     return val
+
+
+def _nat_terms(ins_idx) -> List[str]:
+    """The NaT reads of the sources, once per register (r0 has none)."""
+    return [f"nats[{i}]" for i in dict.fromkeys(ins_idx) if i]
 
 
 def _tnat_sem(i0: int, pt: int, pf: int) -> List[str]:
@@ -421,7 +444,7 @@ def _cmp_sem(op: str, pt: int, pf: int, ins_idx, imm) -> Optional[List[str]]:
         direct = [f"pr[{pf}] = not ({rexpr})"]
     else:
         direct = []
-    terms = [f"nats[{i}]" for i in ins_idx if i]
+    terms = _nat_terms(ins_idx)
     if op.startswith("tcmp.") or not terms or not direct:
         return direct
     # Itanium behaviour: a NaT source clears both predicates.
@@ -433,10 +456,9 @@ def _cmp_sem(op: str, pt: int, pf: int, ins_idx, imm) -> Optional[List[str]]:
             + _indent(direct))
 
 
-#: ``IssueModel._close_group`` of a group known to be non-empty.
-_CLOSE_GROUP = [
-    "counters.groups += 1",
-    "counters.issue_cycles += 1.0",
+#: The share attribution of ``IssueModel._close_group`` for a group
+#: known to be non-empty, over the members it holds at runtime.
+_SHARE_GROUP = [
     "share = 1.0 / len(group)",
     "for c_ in group:",
     "    c_.issue_cycles += share",
@@ -452,7 +474,9 @@ def _close_local() -> List[str]:
     because masks are only set right after an append).
     """
     return (["if group:"]
-            + _indent(_CLOSE_GROUP + ["gw = 0", "pw = 0", "mm = 0", "sl = 0"]))
+            + _indent(["counters.groups += 1", "counters.issue_cycles += 1.0"]
+                      + _SHARE_GROUP
+                      + ["gw = 0", "pw = 0", "mm = 0", "sl = 0"]))
 
 
 #: Flush block-local issue state back to the shared model.
@@ -464,15 +488,14 @@ _LOCAL_STATE = [
 ]
 
 
-def _fixed_close(cells: List[str]) -> List[str]:
-    """``IssueModel._close_group`` of a group known at predecode time.
+def _fixed_shares(cells: List[str]) -> List[str]:
+    """The share attribution of a group known at predecode time.
 
     One share addition per member in issue order, never folded: the
     per-role ``issue_cycles`` are float sums.
     """
     share = repr(1.0 / len(cells))
-    return (["counters.groups += 1", "counters.issue_cycles += 1.0"]
-            + [f"{c}.issue_cycles += {share}" for c in cells])
+    return [f"{c}.issue_cycles += {share}" for c in cells]
 
 
 def _fixed_state(cells: List[str], state) -> List[str]:
@@ -651,11 +674,26 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
     cells: List[str] = []
     key_local: dict = {}
     fns: list = []
-    #: Members that may fault (each sets ``d`` to its index first).
-    faults: List[int] = []
+    #: The fixed-amount increments of the path being emitted, which its
+    #: next exit writes: target -> amount.
+    tally: dict = {}
+    #: Member that may fault (each sets ``d`` to its index first) -> the
+    #: lines adding the tally of the members before it.
+    faults: dict = {}
     sched = _Schedule(shape)
     #: Member -> the local holding its RoleCost bucket.
     member_cell: List[str] = []
+
+    def count(target: str, amount=1) -> None:
+        tally[target] = tally.get(target, 0) + amount
+
+    def count_close() -> None:
+        """A group close the schedule makes certain."""
+        count("counters.groups")
+        count("counters.issue_cycles", 1.0)
+
+    def tally_lines() -> List[str]:
+        return [f"{t} += {a!r}" for t, a in tally.items() if a]
 
     def use_key(key):
         cname = key_local.get(key)
@@ -685,7 +723,8 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
         the closes the schedule found, with literal shares.  ``taken``
         is None for non-branch kinds, else the (static) taken flag;
         ``stall`` emits the mem-stall attribution lines (the runtime
-        value must be in a local named ``stall``).
+        value must be in a local named ``stall``).  Increments of fixed
+        amount go to the tally, not to the lines.
         """
         reads, writes, prw, is_mem, memkind, is_branch, slots = _meta(instr)
         cname, res = use_key((instr.role, instr.origin))
@@ -695,8 +734,10 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
         fixed = sched.r is not None and j >= sched.r
         if fixed:
             shut = sched.closes.get(j, ())
-            out = (list(_CLOSE_GROUP) if shut is None
-                   else _fixed_close(cells_of(shut)) if shut else [])
+            if shut is None or shut:
+                count_close()
+            out = (list(_SHARE_GROUP) if shut is None
+                   else _fixed_shares(cells_of(shut)) if shut else [])
             out += res
         else:
             rw = reads | writes
@@ -722,21 +763,24 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
                 out.append(f"pw |= {hex(prw)}")
             if is_mem:
                 out.append("mm += 1")
-        out.append(f"{cname}.slots += 1")
+        count(f"{cname}.slots")
         if memkind == 1:
-            out.append("counters.loads += 1")
+            count("counters.loads")
         elif memkind == 2:
-            out.append("counters.stores += 1")
+            count("counters.stores")
         if stall:
             out += ["if stall:",
                     "    counters.stall_cycles += stall",
                     f"    {cname}.stall_cycles += stall"]
         if taken:
-            out += ["counters.branches_taken += 1",
-                    f"counters.branch_penalty_cycles += "
-                    f"{shape.issue.branch_penalty!r}"]
-            out += (_fixed_close(cells_of(sched.after[j][0])) if fixed
-                    else _close_local())
+            count("counters.branches_taken")
+            count("counters.branch_penalty_cycles",
+                  shape.issue.branch_penalty)
+            if fixed:
+                count_close()
+                out += _fixed_shares(cells_of(sched.after[j][0]))
+            else:
+                out += _close_local()
         return out
 
     def cells_of(members) -> List[str]:
@@ -752,7 +796,8 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
         return _fixed_state(cells_of(members), state)
 
     def exit_after(j, taken=None) -> List[str]:
-        return state_after(j, taken) + [f"counters.instructions = ci + {j + 1}"]
+        return (state_after(j, taken) + tally_lines()
+                + [f"counters.instructions = ci + {j + 1}"])
 
     def plain_fragment(instr, j):
         op = instr.op
@@ -840,7 +885,7 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
                         + _l1_access(shape, size)
                         + _forwarding(shape, j, size)
                         + [f"gr[{dest}] = value", nat_dest])
-            faults.append(j)
+            faults[j] = tally_lines()
             stall = True
         elif kind is OpKind.STORE:
             if len(instr.ins) < 2:
@@ -875,7 +920,7 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
             sem += (_page_store(size, _gr_src(iv))
                     + [f"recent.append((addr, {size}, ci + {j}))"]
                     + _l1_access(shape, size))
-            faults.append(j)
+            faults[j] = tally_lines()
             stall = True
         elif kind is OpKind.MOVBR:
             if not instr.ins or not instr.outs:
@@ -889,7 +934,7 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
                            "    raise NaTConsumptionFault"
                            "(\"branch_move\")",
                            f"br[{ob}] = gr[{i0}]"]
-                    faults.append(j)
+                    faults[j] = tally_lines()
                 else:
                     sem = [f"br[{ob}] = 0"]
             else:
@@ -908,7 +953,7 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
                            f"if nats[{i0}]:",
                            "    raise NaTConsumptionFault(\"ar_move\")",
                            f"cpu.unat = gr[{i0}]"]
-                    faults.append(j)
+                    faults[j] = tally_lines()
                 else:
                     sem = ["cpu.unat = 0"]
             else:
@@ -1010,6 +1055,7 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
         else:
             return None, None
         _, pre = use_key((instr.role, instr.origin))
+        before = dict(tally)
         run = head + acct_local(instr, j, taken=taken) + flush
         if guard is None and target is not None:
             sched.follow()
@@ -1019,6 +1065,8 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
         if guard is None:
             return pre + run, None
         # Guard false: the slot is consumed, nothing else happens.
+        tally.clear()
+        tally.update(before)
         return (pre + [f"if {guard}:"] + _indent(run)
                 + acct_local(instr, j, taken=False)), i + 1
 
@@ -1054,14 +1102,15 @@ def _block(program: Program, shape: _Shape, start: int, limit: int):
         body += exit_after(len(pcs) - 1) + [f"return {i}"]
     if faults:
         # A faulting member has not issued: store the group open after
-        # the member before it, chosen by the faulting member's index.
+        # the member before it and add the tally of the members before
+        # it, both chosen by the faulting member's index.
+        *arms, last = [state_after(f - 1) + counts
+                       for f, counts in faults.items()]
         handler: List[str] = []
-        for f in faults:
-            if sched.r is not None and f > sched.r:
-                handler += [f"{'elif' if handler else 'if'} d == {f}:"]
-                handler += _indent(state_after(f - 1))
-        handler = (handler + ["else:"] + _indent(_LOCAL_STATE) if handler
-                   else _LOCAL_STATE)
+        for f, arm in zip(faults, arms):
+            handler += [f"{'elif' if handler else 'if'} d == {f}:"]
+            handler += _indent(arm)
+        handler += ["else:"] + _indent(last) if handler else last
         body = (["try:"] + _indent(body)
                 + ["except Fault:"] + _indent(handler)
                 + ["    counters.instructions = ci + d",

@@ -51,6 +51,13 @@ class MigrationError(Exception):
     """A blob failed validation or does not match the target machine."""
 
 
+#: Every key :func:`pack_worker` writes but the optional ``watermark``.
+_PAYLOAD_KEYS = frozenset((
+    "version", "machine_id", "fingerprint", "granularity", "chain",
+    "console_out", "console_err", "commands", "queries", "next_index",
+    "net_dropped", "quarantined", "incidents", "recoveries"))
+
+
 def program_fingerprint(machine) -> str:
     """Deterministic digest of the guest program a machine runs."""
     h = hashlib.sha256()
@@ -124,7 +131,14 @@ def blob_watermark(blob: bytes) -> int:
 
 
 def unpack_blob(blob: bytes) -> dict:
-    """Validate a wire blob and return its payload dict."""
+    """Validate a wire blob and return its payload dict.
+
+    Besides the magic, the CRC and the version, the payload must hold
+    every key :func:`pack_worker` writes and a non-empty chain of
+    snapshots, each the parent of the next, so that a body re-pickled
+    with a fresh CRC fails here rather than half way into
+    :func:`rehydrate_worker`.
+    """
     if len(blob) < len(MAGIC) + _HEADER.size or not blob.startswith(MAGIC):
         raise MigrationError("not a migration blob (bad magic)")
     (crc,) = _HEADER.unpack_from(blob, len(MAGIC))
@@ -144,6 +158,18 @@ def unpack_blob(blob: bytes) -> dict:
     if payload.get("version") != 1:
         raise MigrationError(
             f"unsupported migration format version {payload.get('version')}")
+    missing = _PAYLOAD_KEYS - payload.keys()
+    if missing:
+        raise MigrationError(
+            f"migration blob lacks {', '.join(sorted(missing))}")
+    chain = payload["chain"]
+    if not (isinstance(chain, list) and chain
+            and all(isinstance(node, _SnapshotBase) for node in chain)
+            and chain[0].parent is None
+            and all(node.parent is prev
+                    for prev, node in zip(chain, chain[1:]))):
+        raise MigrationError(
+            "migration blob chain is not a parent-linked list of snapshots")
     return payload
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.compiler.instrument import ShiftOptions, UNINSTRUMENTED
 from repro.core.shift import build_machine
@@ -12,6 +13,13 @@ BYTE_STRICT = ShiftOptions(granularity=1, pointer_policy="strict")
 WORD_STRICT = ShiftOptions(granularity=8, pointer_policy="strict")
 BYTE_PERMISSIVE = ShiftOptions(granularity=1, pointer_policy="permissive")
 WORD_PERMISSIVE = ShiftOptions(granularity=8, pointer_policy="permissive")
+
+#: Fresh examples on every run, no example database, and a reproduction
+#: blob printed with any failure: ``pytest --hypothesis-profile=explore``.
+#: Hypothesis's built-in ``ci`` profile, which it loads when the ``CI``
+#: variable is set, is derandomized: it replays the same examples.
+settings.register_profile("explore", derandomize=False, database=None,
+                          print_blob=True)
 
 ALL_MODES = [UNINSTRUMENTED, BYTE_PERMISSIVE, WORD_PERMISSIVE]
 MODE_IDS = ["none", "byte", "word"]

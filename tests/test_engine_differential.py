@@ -12,9 +12,10 @@ runs one workload under both engines and compares.
 
 import itertools
 import operator
+import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.apps.spec import BENCHMARKS
 from repro.core.shift import build_machine, compile_protected
@@ -39,7 +40,8 @@ from repro.harness.runners import (
     spec_policy,
     webserver_policy,
 )
-from repro.apps.webserver import make_request, make_site
+from repro.apps.webserver import make_request, make_site, overflow_request
+from repro.fleet.driver import FleetConfig, run_worker
 from repro.taint.policy import PolicyConfig
 from tests.conftest import BYTE_STRICT
 
@@ -788,30 +790,26 @@ def _grid_segment(draw, k, bad):
     return lines + [(ln, role) for ln in ends]
 
 
-@st.composite
-def _grid_program(draw):
-    """A loop over generated segments, with each member's role, then
-    each segment's recovery code and subroutine."""
+def _grid_assemble(trips, segments, tails):
+    """The loop over ``segments`` run ``trips`` times, then each
+    segment's recovery code and subroutine (``tails``: its members and
+    the role of its ``br.ret``), assembled with each member's role.
+    Lines are ``(text, role)``; labels have the role None."""
+    plain = (None, None)
     prologue = [f"movl r30 = {_DATA_BASE}", "adds r29 = 0, r30",
                 "adds r28 = 0, r30", f"movl r27 = {_BAD_ADDRESS}",
-                f"movl r26 = {_EDGE_ADDRESS}",
-                f"movl r31 = {draw(st.integers(2, 6))}"]
+                f"movl r26 = {_EDGE_ADDRESS}", f"movl r31 = {trips}"]
     prologue += [f"movl r{r} = {r * 3}" for r in _POOL]
-    lines = [(ln, (None, None)) for ln in prologue] + [("top:", None)]
-    segments = draw(st.integers(1, 3))
-    # One program in three faults in the segment drawn here.
-    bad = draw(st.sampled_from((None,) * 2 * segments
-                               + tuple(range(segments))))
-    for k in range(segments):
-        lines += draw(_grid_segment(k, k == bad)) + [(f"L{k}:", None)]
-    lines += [(ln, (None, None)) for ln in (
+    lines = [(ln, plain) for ln in prologue] + [("top:", None)]
+    for k, segment in enumerate(segments):
+        lines += segment + [(f"L{k}:", None)]
+    lines += [(ln, plain) for ln in (
         "adds r31 = -1, r31", "cmp.ne p14, p15 = r31, r0",
         "(p14) br.cond top", EXIT)]
-    for k in range(segments):
-        lines += [(f"rec{k}:", None), ("cleartag r20", (None, None)),
-                  (f"br L{k}", (None, None)), (f"sub{k}:", None)]
-        lines += draw(st.lists(_grid_member(), max_size=6))
-        lines += [("br.ret b1", draw(st.sampled_from(_ROLES)))]
+    for k, (members, ret_role) in enumerate(tails):
+        lines += [(f"rec{k}:", None), ("cleartag r20", plain),
+                  (f"br L{k}", plain), (f"sub{k}:", None)]
+        lines += members + [("br.ret b1", ret_role)]
     text = "\n".join(["func main:"] + [ln for ln, _ in lines]
                      + ["endfunc"])
     program = assemble(text)
@@ -820,6 +818,35 @@ def _grid_program(draw):
     program.code[:] = [instr.with_role(*role)
                        for instr, role in zip(program.code, roles)]
     return program
+
+
+@st.composite
+def _grid_program(draw):
+    """A loop over generated segments, with each member's role, then
+    each segment's recovery code and subroutine."""
+    trips = draw(st.integers(2, 6))
+    count = draw(st.integers(1, 3))
+    # One program in three faults in the segment drawn here.
+    bad = draw(st.sampled_from((None,) * 2 * count + tuple(range(count))))
+    segments = [draw(_grid_segment(k, k == bad)) for k in range(count)]
+    tails = [(draw(st.lists(_grid_member(), max_size=6)),
+              draw(st.sampled_from(_ROLES))) for _ in range(count)]
+    return _grid_assemble(trips, segments, tails)
+
+
+#: A shrunk counterexample: on the second trip the subroutine stores the
+#: NaT that the first trip's ``ld8.s`` deferred at the edge address.
+_DEFERRED_NAT_PROGRAM = _grid_assemble(
+    2, [[(ln, (None, None)) for ln in (
+        "br.call b1 = sub0", "ld8.s r4 = [r26]", "chk.s r20, rec0")]],
+    [([("st1 [r28] = r4", (None, None))], (None, None))])
+
+
+def _defers_at_the_edge(program):
+    """True when ``program`` holds an ``ld8.s`` through the edge address
+    r26, whose NaT a later store may consume."""
+    return any(instr.op == "ld8.s" and instr.ins[0].index == 26
+               for instr in program.code)
 
 
 def _issue_state(cpu):
@@ -843,11 +870,16 @@ class TestIssueConfigGrid:
     @given(program=_grid_program(),
            budgets=st.lists(st.integers(1, 200), min_size=1, max_size=20),
            window=st.sampled_from((1, 2, 4, 16)))
+    @example(program=_DEFERRED_NAT_PROGRAM, budgets=[1], window=1)
     def test_generated_blocks_identical(self, program, budgets, window):
         """Blocks compiled under every issue config and two L1s match the
         reference model, entered with whatever group a slice boundary, a
         not-taken branch or a block split left open, down to cache and
-        memory state, and fault identically on an unimplemented address."""
+        memory state, and fault identically on an unimplemented address
+        (or on a store of the NaT an ``ld8.s`` deferred at the edge)."""
+        admitted = ("load fault: ", "store fault: ")
+        if _defers_at_the_edge(program):
+            admitted += ("NaT consumption fault (store_value)",)
         grid = itertools.product((1, 2, 6), (1, 2), (True, False),
                                  (None, TINY_L1))
         for width, mem_ports, same_group, l1 in grid:
@@ -870,8 +902,158 @@ class TestIssueConfigGrid:
                 fault = outcomes[1][1]
                 if cpus[0].halted or fault:
                     break
-            assert cpus[1].halted or fault[1].startswith(
-                ("load fault: ", "store fault: "))
+            assert cpus[1].halted or fault[1].startswith(admitted)
+
+
+#: A line adding to a counter whose amount is known when the block is
+#: generated: a member's slot, a load or store, a certain group close or
+#: a taken branch.
+_STATIC_INCREMENT = re.compile(
+    r"(c\d+\.slots|counters\.(groups|issue_cycles|loads|stores"
+    r"|branches_taken|branch_penalty_cycles)) \+= ")
+#: The dynamic prefix's runtime close, whose count is known only at
+#: runtime.
+_RUNTIME_CLOSE = ["if group:", "counters.groups += 1",
+                  "counters.issue_cycles += 1.0", "share = 1.0 / len(group)"]
+#: A NaT test or NaT write that reads only NaTs.
+_NAT_READS = re.compile(
+    r"(?:if |nats\[(\d+)\] = )(nats\[\d+\](?: or nats\[\d+\])*):?")
+
+
+def _misplaced_increments(source):
+    """Static-counter increments outside an exit's write-back (the run
+    of them ending at ``counters.instructions = ci + ...``), the
+    ``except Fault`` handler and the dynamic prefix's runtime closes."""
+    lines = [ln.strip() for ln in source.splitlines()]
+    misplaced = []
+    i = 0
+    while i < len(lines) and lines[i] != "except Fault:":
+        if lines[i:i + 4] == _RUNTIME_CLOSE:
+            i += 4
+            continue
+        k = i
+        while _STATIC_INCREMENT.match(lines[k]):
+            k += 1
+        if k > i and not lines[k].startswith("counters.instructions = ci + "):
+            misplaced += lines[i:k]
+        i = max(k, i + 1)
+    return misplaced
+
+
+def _redundant_nat_reads(source):
+    """NaT writes that copy a register's NaT onto itself, and NaT reads
+    that name one register twice."""
+    redundant = []
+    for line in source.splitlines():
+        m = _NAT_READS.fullmatch(line.strip())
+        if m:
+            terms = m.group(2).split(" or ")
+            if (len(set(terms)) < len(terms)
+                    or terms == [f"nats[{m.group(1)}]"]):
+                redundant.append(line.strip())
+    return redundant
+
+
+def _resil_run():
+    return run_worker(FleetConfig(variant="resil"), "w",
+                      [(make_request(4), None), (overflow_request(), None),
+                       (make_request(4), None)])[1]
+
+
+def _gzip_run():
+    machine = _gzip_machine("predecoded")
+    machine.run(max_instructions=50_000_000)
+    return machine
+
+
+#: A superblock whose load through the unimplemented r27 faults after a
+#: not-taken side exit, the certain close at ``r`` (before the compare)
+#: and two fixed-schedule closes (before each dependent ``add``).
+_FAULT_AFTER_CLOSES = f"""
+func main:
+    movl r27 = {_BAD_ADDRESS}
+    movl r14 = 1
+    cmp.eq p6, p7 = r14, r0
+    (p6) br.cond out
+    add r15 = r14, r14
+    add r16 = r15, r15
+    add r17 = r16, r16
+    ld8 r18 = [r27]
+out:
+    {EXIT}
+endfunc
+"""
+
+
+class TestStaticCounters:
+    @pytest.mark.parametrize("run", [_gzip_run, _resil_run],
+                             ids=["gzip", "resil-webserver"])
+    def test_written_once_per_exit(self, run):
+        """Every block these runs generated adds its static counters
+        only where it leaves: at an exit's write-back or in its fault
+        handler; and no NaT line reads a register twice or copies a
+        NaT onto itself."""
+        cpu = run().cpu
+        shape = _shape(cpu)
+        fused = 0
+        for start, limit in cpu.program._block_code[shape]:
+            source = _block(cpu.program, shape, start, limit)[0]
+            if source is None:
+                continue
+            fused += limit == MAX_BLOCK
+            assert _misplaced_increments(source) == [], (start, limit)
+            assert _redundant_nat_reads(source) == [], (start, limit)
+        assert fused >= 40
+
+    def test_nat_reads_name_each_register_once(self):
+        """Sources naming one register twice, or only the destination,
+        read its NaT once or not at all, with the reference's result."""
+        text = f"""
+        func main:
+            movl r14 = 5
+            settag r14
+            add r15 = r14, r14
+            shl r14 = r14, 3
+            cmp.eq p6, p7 = r14, r14
+            add r16 = r16, r16
+            {EXIT}
+        endfunc
+        """
+        program = assemble(text)
+        source = _block(program, _shape(_asm_cpu(text, "predecoded")), 0,
+                        MAX_BLOCK)[0]
+        assert _redundant_nat_reads(source) == []
+        cpus = [_asm_cpu(text, engine) for engine in ENGINES]
+        for cpu in cpus:
+            cpu.run(max_instructions=100)
+        assert _cpu_state(cpus[0]) == _cpu_state(cpus[1])
+        assert cpus[1].nat[14:17] == [True, True, False]
+        assert cpus[1].pr[6:8] == [False, False]
+
+    @pytest.mark.parametrize("budgets", [(1_000,), (1,), (2, 1_000),
+                                         (4, 1_000), (6, 1_000)],
+                             ids=["whole", "stepped", "split2", "split4",
+                                  "split6"])
+    def test_fault_after_fixed_closes_identical(self, budgets):
+        """The fault handler adds exactly the counts of the members
+        before the faulting one, entered whole, single-stepped or split
+        at a member before the fault."""
+        program = assemble(_FAULT_AFTER_CLOSES)
+        shape = _shape(_asm_cpu(_FAULT_AFTER_CLOSES, "predecoded"))
+        assert len(_block(program, shape, 0, MAX_BLOCK)[1]) == 8
+        cpus = [_asm_cpu(_FAULT_AFTER_CLOSES, engine) for engine in ENGINES]
+        for budget in itertools.chain(budgets, itertools.repeat(budgets[-1])):
+            outcomes = [_run_outcome(cpu, budget) for cpu in cpus]
+            assert outcomes[0] == outcomes[1]
+            assert_counters_identical(cpus[0].counters, cpus[1].counters)
+            assert _issue_state(cpus[0]) == _issue_state(cpus[1])
+            assert _cpu_state(cpus[0]) == _cpu_state(cpus[1])
+            fault = outcomes[1][1]
+            if fault:
+                break
+        assert fault[1].startswith("load fault: ") and fault[2] == 7
+        assert cpus[1].counters.instructions == 7
+        assert cpus[1].counters.groups == 3
 
 
 class TestStoreForwarding:

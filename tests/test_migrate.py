@@ -15,6 +15,7 @@ from repro.compiler.instrument import ShiftOptions
 from repro.fleet import FleetConfig, migrate_worker
 from repro.fleet.driver import build_worker
 from repro.resil.migrate import (
+    _PAYLOAD_KEYS,
     MAGIC,
     MigrationError,
     pack_worker,
@@ -62,6 +63,7 @@ class TestWireBlob:
         machine = _source("predecoded", _mix(2))
         blob = pack_worker(machine)
         payload = unpack_blob(blob)
+        assert payload.keys() == _PAYLOAD_KEYS
         assert payload["version"] == 1
         assert payload["fingerprint"] == program_fingerprint(machine)
         assert payload["granularity"] == 1
@@ -93,6 +95,38 @@ class TestWireBlob:
         blob = MAGIC + struct.pack("<I", zlib.crc32(body)) + body
         with pytest.raises(MigrationError, match="does not unpickle"):
             unpack_blob(blob)
+
+    @pytest.mark.parametrize("forge", [
+        lambda payload: payload.pop("console_out"),
+        lambda payload: payload.update(chain=[1, 2]),
+        lambda payload: payload.update(chain=[]),
+    ], ids=["key-dropped", "chain-of-ints", "empty-chain"])
+    def test_forged_body_is_rejected_before_the_target_changes(self, forge):
+        """A body re-pickled with a fresh CRC passes the integrity check;
+        a missing key or a chain that is not a parent-linked list of
+        snapshots must still raise MigrationError, with the target left
+        as built."""
+        source = _source("predecoded", _mix(3))
+        source.cpu.run_slice(200_000)
+        payload = unpack_blob(pack_worker(source))
+        payload.update(console_out=b"moved output", commands=["moved"])
+        forge(payload)
+        body = pickle.dumps(payload)
+        blob = MAGIC + struct.pack("<I", zlib.crc32(body)) + body
+
+        def state(machine):
+            net = machine.net
+            return (_machine_state(machine), bytes(machine.console.out),
+                    bytes(machine.console.err),
+                    list(machine.executed_commands),
+                    list(machine.executed_queries), net._next_index,
+                    net.dropped, list(net.quarantined))
+
+        target = build_worker(_config(), "tgt")
+        built = state(target)
+        with pytest.raises(MigrationError):
+            rehydrate_worker(blob, target)
+        assert state(target) == built
 
     def test_rehydrate_refuses_a_different_program(self):
         machine = _source("predecoded", _mix(1))
